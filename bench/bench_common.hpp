@@ -2,9 +2,10 @@
 // Shared infrastructure for the paper-reproduction harnesses.
 //
 // Every table/figure binary uses the same calibrated "modeled NOW"
-// configuration (DESIGN.md §3.2) and the same circuit construction, so the
-// numbers across tables and figures are mutually consistent, exactly as
-// they were produced by one testbed in the paper.
+// configuration (docs/ARCHITECTURE.md, "Modeled testbed and stand-ins")
+// and the same circuit construction, so the numbers across tables and
+// figures are mutually consistent, exactly as they were produced by one
+// testbed in the paper.
 //
 // Common flags (all binaries):
 //   --scale S     shrink circuits to S × their published size (default 1.0;

@@ -9,8 +9,9 @@
 // high-fanout control-style nets, realistic logic depth, and sequential
 // feedback through the flip-flops.  Partitioner quality and Time Warp
 // dynamics depend on this graph structure rather than on the specific
-// Boolean functions (DESIGN.md §3.1).  Real .bench files, when available,
-// drop in through parse_bench_file() with no other change.
+// Boolean functions (docs/ARCHITECTURE.md, "Modeled testbed and
+// stand-ins").  Real .bench files, when available, drop in through
+// parse_bench_file() with no other change.
 
 #include <cstdint>
 #include <string>

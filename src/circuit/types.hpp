@@ -16,7 +16,8 @@ inline constexpr GateId kInvalidGate = ~GateId{0};
 
 /// Gate kinds supported by the ISCAS'89 .bench format plus an explicit
 /// primary-input kind.  DFF is the only sequential element (edge-triggered
-/// D flip-flop; see DESIGN.md §3.4 for the clocking substitution).
+/// D flip-flop; see docs/ARCHITECTURE.md, "Modeled testbed and stand-ins",
+/// for the clocking substitution).
 enum class GateType : std::uint8_t {
   kInput,  ///< primary input (no fanin)
   kBuf,    ///< buffer (1 fanin)

@@ -4,10 +4,10 @@
 // (strategy chosen by name) → parallel Time Warp simulation → statistics.
 //
 // The driver is what every example and benchmark harness calls; its
-// defaults encode the modeled-testbed calibration (DESIGN.md §3.2):
-// event grain ≈ 1.5 µs, message send overhead ≈ 3 µs, network latency
-// ≈ 50 µs — the paper's fast-Ethernet NOW regime where communication is
-// ~30× an event grain.
+// defaults encode the modeled-testbed calibration (docs/ARCHITECTURE.md,
+// "Modeled testbed and stand-ins"): event grain ≈ 1.5 µs, message send
+// overhead ≈ 3 µs, network latency ≈ 50 µs — the paper's fast-Ethernet
+// NOW regime where communication is ~30× an event grain.
 
 #include <cstdint>
 #include <memory>

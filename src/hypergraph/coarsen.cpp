@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -70,7 +69,13 @@ std::pair<std::vector<std::uint32_t>, std::size_t> heavy_pin_round(
   return {std::move(globule), next_globule};
 }
 
-/// Contract `fine` through `globule`, folding identical nets together.
+/// Contract `fine` through `globule`, writing the coarse CSR directly.
+/// Each fine net maps to its sorted, duplicate-free set of globules; a set
+/// of fewer than two is swallowed by one globule, and a set equal to an
+/// earlier net's folds into that net (weights summed), so coarse nets keep
+/// first-occurrence order.  Earlier sets are found through a flat
+/// open-addressing table of coarse net ids keyed by an FNV-1a hash of the
+/// pins, kept at most half full.
 Hypergraph contract(const Hypergraph& fine,
                     const std::vector<std::uint32_t>& globule,
                     std::size_t num_globules) {
@@ -79,38 +84,54 @@ Hypergraph contract(const Hypergraph& fine,
     vweight[globule[v]] += fine.vertex_weight(v);
   }
 
-  std::vector<std::vector<VertexId>> nets;
+  std::vector<std::uint32_t> net_off{0};
+  std::vector<VertexId> pins;
   std::vector<std::uint32_t> net_weights;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_hash;
-  std::vector<VertexId> coarse_pins;
+  std::vector<std::uint64_t> net_hash;
+  net_off.reserve(fine.num_nets() + 1);
+  pins.reserve(fine.num_pins());
+  net_weights.reserve(fine.num_nets());
+  net_hash.reserve(fine.num_nets());
+  std::size_t slots = 2;
+  while (slots < 2 * fine.num_nets()) slots *= 2;
+  std::vector<std::uint32_t> table(slots, kNone);
+
   for (NetId e = 0; e < fine.num_nets(); ++e) {
-    coarse_pins.clear();
-    for (VertexId v : fine.pins(e)) coarse_pins.push_back(globule[v]);
-    std::sort(coarse_pins.begin(), coarse_pins.end());
-    coarse_pins.erase(std::unique(coarse_pins.begin(), coarse_pins.end()),
-                      coarse_pins.end());
-    if (coarse_pins.size() < 2) continue;  // net swallowed by a globule
+    const std::size_t start = pins.size();
+    for (VertexId v : fine.pins(e)) pins.push_back(globule[v]);
+    const auto first = pins.begin() + static_cast<std::ptrdiff_t>(start);
+    std::sort(first, pins.end());
+    pins.erase(std::unique(first, pins.end()), pins.end());
+    if (pins.size() - start < 2) {  // net swallowed by a globule
+      pins.resize(start);
+      continue;
+    }
 
     std::uint64_t h = 1469598103934665603ULL;  // FNV-1a over the pin ids
-    for (VertexId v : coarse_pins) {
-      h ^= v;
+    for (std::size_t i = start; i < pins.size(); ++i) {
+      h ^= pins[i];
       h *= 1099511628211ULL;
     }
-    bool merged = false;
-    for (std::uint32_t idx : by_hash[h]) {
-      if (nets[idx] == coarse_pins) {
-        net_weights[idx] += fine.net_weight(e);
-        merged = true;
+    for (std::size_t slot = h & (slots - 1);; slot = (slot + 1) & (slots - 1)) {
+      const std::uint32_t id = table[slot];
+      if (id == kNone) {
+        table[slot] = static_cast<std::uint32_t>(net_weights.size());
+        net_off.push_back(static_cast<std::uint32_t>(pins.size()));
+        net_weights.push_back(fine.net_weight(e));
+        net_hash.push_back(h);
+        break;
+      }
+      if (net_hash[id] == h &&
+          std::equal(pins.begin() + net_off[id],
+                     pins.begin() + net_off[id + 1], first, pins.end())) {
+        net_weights[id] += fine.net_weight(e);
+        pins.resize(start);
         break;
       }
     }
-    if (!merged) {
-      by_hash[h].push_back(static_cast<std::uint32_t>(nets.size()));
-      nets.push_back(coarse_pins);
-      net_weights.push_back(fine.net_weight(e));
-    }
   }
-  return Hypergraph(std::move(vweight), nets, net_weights);
+  return Hypergraph::from_csr(std::move(vweight), std::move(net_off),
+                              std::move(pins), std::move(net_weights));
 }
 
 }  // namespace

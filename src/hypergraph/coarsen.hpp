@@ -13,7 +13,12 @@
 // Contraction maps every net's pins through the match, merges duplicate
 // pins, drops single-pin nets, and folds *identical* nets together by
 // summing their weights — on circuit hypergraphs many fanout nets collapse
-// to the same pin set after one level, so this keeps levels small.
+// to the same pin set after one level, so this keeps levels small.  It
+// writes the coarse CSR in one pass (Hypergraph::from_csr, no per-net
+// vectors and no re-sort) and finds an identical earlier net through a
+// flat linear-probe table of net ids keyed by a hash of the pins.  Coarse
+// nets keep the order in which their first fine net appears, so the
+// hierarchy does not depend on the table.
 
 #include <cstdint>
 #include <vector>

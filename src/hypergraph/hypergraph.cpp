@@ -73,6 +73,34 @@ Hypergraph Hypergraph::from_circuit(const circuit::Circuit& c,
   return hg;
 }
 
+Hypergraph Hypergraph::from_csr(std::vector<std::uint32_t> vertex_weights,
+                                std::vector<std::uint32_t> net_off,
+                                std::vector<VertexId> pins,
+                                std::vector<std::uint32_t> net_weights) {
+  PLS_CHECK_MSG(net_off.size() == net_weights.size() + 1 &&
+                    net_off.front() == 0 && net_off.back() == pins.size(),
+                "net offsets must frame the pin array, one net per weight");
+  for (std::size_t e = 0; e < net_weights.size(); ++e) {
+    PLS_CHECK_MSG(net_off[e] + 2 <= net_off[e + 1],
+                  "net " << e << " has fewer than two pins");
+    for (std::uint32_t i = net_off[e]; i < net_off[e + 1]; ++i) {
+      PLS_CHECK_MSG(pins[i] < vertex_weights.size() &&
+                        (i == net_off[e] || pins[i - 1] < pins[i]),
+                    "net " << e << " pins must be sorted, distinct and in "
+                              "range");
+    }
+  }
+  Hypergraph hg;
+  hg.vweight_ = std::move(vertex_weights);
+  hg.total_weight_ = std::accumulate(hg.vweight_.begin(), hg.vweight_.end(),
+                                     std::uint64_t{0});
+  hg.net_off_ = std::move(net_off);
+  hg.pins_ = std::move(pins);
+  hg.net_weight_ = std::move(net_weights);
+  hg.build_incidence();
+  return hg;
+}
+
 void Hypergraph::build_incidence() {
   const std::size_t n = vweight_.size();
   vtx_off_.assign(n + 1, 0);

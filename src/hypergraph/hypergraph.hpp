@@ -50,6 +50,15 @@ class Hypergraph {
   static Hypergraph from_circuit(const circuit::Circuit& c,
                                  const multilevel::VertexTrafficWeights* w);
 
+  /// Adopt a ready net → pins CSR (net e's pins are
+  /// pins[net_off[e] .. net_off[e+1])) without copying or re-sorting it.
+  /// Every net must already hold >= 2 sorted, duplicate-free, in-range
+  /// pins; violations throw util::CheckError.
+  static Hypergraph from_csr(std::vector<std::uint32_t> vertex_weights,
+                             std::vector<std::uint32_t> net_off,
+                             std::vector<VertexId> pins,
+                             std::vector<std::uint32_t> net_weights);
+
   std::size_t num_vertices() const noexcept { return vweight_.size(); }
   std::size_t num_nets() const noexcept { return net_weight_.size(); }
   std::size_t num_pins() const noexcept { return pins_.size(); }

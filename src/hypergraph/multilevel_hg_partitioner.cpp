@@ -51,6 +51,7 @@ partition::Partition MultilevelHGPartitioner::run_traced(
     const circuit::Circuit& c, std::uint32_t k, std::uint64_t seed,
     MultilevelHGTrace* trace) const {
   PLS_CHECK(k >= 1);
+  if (k == 1) return multilevel::single_part(c.size(), trace);
   util::SplitMix64 seeder(seed);
 
   // ---- Phase 1: heavy-pin coarsening ----------------------------------

@@ -78,18 +78,32 @@ HgRefineResult refine_fm(const Hypergraph& hg, partition::Partition& p,
   res.lambda_after = res.lambda_before;
   if (k < 2 || n == 0) return res;
 
-  // Φ(e,q): pins of net e in part q, stored flat — plus, per net, the
-  // candidate list of parts it actually touches.  Gain evaluation then
-  // iterates O(Σ_e∋v λ(e)) candidate entries (λ is 1–2 for almost every
-  // net) instead of scanning all k parts per net, which was the FM
-  // hot loop's dominant cost at larger k.
+  std::int64_t max_degw = 1;
+  for (VertexId v = 0; v < n; ++v) {
+    max_degw = std::max(max_degw,
+                        static_cast<std::int64_t>(hg.weighted_degree(v)));
+  }
+  PLS_CHECK_MSG(max_degw <= std::numeric_limits<std::uint32_t>::max(),
+                "weighted degree " << max_degw
+                                   << " overflows the 32-bit FM gain table");
+
+  // Φ(e,q): pins of net e in part q, and the conn/freed gain table built
+  // from it (definitions in refine.hpp).
   std::vector<std::uint32_t> phi(hg.num_nets() * k, 0);
-  std::vector<std::vector<PartId>> net_parts(hg.num_nets());
+  std::vector<std::uint32_t> conn(n * k, 0);
+  std::vector<std::uint32_t> freed(n, 0);
+  std::vector<PartId> spanned;
   for (NetId e = 0; e < hg.num_nets(); ++e) {
+    std::uint32_t* row = phi.data() + std::size_t{e} * k;
+    spanned.clear();
     for (VertexId v : hg.pins(e)) {
-      if (phi[std::size_t{e} * k + p.assign[v]]++ == 0) {
-        net_parts[e].push_back(p.assign[v]);
-      }
+      if (row[p.assign[v]]++ == 0) spanned.push_back(p.assign[v]);
+    }
+    const std::uint32_t w = hg.net_weight(e);
+    if (w == 0) continue;  // weightless nets carry no gain
+    for (VertexId u : hg.pins(e)) {
+      for (PartId q : spanned) conn[std::size_t{u} * k + q] += w;
+      if (row[p.assign[u]] == 1) freed[u] += w;
     }
   }
 
@@ -98,70 +112,27 @@ HgRefineResult refine_fm(const Hypergraph& hg, partition::Partition& p,
   const std::uint64_t limit =
       multilevel::balance_limit(hg.total_vertex_weight(), k, opt.balance_tol);
 
-  // Two least-loaded parts (lowest id on ties), maintained across moves:
-  // the no-adjacent-candidate fallback below needs "least-loaded part
-  // other than home" in O(1).  Recomputing costs O(k) but only per
-  // *applied move*, not per gain evaluation.
-  PartId min_load_1 = 0;
-  PartId min_load_2 = 0;
-  auto recompute_min_loads = [&] {
-    min_load_1 = 0;
-    for (PartId q = 1; q < k; ++q) {
-      if (load[q] < load[min_load_1]) min_load_1 = q;
-    }
-    min_load_2 = min_load_1 == 0 ? 1 : 0;
-    for (PartId q = 0; q < k; ++q) {
-      if (q != min_load_1 && load[q] < load[min_load_2]) min_load_2 = q;
-    }
-  };
-  recompute_min_loads();
-
-  // Best move of v under the λ−1 gain (balance checked at pop time).
-  // Any part adjacent to v through some net strictly beats every
-  // non-adjacent part (its gain is larger by the shared net weight), so
-  // only the candidate lists need scanning; non-adjacent parts matter
-  // only when v is entirely interior to its home part, where the move is
-  // pure balance and the least-loaded part is the canonical target.
-  std::vector<std::uint64_t> present(k, 0);
-  std::vector<PartId> touched;
+  // Best move of v under the λ−1 gain (balance checked at pop time):
+  // gain(q) = freed − conn[home] + conn[q], best under (gain ↓, load ↑,
+  // id ↑).  Never returns home, since k ≥ 2.
   auto best_move = [&](VertexId v) -> std::pair<std::int64_t, PartId> {
     const PartId home = p.assign[v];
-    std::int64_t freed = 0;  // gain from leaving home, target-independent
-    std::int64_t degw = 0;
-    for (NetId e : hg.nets(v)) {
-      const auto w = static_cast<std::int64_t>(hg.net_weight(e));
-      if (w == 0) continue;  // weightless nets cannot move any gain
-      degw += w;
-      if (phi[std::size_t{e} * k + home] == 1) freed += w;
-      for (PartId q : net_parts[e]) {
-        if (q == home) continue;
-        if (present[q] == 0) touched.push_back(q);
-        present[q] += static_cast<std::uint64_t>(w);
-      }
-    }
-    std::int64_t best_gain = freed - degw;
-    PartId best_part = min_load_1 != home ? min_load_1 : min_load_2;
-    for (PartId q : touched) {
-      const std::int64_t gain =
-          freed - degw + static_cast<std::int64_t>(present[q]);
-      if (gain > best_gain ||
-          (gain == best_gain && (load[q] < load[best_part] ||
-                                 (load[q] == load[best_part] &&
-                                  q < best_part)))) {
+    const std::uint32_t* row = conn.data() + std::size_t{v} * k;
+    const std::int64_t base = std::int64_t{freed[v]} - row[home];
+    std::int64_t best_gain = 0;
+    PartId best_part = home;
+    for (PartId q = 0; q < k; ++q) {
+      if (q == home) continue;
+      const std::int64_t gain = base + row[q];
+      if (best_part == home || gain > best_gain ||
+          (gain == best_gain && load[q] < load[best_part])) {
         best_gain = gain;
         best_part = q;
       }
-      present[q] = 0;
     }
-    touched.clear();
     return {best_gain, best_part};
   };
 
-  std::int64_t max_degw = 1;
-  for (VertexId v = 0; v < n; ++v) {
-    max_degw = std::max(max_degw,
-                        static_cast<std::int64_t>(hg.weighted_degree(v)));
-  }
   GainBuckets buckets(max_degw);
   std::vector<std::uint32_t> stamp(n, 0);
   std::vector<std::uint8_t> locked(n, 0);
@@ -172,18 +143,42 @@ HgRefineResult refine_fm(const Hypergraph& hg, partition::Partition& p,
     PartId to;
   };
 
-  auto apply = [&](VertexId v, PartId from, PartId to) {
-    for (NetId e : hg.nets(v)) {
-      auto& np = net_parts[e];
-      if (--phi[std::size_t{e} * k + from] == 0) {
-        np.erase(std::find(np.begin(), np.end(), from));
-      }
-      if (phi[std::size_t{e} * k + to]++ == 0) np.push_back(to);
+  // The one pin of net e other than `skip` that sits in part q (the caller
+  // knows Φ(e,q) counts exactly one such pin).
+  auto sole_pin = [&](NetId e, PartId q, VertexId skip) {
+    for (VertexId u : hg.pins(e)) {
+      if (u != skip && p.assign[u] == q) return u;
     }
+    PLS_CHECK_MSG(false, "Φ(e,q) out of sync with the assignment");
+    return skip;
+  };
+
+  // Move v, keeping Φ and the gain table exact under the four transition
+  // rules in refine.hpp.  v's own freed entry is rebuilt from its nets'
+  // Φ(e,to) as it lands.
+  auto apply = [&](VertexId v, PartId from, PartId to) {
+    std::uint32_t freed_v = 0;
+    for (NetId e : hg.nets(v)) {
+      std::uint32_t* row = phi.data() + std::size_t{e} * k;
+      const std::uint32_t left = --row[from];
+      const std::uint32_t joined = ++row[to];
+      const std::uint32_t w = hg.net_weight(e);
+      if (w == 0) continue;  // weightless nets carry no gain
+      if (joined == 1) freed_v += w;
+      if (left == 0 || joined == 1) {
+        for (VertexId u : hg.pins(e)) {
+          std::uint32_t* c = conn.data() + std::size_t{u} * k;
+          if (left == 0) c[from] -= w;
+          if (joined == 1) c[to] += w;
+        }
+      }
+      if (left == 1) freed[sole_pin(e, from, v)] += w;
+      if (joined == 2) freed[sole_pin(e, to, v)] -= w;
+    }
+    freed[v] = freed_v;
     p.assign[v] = to;
     load[from] -= hg.vertex_weight(v);
     load[to] += hg.vertex_weight(v);
-    recompute_min_loads();
   };
 
   for (std::uint32_t iter = 0; iter < opt.max_iters; ++iter) {
@@ -192,8 +187,7 @@ HgRefineResult refine_fm(const Hypergraph& hg, partition::Partition& p,
     buckets.clear();
     std::fill(locked.begin(), locked.end(), 0);
     for (VertexId v = 0; v < n; ++v) {
-      const auto [gain, part] = best_move(v);
-      if (part != p.assign[v]) buckets.push(gain, {v, stamp[v]});
+      buckets.push(best_move(v).first, {v, stamp[v]});
     }
 
     std::vector<Move> log;
@@ -211,7 +205,6 @@ HgRefineResult refine_fm(const Hypergraph& hg, partition::Partition& p,
         buckets.push(gain, {top.v, stamp[top.v]});
         continue;
       }
-      if (target == p.assign[top.v]) continue;
       if (load[target] + hg.vertex_weight(top.v) > limit) continue;
 
       const PartId from = p.assign[top.v];
@@ -233,8 +226,7 @@ HgRefineResult refine_fm(const Hypergraph& hg, partition::Partition& p,
         for (VertexId u : hg.pins(e)) {
           if (locked[u] || u == top.v) continue;
           ++stamp[u];
-          const auto [ngain, npart] = best_move(u);
-          if (npart != p.assign[u]) buckets.push(ngain, {u, stamp[u]});
+          buckets.push(best_move(u).first, {u, stamp[u]});
         }
       }
     }

@@ -9,6 +9,20 @@
 // Time Warp layer pays per signal transition, unlike graph refinement
 // which optimizes the symmetrized-clique proxy.
 //
+// Gains are read from a per-vertex k-way table kept exact across moves:
+//   conn[u·k+q] = Σ w(e) over u's nets with a pin in part q (so the column
+//                 of u's own part is its weighted degree), and
+//   freed[u]    = Σ w(e) over u's nets where u is the only pin in its part,
+// so gain(v: a → b) = freed[v] − conn[v·k+a] + conn[v·k+b].  A move
+// touches the table only where a Φ count crosses a threshold:
+//   Φ(e,a) 1→0, Φ(e,b) 0→1  column a / b of every pin of e (the span
+//                           changed);
+//   Φ(e,a) 2→1              the last pin left in a becomes sole;
+//   Φ(e,b) 1→2              b's former sole pin no longer is.
+// Finding a vertex's best target is then an O(k) scan of its row under
+// (gain ↓, load ↑, id ↑), independent of its degree and of how many parts
+// its nets span.
+//
 // Moves are selected from gain buckets (an array of vectors indexed by
 // gain, with lazy invalidation stamps), FM-style: zero- and negative-gain
 // moves are allowed during a pass, each pass keeps a move log and rolls

@@ -9,7 +9,8 @@
 //     bits; when the evaluated output changes, a transition is sent to
 //     every fanout port after the gate delay.
 //   * DffLp    — D flip-flops, self-clocked with a configurable period
-//     (DESIGN.md §3.4): each tick samples D and emits Q on change.
+//     (src/logicsim/README.md, "Scalar engine"): each tick samples D and
+//     emits Q on change.
 //   * InputLp  — primary inputs: self-scheduled stimulus that applies a
 //     new random vector every `stim_period`.  Vector values are a
 //     counter-based hash of (seed, input, vector index), which makes the

@@ -13,4 +13,15 @@ partition::Partition project(const std::vector<std::uint32_t>& parent_map,
   return finer;
 }
 
+partition::Partition single_part(std::size_t n, Trace* trace) {
+  if (trace != nullptr) {
+    *trace = Trace{};
+    trace->quality_after_level.assign(1, 0);
+  }
+  partition::Partition p;
+  p.k = 1;
+  p.assign.assign(n, 0);
+  return p;
+}
+
 }  // namespace pls::multilevel

@@ -49,6 +49,10 @@ struct Trace {
 partition::Partition project(const std::vector<std::uint32_t>& parent_map,
                              const partition::Partition& coarse);
 
+/// The k = 1 answer without a hierarchy: every vertex in part 0.  The
+/// trace (if any) reports no coarse levels and quality 0 throughout.
+partition::Partition single_part(std::size_t n, Trace* trace);
+
 template <class Hier, class Policy>
 partition::Partition run_vcycle(const Hier& h, Policy&& pol, Trace* trace) {
   if (trace != nullptr) {

@@ -59,6 +59,7 @@ Partition MultilevelPartitioner::run_traced(const circuit::Circuit& c,
                                             std::uint64_t seed,
                                             MultilevelTrace* trace) const {
   PLS_CHECK(k >= 1);
+  if (k == 1) return multilevel::single_part(c.size(), trace);
   util::SplitMix64 seeder(seed);
 
   // ---- Phase 1: coarsening --------------------------------------------

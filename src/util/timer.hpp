@@ -1,11 +1,12 @@
 #pragma once
 // Wall-clock timing and calibrated busy-spinning.
 //
-// The reproduction's communication model (DESIGN.md §3.2) charges CPU time
-// for event processing and message send overhead the way the paper's 1999
-// testbed did.  busy_spin_ns burns a requested number of nanoseconds of CPU
-// without sleeping (sleeping would release the core and distort Time Warp
-// dynamics at microsecond granularity).
+// The reproduction's communication model (docs/ARCHITECTURE.md, "Modeled
+// testbed and stand-ins") charges CPU time for event processing and
+// message send overhead the way the paper's 1999 testbed did.  busy_spin_ns
+// burns a requested number of nanoseconds of CPU without sleeping (sleeping
+// would release the core and distort Time Warp dynamics at microsecond
+// granularity).
 
 #include <chrono>
 #include <cstdint>

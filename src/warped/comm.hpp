@@ -7,7 +7,7 @@
 // The paper's testbed was eight workstations on fast Ethernet — inter-node
 // messages were orders of magnitude more expensive than intra-node event
 // handoffs.  On a single multicore that asymmetry disappears, so we model
-// it explicitly (DESIGN.md §3.2):
+// it explicitly (docs/ARCHITECTURE.md, "Modeled testbed and stand-ins"):
 //   * the sender burns `send_overhead_ns` of CPU per inter-node message
 //     (marshalling / protocol stack cost), and
 //   * the message only becomes *deliverable* `latency_ns` of wall-clock

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
 #include "circuit/generator.hpp"
 #include "framework/registry.hpp"
@@ -42,6 +43,18 @@ partition::Partition random_partition(std::size_t n, std::uint32_t k,
     a = static_cast<partition::PartId>(rng.below(k));
   }
   return p;
+}
+
+/// Work weights 1–4 and traffic weights 0–19, so weight-0 nets occur.
+multilevel::VertexTrafficWeights random_weights(std::size_t n,
+                                                std::uint64_t seed) {
+  util::Rng rng(seed);
+  multilevel::VertexTrafficWeights w;
+  w.vertex.resize(n);
+  w.traffic.resize(n);
+  for (auto& x : w.vertex) x = static_cast<std::uint32_t>(1 + rng.below(4));
+  for (auto& x : w.traffic) x = static_cast<std::uint32_t>(rng.below(20));
+  return w;
 }
 
 // ----- construction ----------------------------------------------------
@@ -92,6 +105,30 @@ TEST(Hypergraph, ExplicitConstructorMergesAndDrops) {
   EXPECT_EQ(hg.net_weight(0), 5u);
   EXPECT_EQ(hg.net_weight(1), 9u);
   EXPECT_EQ(hg.weighted_degree(1), 14u);  // nets 0 and 1
+}
+
+TEST(Hypergraph, FromCsrAdoptsAndValidates) {
+  // Nets {0,1} (weight 5) and {1,2,3} (weight 0), as offsets into pins.
+  const Hypergraph hg =
+      Hypergraph::from_csr({1, 2, 1, 1}, {0, 2, 5}, {0, 1, 1, 2, 3}, {5, 0});
+  EXPECT_EQ(hg.num_vertices(), 4u);
+  EXPECT_EQ(hg.total_vertex_weight(), 5u);
+  ASSERT_EQ(hg.num_nets(), 2u);
+  EXPECT_EQ(std::vector<VertexId>(hg.pins(1).begin(), hg.pins(1).end()),
+            (std::vector<VertexId>{1, 2, 3}));
+  EXPECT_EQ(hg.nets(1).size(), 2u);
+  EXPECT_EQ(hg.weighted_degree(1), 5u);
+  // Unsorted, duplicate, single-pin, out-of-range and misframed nets.
+  EXPECT_THROW(Hypergraph::from_csr({1, 1}, {0, 2}, {1, 0}, {1}),
+               util::CheckError);
+  EXPECT_THROW(Hypergraph::from_csr({1, 1}, {0, 2}, {1, 1}, {1}),
+               util::CheckError);
+  EXPECT_THROW(Hypergraph::from_csr({1, 1}, {0, 1}, {1}, {1}),
+               util::CheckError);
+  EXPECT_THROW(Hypergraph::from_csr({1, 1}, {0, 2}, {0, 2}, {1}),
+               util::CheckError);
+  EXPECT_THROW(Hypergraph::from_csr({1, 1}, {0, 2}, {0, 1}, {}),
+               util::CheckError);
 }
 
 // ----- metrics ---------------------------------------------------------
@@ -212,6 +249,37 @@ TEST(HgRefine, NeverIncreasesLambdaAndRespectsBalance) {
   }
 }
 
+TEST(HgRefine, WeightedWithZeroWeightNets) {
+  const auto c = test_circuit(900, 11);
+  const auto w = random_weights(c.size(), 3);
+  const Hypergraph hg = Hypergraph::from_circuit(c, &w);
+  std::size_t weightless = 0;
+  for (NetId e = 0; e < hg.num_nets(); ++e) {
+    weightless += hg.net_weight(e) == 0 ? 1 : 0;
+  }
+  ASSERT_GT(weightless, 0u);
+  for (std::uint32_t k : {2u, 3u, 8u}) {
+    auto p = random_partition(c.size(), k, 23);
+    HgRefineOptions opt;
+    opt.balance_tol = 0.05;
+    const HgRefineResult r = refine_fm(hg, p, opt);
+    EXPECT_EQ(r.lambda_after, connectivity_minus_one(hg, p)) << "k=" << k;
+    EXPECT_LE(r.lambda_after, r.lambda_before) << "k=" << k;
+    EXPECT_LT(r.lambda_after, r.lambda_before) << "k=" << k;
+  }
+}
+
+TEST(HgRefine, RejectsWeightedDegreeBeyondGainTable) {
+  // The gain table stores 32-bit sums of net weights per vertex; vertex 0
+  // here has weighted degree 2·(2³²−1).
+  const std::uint32_t heavy = ~std::uint32_t{0};
+  const Hypergraph hg({1, 1, 1}, {{0, 1}, {0, 2}}, {heavy, heavy});
+  partition::Partition p;
+  p.k = 2;
+  p.assign = {0, 1, 1};
+  EXPECT_THROW(refine_fm(hg, p, HgRefineOptions{}), util::CheckError);
+}
+
 // ----- the full partitioner --------------------------------------------
 
 TEST(MultilevelHG, ValidBalancedPartition) {
@@ -279,6 +347,180 @@ TEST(MultilevelHG, RegisteredInFrameworkRegistry) {
   const auto p = framework::make_partitioner("MultilevelHG");
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->name(), "MultilevelHG");
+}
+
+// ----- golden hashes ---------------------------------------------------
+//
+// FNV-1a hashes of hierarchies, partitions and FM results.  Speed-ups of
+// the refiner or the coarsener must keep every decision (move target and
+// tie order, bucket push order, net order and folded weights), so a
+// changed hash is a behaviour change, never noise.
+
+class Fnv1a {
+ public:
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (x >> (8 * i)) & 0xffu;
+      h_ *= 1099511628211ULL;
+    }
+  }
+  void add(const partition::Partition& p) {
+    add(p.k);
+    add(p.assign.size());
+    for (auto a : p.assign) add(a);
+  }
+  void add(const Hypergraph& hg) {
+    add(hg.num_vertices());
+    for (VertexId v = 0; v < hg.num_vertices(); ++v) add(hg.vertex_weight(v));
+    add(hg.num_nets());
+    for (NetId e = 0; e < hg.num_nets(); ++e) {
+      add(hg.net_weight(e));
+      add(hg.pins(e).size());
+      for (VertexId v : hg.pins(e)) add(v);
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ULL;
+};
+
+::testing::AssertionResult HashIs(const Fnv1a& h, std::uint64_t expected) {
+  if (h.value() == expected) return ::testing::AssertionSuccess();
+  std::ostringstream msg;
+  msg << std::hex << "hash 0x" << h.value() << " != recorded 0x" << expected;
+  return ::testing::AssertionFailure() << msg.str();
+}
+
+struct GoldenCase {
+  const char* circuit;
+  std::uint32_t k;
+  std::uint64_t hash;
+};
+
+TEST(HgGolden, CoarseningHierarchies) {
+  // Plain, activity-weighted and partition-respecting hierarchies: every
+  // level's vertex weights, net order, pins and folded net weights, plus
+  // the parent maps.
+  const auto c = circuit::make_iscas_like("s9234", 2000);
+  const auto w = random_weights(c.size(), 5);
+  const auto parts = random_partition(c.size(), 4, 9).assign;
+  const std::uint64_t expected[] = {0xc717a7c702102e9cULL,
+                                    0xd4ca9755307b2a64ULL,
+                                    0xac38622a32f0696bULL};
+  for (int mode = 0; mode < 3; ++mode) {
+    HgCoarsenOptions opt;
+    opt.threshold = 64;
+    opt.seed = 11 + static_cast<std::uint64_t>(mode);
+    opt.max_globule_weight = c.size() / 16;
+    if (mode >= 1) opt.weights = &w;
+    if (mode == 2) opt.respect_parts = &parts;
+    const HgHierarchy h = coarsen(c, opt);
+    Fnv1a hash;
+    hash.add(h.base);
+    for (const auto& lvl : h.levels) {
+      hash.add(lvl.hg);
+      for (auto g : lvl.parent_map) hash.add(g);
+    }
+    EXPECT_TRUE(HashIs(hash, expected[mode])) << "mode " << mode;
+  }
+}
+
+TEST(HgGolden, MultilevelHGPartitions) {
+  const GoldenCase cases[] = {
+      {"s15850", 2, 0x102cdca86f061de2ULL},
+      {"s15850", 3, 0x61182c492c35d814ULL},
+      {"s15850", 4, 0x6ed950a2d7a3a937ULL},
+      {"s15850", 8, 0x665d082807f98a93ULL},
+      {"s9234", 2, 0x519394d5d559fce3ULL},
+      {"s9234", 3, 0x01313038d01bfdfcULL},
+      {"s9234", 4, 0x6cfefc9c59c6bfd2ULL},
+      {"s9234", 8, 0x3e2327ad22fb92e7ULL},
+  };
+  for (const auto& gc : cases) {
+    const auto c = circuit::make_iscas_like(gc.circuit, 2000);
+    Fnv1a hash;
+    for (std::uint64_t seed : {1u, 7u}) {
+      hash.add(MultilevelHGPartitioner().run(c, gc.k, seed));
+    }
+    EXPECT_TRUE(HashIs(hash, gc.hash)) << gc.circuit << " k=" << gc.k;
+  }
+}
+
+TEST(HgGolden, GuidedAndIncrementalPartitions) {
+  // The guided best-of-two cycle under random weights, then incremental
+  // repartitioning from its result: once under the same weights (the flat
+  // fixed-point path) and once under drifted weights (the escalation to
+  // the partition-respecting iterated V-cycle).
+  const GoldenCase cases[] = {
+      {"s15850", 3, 0x518abe399a01058bULL},
+      {"s15850", 8, 0xfeee3fd4922a4d69ULL},
+      {"s9234", 2, 0x1f42371672bf3042ULL},
+      {"s9234", 4, 0xa96588cc381c236bULL},
+  };
+  for (const auto& gc : cases) {
+    const auto c = circuit::make_iscas_like(gc.circuit, 2000);
+    const auto w = random_weights(c.size(), 100 + gc.k);
+    const auto drifted = random_weights(c.size(), 200 + gc.k);
+    MultilevelHGOptions opt;
+    opt.weights = &w;
+    const auto guided = MultilevelHGPartitioner(opt).run(c, gc.k, 3);
+    MultilevelHGOptions dopt;
+    dopt.weights = &drifted;
+    const auto same =
+        MultilevelHGPartitioner(opt).run_incremental(c, gc.k, 5, guided);
+    const auto drift =
+        MultilevelHGPartitioner(dopt).run_incremental(c, gc.k, 5, guided);
+    // A changed plan means the flat pass found drift, so the escalation ran.
+    EXPECT_NE(drift.assign, guided.assign) << gc.circuit << " k=" << gc.k;
+    Fnv1a hash;
+    hash.add(guided);
+    hash.add(same);
+    hash.add(drift);
+    EXPECT_TRUE(HashIs(hash, gc.hash)) << gc.circuit << " k=" << gc.k;
+  }
+}
+
+TEST(HgGolden, RefineFmOnRandomHypergraphs) {
+  // A few hundred small random weighted hypergraphs (duplicate pins,
+  // single-pin nets, zero-weight nets, infeasible balance limits) from
+  // random starting partitions.
+  util::Rng rng(2024);
+  Fnv1a hash;
+  std::uint64_t moves = 0;
+  for (int t = 0; t < 400; ++t) {
+    const std::size_t n = 2 + rng.below(199);
+    const auto k = static_cast<std::uint32_t>(2 + rng.below(8));
+    std::vector<std::uint32_t> vweights(n);
+    for (auto& x : vweights) x = static_cast<std::uint32_t>(1 + rng.below(3));
+    const std::size_t m = 1 + rng.below(3 * n);
+    std::vector<std::vector<VertexId>> nets(m);
+    std::vector<std::uint32_t> nweights(m);
+    for (std::size_t e = 0; e < m; ++e) {
+      const std::size_t size = rng.below(10) == 0
+                                   ? 1 + rng.below(n)
+                                   : 1 + rng.below(std::min<std::size_t>(n, 6));
+      for (std::size_t i = 0; i < size; ++i) {
+        nets[e].push_back(static_cast<VertexId>(rng.below(n)));
+      }
+      nweights[e] = static_cast<std::uint32_t>(rng.below(6));
+    }
+    const Hypergraph hg(std::move(vweights), nets, nweights);
+    auto p = random_partition(n, k, rng.next());
+    HgRefineOptions opt;
+    const double tols[] = {0.0, 0.03, 0.1, 0.5};
+    opt.balance_tol = tols[rng.below(4)];
+    opt.max_iters = static_cast<std::uint32_t>(1 + rng.below(8));
+    const HgRefineResult r = refine_fm(hg, p, opt);
+    hash.add(p);
+    hash.add(r.moves);
+    hash.add(r.iterations);
+    hash.add(r.lambda_before);
+    hash.add(r.lambda_after);
+    moves += r.moves;
+  }
+  EXPECT_GT(moves, 0u);
+  EXPECT_TRUE(HashIs(hash, 0x7db8475e675d58beULL));
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 #include "circuit/generator.hpp"
 #include "circuit/levelize.hpp"
 #include "framework/registry.hpp"
+#include "hypergraph/multilevel_hg_partitioner.hpp"
 #include "partition/baselines.hpp"
 #include "partition/metrics.hpp"
+#include "partition/multilevel_partitioner.hpp"
 
 namespace pls::partition {
 namespace {
@@ -193,6 +195,29 @@ TEST(AllPartitioners, KEqualsOneIsTrivial) {
     p.validate(c.size());
     for (auto a : p.assign) EXPECT_EQ(a, 0u);
   }
+  // Both multilevel pipelines skip coarsening at k = 1: the trace (reset
+  // from a stale run) reports no levels and quality 0.
+  auto expect_trivial = [&](const multilevel::Trace& trace, const char* who) {
+    EXPECT_TRUE(trace.level_sizes.empty()) << who;
+    EXPECT_EQ(trace.quality_after_level, std::vector<std::uint64_t>{0}) << who;
+    EXPECT_EQ(trace.initial_quality, 0u) << who;
+    EXPECT_EQ(trace.final_quality, 0u) << who;
+  };
+  MultilevelTrace trace;
+  MultilevelPartitioner().run_traced(c, 4, 7, &trace);
+  ASSERT_FALSE(trace.level_sizes.empty());
+  const Partition p = MultilevelPartitioner().run_traced(c, 1, 7, &trace);
+  EXPECT_EQ(p.k, 1u);
+  EXPECT_EQ(p.assign, std::vector<PartId>(c.size(), 0));
+  expect_trivial(trace, "Multilevel");
+  hypergraph::MultilevelHGTrace hg_trace;
+  hypergraph::MultilevelHGPartitioner().run_traced(c, 4, 7, &hg_trace);
+  ASSERT_FALSE(hg_trace.level_sizes.empty());
+  const Partition hp =
+      hypergraph::MultilevelHGPartitioner().run_traced(c, 1, 7, &hg_trace);
+  EXPECT_EQ(hp.k, 1u);
+  EXPECT_EQ(hp.assign, std::vector<PartId>(c.size(), 0));
+  expect_trivial(hg_trace, "MultilevelHG");
 }
 
 TEST(AllPartitioners, KLargerThanUsualStillValid) {
