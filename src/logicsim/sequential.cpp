@@ -4,6 +4,7 @@
 #include <bit>
 #include <queue>
 
+#include "mem/pool.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -16,9 +17,9 @@ using warped::LpId;
 using warped::LpState;
 using warped::SimTime;
 
-/// Per-LP event list: sorted vector with a processed-prefix cursor and
-/// amortized compaction (no fossil collection here — everything commits
-/// immediately).
+/// Per-LP event list: a sorted vector whose executed prefix [0, head)
+/// compacts away at LpRuntime's threshold (no fossil collection here —
+/// everything commits immediately).
 struct SeqLp {
   std::vector<Event> queue;
   std::size_t head = 0;
@@ -28,14 +29,23 @@ struct SeqLp {
   SimTime next_time() const noexcept {
     return has_pending() ? queue[head].recv_time : kEndOfTime;
   }
-  void insert(const Event& ev) {
-    auto pos = std::lower_bound(queue.begin() + static_cast<std::ptrdiff_t>(head),
-                                queue.end(), ev);
-    queue.insert(pos, ev);
+  void insert(Event&& ev) {
+    // In-order arrivals, the common case (a gate's inputs arrive in time
+    // order), append in O(1).
+    if (queue.empty() || queue.back() < ev) {
+      queue.push_back(std::move(ev));
+      return;
+    }
+    auto pos = std::lower_bound(
+        queue.begin() + static_cast<std::ptrdiff_t>(head), queue.end(), ev);
+    queue.insert(pos, std::move(ev));
   }
+  /// Amortized O(1): the live range moves once per >= equal run of
+  /// executed events.
   void compact() {
-    if (head > 4096 && head * 2 > queue.size()) {
-      queue.erase(queue.begin(), queue.begin() + static_cast<std::ptrdiff_t>(head));
+    if (head >= 64 && head * 2 >= queue.size()) {
+      queue.erase(queue.begin(),
+                  queue.begin() + static_cast<std::ptrdiff_t>(head));
       head = 0;
     }
   }
@@ -50,15 +60,15 @@ struct SchedEntry {
   }
 };
 
+/// Buffers the executing LP's sends in `sent`: the batch it executes is a
+/// view into a queue that delivering them could grow, so delivery waits
+/// until execute() returns.
 class SeqContext final : public warped::Context {
  public:
   SeqContext(SimTime end, std::vector<SeqLp>* lps,
-             std::vector<LpState>* states,
-             std::priority_queue<SchedEntry, std::vector<SchedEntry>,
-                                 std::greater<>>* sched,
+             std::vector<LpState>* states, std::vector<Event>* sent,
              std::vector<std::uint64_t>* sends)
-      : end_(end), lps_(lps), states_(states), sched_(sched),
-        sends_(sends) {}
+      : end_(end), lps_(lps), states_(states), sent_(sent), sends_(sends) {}
 
   void set_current(SimTime now, LpId self, bool init_mode) {
     now_ = now;
@@ -75,7 +85,7 @@ class SeqContext final : public warped::Context {
             std::uint64_t value, std::uint64_t mask) override {
     PLS_CHECK_MSG(init_mode_ ? recv_time >= now_ : recv_time > now_,
                   "sequential send not after now");
-    Event ev;
+    Event& ev = sent_->emplace_back();
     ev.recv_time = recv_time;
     ev.send_time = now_;
     ev.target = target;
@@ -84,8 +94,6 @@ class SeqContext final : public warped::Context {
     ev.value = value;
     ev.mask = mask;
     ev.id = (*lps_)[self_].next_id++;
-    (*lps_)[target].insert(ev);
-    sched_->push(SchedEntry{recv_time, target});
     // Self-sends are scheduling ticks (DFF clocks, stimulus timers), not
     // net traffic — counting them would mark every clocked LP "hot"
     // regardless of whether its output ever toggles.  Batched events weigh
@@ -103,7 +111,7 @@ class SeqContext final : public warped::Context {
     }
     PLS_CHECK_MSG(init_mode_ ? recv_time >= now_ : recv_time > now_,
                   "sequential send not after now");
-    Event ev;
+    Event& ev = sent_->emplace_back();
     ev.recv_time = recv_time;
     ev.send_time = now_;
     ev.target = target;
@@ -115,8 +123,6 @@ class SeqContext final : public warped::Context {
       ev.set_mask_word(w, masks[w]);
     }
     ev.id = (*lps_)[self_].next_id++;
-    (*lps_)[target].insert(ev);
-    sched_->push(SchedEntry{recv_time, target});
     if (target != self_) {
       for (std::uint32_t w = 0; w < k; ++w) {
         (*sends_)[self_] += std::popcount(masks[w]);
@@ -131,8 +137,7 @@ class SeqContext final : public warped::Context {
   bool init_mode_ = false;
   std::vector<SeqLp>* lps_;
   std::vector<LpState>* states_;
-  std::priority_queue<SchedEntry, std::vector<SchedEntry>, std::greater<>>*
-      sched_;
+  std::vector<Event>* sent_;
   std::vector<std::uint64_t>* sends_;
 };
 
@@ -144,51 +149,81 @@ SeqStats simulate_sequential(const std::vector<warped::LogicalProcess*>& lps,
   PLS_CHECK(!lps.empty());
   util::WallTimer timer;
 
-  std::vector<SeqLp> queues(lps.size());
-  std::vector<LpState> states(lps.size());
-  std::priority_queue<SchedEntry, std::vector<SchedEntry>, std::greater<>>
-      sched;
-
   SeqStats out;
   out.per_lp_events.assign(lps.size(), 0);
   out.per_lp_lane_work.assign(lps.size(), 0);
   out.per_lp_sends.assign(lps.size(), 0);
 
-  SeqContext ctx(end_time, &queues, &states, &sched, &out.per_lp_sends);
-  for (LpId i = 0; i < lps.size(); ++i) {
-    states[i] = lps[i]->initial_state();
-  }
-  for (LpId i = 0; i < lps.size(); ++i) {
-    ctx.set_current(0, i, /*init_mode=*/true);
-    lps[i]->init(ctx);
-  }
+  // Wide payloads and state words come from this run's own arena, which
+  // must outlive every event and state allocated from it: the final
+  // states are copied out through the caller's allocator before the block
+  // below closes, and the pool dies after it.
+  mem::Pool* const caller_pool = mem::current_pool();
+  mem::Pool pool;
+  {
+    mem::PoolScope pool_scope(&pool);
+    std::vector<LpState> states;
+    std::vector<SeqLp> queues(lps.size());
+    std::vector<Event> sent;
+    std::priority_queue<SchedEntry, std::vector<SchedEntry>, std::greater<>>
+        sched;
+    // Every LP with pending events holds a heap entry at its next_time():
+    // a delivery pushes one only when it lowers that time, and a batch
+    // pushes the LP's next remaining time.  Entries that no longer match
+    // next_time() are stale and skipped.
+    const auto deliver = [&] {
+      for (Event& ev : sent) {
+        SeqLp& q = queues[ev.target];
+        const SimTime t = ev.recv_time;
+        const LpId target = ev.target;
+        const bool earlier = t < q.next_time();
+        q.insert(std::move(ev));
+        if (earlier) sched.push(SchedEntry{t, target});
+      }
+      sent.clear();
+    };
 
-  std::vector<Event> batch;
-  while (!sched.empty()) {
-    const SchedEntry top = sched.top();
-    sched.pop();
-    SeqLp& q = queues[top.lp];
-    if (q.next_time() != top.time) continue;  // stale entry
-
-    const SimTime t = top.time;
-    batch.clear();
-    while (q.has_pending() && q.queue[q.head].recv_time == t) {
-      out.per_lp_lane_work[top.lp] += q.queue[q.head].mask_popcount();
-      batch.push_back(q.queue[q.head]);
-      ++q.head;
+    SeqContext ctx(end_time, &queues, &states, &sent, &out.per_lp_sends);
+    states.reserve(lps.size());
+    for (LpId i = 0; i < lps.size(); ++i) {
+      states.push_back(lps[i]->initial_state());
     }
-    ctx.set_current(t, top.lp, /*init_mode=*/false);
-    lps[top.lp]->execute(ctx, batch);
-    if (event_cost_ns > 0) util::busy_spin_ns(event_cost_ns);
+    for (LpId i = 0; i < lps.size(); ++i) {
+      ctx.set_current(0, i, /*init_mode=*/true);
+      lps[i]->init(ctx);
+      deliver();
+    }
 
-    out.events_processed += batch.size();
-    out.per_lp_events[top.lp] += batch.size();
-    q.compact();
-    if (q.has_pending()) sched.push(SchedEntry{q.next_time(), top.lp});
+    while (!sched.empty()) {
+      const SchedEntry top = sched.top();
+      sched.pop();
+      SeqLp& q = queues[top.lp];
+      if (q.next_time() != top.time) continue;  // stale entry
+
+      const SimTime t = top.time;
+      std::size_t last = q.head;
+      std::uint64_t lane_work = 0;
+      while (last < q.queue.size() && q.queue[last].recv_time == t) {
+        lane_work += q.queue[last].mask_popcount();
+        ++last;
+      }
+      const warped::EventBatch batch(q.queue.data() + q.head, last - q.head);
+      ctx.set_current(t, top.lp, /*init_mode=*/false);
+      lps[top.lp]->execute(ctx, batch);
+      if (event_cost_ns > 0) util::busy_spin_ns(event_cost_ns);
+
+      out.events_processed += batch.size();
+      out.per_lp_events[top.lp] += batch.size();
+      out.per_lp_lane_work[top.lp] += lane_work;
+      q.head = last;
+      q.compact();
+      if (q.has_pending()) sched.push(SchedEntry{q.next_time(), top.lp});
+      deliver();
+    }
+    const mem::PoolScope copy_out(caller_pool);
+    out.final_states.assign(states.begin(), states.end());
   }
-
   out.wall_seconds = timer.elapsed_seconds();
-  out.final_states = std::move(states);
   return out;
 }
 

@@ -7,6 +7,21 @@
 // as the Time Warp kernel with identical batch semantics, so its final
 // states and event counts are the ground truth the optimistic runs are
 // checked against (logicsim/equivalence.hpp).
+//
+// Its cost is proportional to the events it executes:
+//  * each batch is a view into the LP's own sorted queue, not a copy; the
+//    LP's sends are buffered and delivered only after execute() returns,
+//    since delivering into that queue (a self-send) could reallocate it
+//    under the view;
+//  * in-order arrivals append in O(1), and an LP is (re)scheduled only
+//    when an arrival lowers its earliest pending time or a batch retires
+//    it, not once per event;
+//  * the executed prefix compacts away at LpRuntime's threshold (at least
+//    64 events and half the queue);
+//  * wide event payloads and state words (lanes > 64) come from a
+//    mem::Pool owned by the call, which outlives every event and state
+//    allocated from it; the final states are copied out through the
+//    caller's allocator before the pool is destroyed.
 
 #include <cstdint>
 #include <vector>

@@ -125,6 +125,24 @@ struct Kernel::Cluster {
     }
   }
 
+  // Fossil work list: the LPs that executed, received or were installed
+  // here since a fossil pass last found them LpRuntime::fossil_idle().
+  // Nothing else creates fossil work, so a pass that walks this list
+  // instead of own_lps commits exactly the same events.  `in_fossil[lp]`
+  // dedups the list; an LP that emigrated leaves it at the next pass.
+  std::vector<LpId> fossil_lps;
+  std::vector<std::uint8_t> in_fossil;
+
+  /// `lp`'s queues changed on this node: refresh its live count and queue
+  /// it for the next fossil pass.
+  void note_touched(const std::vector<LpRuntime>& rts, LpId lp) {
+    note_live(rts, lp);
+    if (!in_fossil[lp]) {
+      in_fossil[lp] = 1;
+      fossil_lps.push_back(lp);
+    }
+  }
+
   /// Watchdog progress counter (relaxed; owner increments per batch).
   std::atomic<std::uint64_t> exec_ticks{0};
 
@@ -170,15 +188,31 @@ struct Kernel::Cluster {
     }
   }
 
-  /// GVT report contribution of this cluster's LPs.  Scans gvt_min_time()
-  /// rather than reading the scheduler heap: an LP coast-forwarding
+  /// GVT report contribution of this cluster's LPs: the minimum
+  /// gvt_min_time() over the LPs that hold a live scheduler entry (an
+  /// installed LP whose entry time equals its mark).  Every installed LP
+  /// with pending work holds one at its next_time() — push_sched follows
+  /// every insert, commit and install, and clean_top re-pushes what it
+  /// corrects — so an LP without one reports kEndOfTime and can be
+  /// skipped.  The entry's key is not the report: an LP coast-forwarding
   /// through a replay window has pending batches *below* an already
-  /// published GVT whose re-execution is effect-free, and the heap is
-  /// keyed by the raw next_time the scheduler needs.  O(own LPs), once
-  /// per GVT round.
+  /// published GVT whose re-execution is effect-free, which
+  /// gvt_min_time() excludes.  O(heap), once per GVT round; debug builds
+  /// check it against the O(own LPs) scan.
   SimTime gvt_report_min(const std::vector<LpRuntime>& rts) const {
     SimTime m = kEndOfTime;
-    for (LpId lp : own_lps) m = std::min(m, rts[lp].gvt_min_time());
+    for (const SchedEntry& e : sched) {
+      if (installed[e.lp] && e.time == sched_mark[e.lp]) {
+        m = std::min(m, rts[e.lp].gvt_min_time());
+      }
+    }
+#ifndef NDEBUG
+    SimTime full = kEndOfTime;
+    for (LpId lp : own_lps) full = std::min(full, rts[lp].gvt_min_time());
+    PLS_CHECK_MSG(m == full, "node " << node << " GVT report " << m
+                                     << " from live scheduler entries != "
+                                     << full << " from every own LP");
+#endif
     return m;
   }
 };
@@ -323,6 +357,7 @@ Kernel::Kernel(std::vector<LogicalProcess*> lps,
   for (auto& cl : clusters_) {
     cl->installed.assign(lps_.size(), 0);
     cl->live_of.assign(lps_.size(), 0);
+    cl->in_fossil.assign(lps_.size(), 0);
     cl->sched_mark.assign(lps_.size(), kEndOfTime);
   }
   if (cfg_.obs != nullptr) {
@@ -379,7 +414,7 @@ void Kernel::init_all_lps() {
   for (std::uint32_t n = 0; n < cfg_.num_nodes; ++n) {
     for (LpId lp : clusters_[n]->own_lps) {
       clusters_[n]->push_sched(runtimes_[lp].next_time(), lp);
-      clusters_[n]->note_live(runtimes_, lp);
+      clusters_[n]->note_touched(runtimes_, lp);
     }
   }
 }
@@ -434,7 +469,7 @@ void Kernel::node_main(std::uint32_t node) {
           }
         }
         cl.push_sched(runtimes_[ev.target].next_time(), ev.target);
-        cl.note_live(runtimes_, ev.target);
+        cl.note_touched(runtimes_, ev.target);
       } else {
         if (cfg_.network.send_overhead_ns > 0) {
           util::busy_spin_ns(cfg_.network.send_overhead_ns);
@@ -585,7 +620,7 @@ void Kernel::node_main(std::uint32_t node) {
         cl.trace->record(obs::TraceKind::kExecBatch, tb0,
                          tb1 > tb0 ? tb1 - tb0 : 1, batch_size, t, top.lp);
       }
-      cl.note_live(runtimes_, top.lp);
+      cl.note_touched(runtimes_, top.lp);
       cl.stats.events_processed += batch_size;
       cl.throttle.note_executed(batch_size, t > gvt_now ? t - gvt_now : 0);
       cl.exec_ticks.fetch_add(1, std::memory_order_relaxed);
@@ -928,7 +963,7 @@ void Kernel::install_migration(Cluster& cl, MigrationMsg&& msg) {
   cl.installed[lp] = 1;
   cl.own_lps.push_back(lp);
   cl.push_sched(runtimes_[lp].next_time(), lp);
-  cl.note_live(runtimes_, lp);
+  cl.note_touched(runtimes_, lp);
   ++cl.stats.lps_migrated_in;
   if (cl.trace != nullptr) {
     cl.trace->record(obs::TraceKind::kMigrateInstall, steady_now_ns(), 0,
@@ -951,19 +986,32 @@ void Kernel::fossil_round(Cluster& cl) {
   const SimTime g = gvt_.load(std::memory_order_acquire);
   const std::uint64_t tf0 = cl.trace != nullptr ? steady_now_ns() : 0;
   std::uint64_t committed = 0;
-  for (LpId lp : cl.own_lps) {
-    committed += runtimes_[lp].fossil_collect(g).committed_events;
-    cl.note_live(runtimes_, lp);
-    if (pub_committed_ != nullptr) {
-      // Republish the committed counters for the controller's next
-      // repartition snapshot (monotone, so staleness is harmless).
-      pub_committed_[lp].store(runtimes_[lp].events_committed(),
-                               std::memory_order_relaxed);
-      pub_sends_[lp].store(runtimes_[lp].sends_committed(),
-                           std::memory_order_relaxed);
-      pub_lane_work_[lp].store(runtimes_[lp].lane_work_committed(),
-                               std::memory_order_relaxed);
+  for (std::size_t i = 0; i < cl.fossil_lps.size();) {
+    const LpId lp = cl.fossil_lps[i];
+    LpRuntime& rt = runtimes_[lp];
+    // An emigrated LP's runtime belongs to its new node (which may be
+    // importing into it right now): drop it without touching it.
+    if (cl.installed[lp]) {
+      committed += rt.fossil_collect(g).committed_events;
+      cl.note_live(runtimes_, lp);
+      if (pub_committed_ != nullptr) {
+        // Republish the committed counters for the controller's next
+        // repartition snapshot (monotone, so staleness is harmless).
+        pub_committed_[lp].store(rt.events_committed(),
+                                 std::memory_order_relaxed);
+        pub_sends_[lp].store(rt.sends_committed(), std::memory_order_relaxed);
+        pub_lane_work_[lp].store(rt.lane_work_committed(),
+                                 std::memory_order_relaxed);
+      }
+      if (!rt.fossil_idle()) {
+        ++i;
+        continue;
+      }
     }
+    // Swap-erase: the list's order carries no meaning.
+    cl.in_fossil[lp] = 0;
+    cl.fossil_lps[i] = cl.fossil_lps.back();
+    cl.fossil_lps.pop_back();
   }
   cl.stats.events_committed += committed;
   if (cl.trace != nullptr) {
@@ -972,8 +1020,8 @@ void Kernel::fossil_round(Cluster& cl) {
                      committed, cl.live_now);
   }
   // live_now is maintained incrementally at every queue mutation (see
-  // note_live); the fossil pass just refreshed every own LP, so it equals
-  // the full recomputed sum here.
+  // note_live); the pass just refreshed every LP whose count it could
+  // change, so it equals the full recomputed sum here.
   if (cfg_.max_live_entries_per_node != 0 &&
       cl.live_now > cfg_.max_live_entries_per_node) {
     oom_.store(true, std::memory_order_relaxed);

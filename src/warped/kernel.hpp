@@ -197,7 +197,8 @@ class Kernel {
   /// Relaxed reads elsewhere: a stale route only costs one extra hop
   /// (events are re-routed per hop), never correctness.
   std::unique_ptr<std::atomic<std::uint32_t>[]> route_;
-  /// Per-LP committed counters republished at each fossil pass, so the
+  /// Per-LP committed counters, republished whenever a fossil pass visits
+  /// the LP (an LP the pass skips as idle has unchanged counters), so the
   /// controller can snapshot live activity without touching peer LPs.
   std::unique_ptr<std::atomic<std::uint64_t>[]> pub_committed_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> pub_sends_;

@@ -137,6 +137,17 @@ class LpRuntime {
   /// or rolled back again).
   FossilResult fossil_collect(SimTime gvt);
 
+  /// True when fossil_collect at any higher GVT, kEndOfTime included,
+  /// would commit nothing and leave live_entries() unchanged: no processed
+  /// event awaits commitment, at most the base snapshot is kept, and no
+  /// output or parked anti awaits pruning.  Only execution, insertion
+  /// (rollback included) or a migration install can make it false again,
+  /// so the kernel's fossil pass skips idle LPs until one of those.
+  bool fossil_idle() const noexcept {
+    return processed_count_ == 0 && snapshots_.size() <= 1 &&
+           output_queue_.empty() && pending_antis_.empty();
+  }
+
   /// End-of-run commit: counts and discards every processed event still in
   /// the queue (with periodic state saving a few trailing batches survive
   /// fossil_collect(kEndOfTime)).  Call only when the simulation is over.

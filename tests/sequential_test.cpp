@@ -5,6 +5,7 @@
 
 #include "circuit/bench_io.hpp"
 #include "circuit/circuit.hpp"
+#include "circuit/generator.hpp"
 #include "logicsim/netlist_lps.hpp"
 #include "logicsim/sequential.hpp"
 
@@ -124,6 +125,76 @@ OUTPUT(g3)
   ASSERT_EQ(r1.final_states.size(), r2.final_states.size());
   for (std::size_t i = 0; i < r1.final_states.size(); ++i) {
     EXPECT_EQ(r1.final_states[i], r2.final_states[i]);
+  }
+}
+
+// ----- golden hashes ---------------------------------------------------
+//
+// FNV-1a hashes of every SeqStats field except the wall time, on generated
+// circuits across the scalar, single-word and multi-word lane engines.  A
+// speed-up of the sequential reference must keep every committed count and
+// every final state word, so a changed hash is a behaviour change.
+
+class Fnv1a {
+ public:
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (x >> (8 * i)) & 0xffu;
+      h_ *= 1099511628211ULL;
+    }
+  }
+  void add(const std::vector<std::uint64_t>& v) {
+    add(v.size());
+    for (const std::uint64_t x : v) add(x);
+  }
+  void add(const SeqStats& s) {
+    add(s.events_processed);
+    add(s.final_states.size());
+    for (const warped::LpState& st : s.final_states) {
+      add(st.a);
+      add(st.b);
+      add(st.w.size());
+      for (const std::uint64_t x : st.w) add(x);
+    }
+    add(s.per_lp_events);
+    add(s.per_lp_lane_work);
+    add(s.per_lp_sends);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ULL;
+};
+
+TEST(SeqGolden, GeneratedCircuitsAcrossLaneCounts) {
+  struct Case {
+    std::uint32_t lanes;
+    std::uint64_t stim_seed;
+    warped::SimTime horizon;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {1, 11, 2000, 0xcf5b4870efd53910ULL},
+      {1, 29, 2000, 0xc57fef5ea3ad8e29ULL},
+      {64, 11, 600, 0xfc07072e002b11bfULL},
+      {64, 29, 600, 0x1fc25eb674e7a2f4ULL},
+      {130, 11, 400, 0x3df74e2e53980dd6ULL},
+      {130, 29, 400, 0x511ed548649b39d6ULL},
+      {256, 11, 300, 0x9c685428d3f56b13ULL},
+      {256, 29, 300, 0x2fa1a0846b70c39bULL},
+  };
+  const auto c = circuit::make_iscas_like("s5378", 2000);
+  for (const Case& k : cases) {
+    ModelOptions opt;
+    opt.lanes = k.lanes;
+    opt.stim_seed = k.stim_seed;
+    SimModel model = build_model(c, opt);
+    const SeqStats out = simulate_sequential(model.behaviours(), k.horizon);
+    Fnv1a h;
+    h.add(out);
+    EXPECT_EQ(h.value(), k.hash)
+        << std::hex << "hash 0x" << h.value() << std::dec << " for lanes "
+        << k.lanes << ", stim_seed " << k.stim_seed;
   }
 }
 

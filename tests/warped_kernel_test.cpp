@@ -132,7 +132,9 @@ TEST(Kernel, NetworkModelDelaysDelivery) {
   cfg.network.send_overhead_ns = 1000;
   const RunStats out = run_ring(8, 2, cfg);
   // Correctness unaffected by latency.
-  const RunStats ref = run_ring(8, 1, KernelConfig{.end_time = 200});
+  KernelConfig one_node;
+  one_node.end_time = 200;
+  const RunStats ref = run_ring(8, 1, one_node);
   for (std::size_t i = 0; i < ref.final_states.size(); ++i) {
     EXPECT_EQ(out.final_states[i], ref.final_states[i]);
   }
@@ -161,7 +163,9 @@ TEST(Kernel, OptimismWindowStillCorrect) {
   cfg.throttle.mode = ThrottleMode::kFixed;
   cfg.optimism_window = 20;
   const RunStats out = run_ring(10, 3, cfg);
-  const RunStats ref = run_ring(10, 1, KernelConfig{.end_time = 300});
+  KernelConfig one_node;
+  one_node.end_time = 300;
+  const RunStats ref = run_ring(10, 1, one_node);
   for (std::size_t i = 0; i < ref.final_states.size(); ++i) {
     EXPECT_EQ(out.final_states[i], ref.final_states[i]);
   }
@@ -200,7 +204,9 @@ TEST(Kernel, EventCostSlowsButStaysCorrect) {
   cfg.end_time = 100;
   cfg.event_cost_ns = 2000;
   const RunStats out = run_ring(6, 2, cfg);
-  const RunStats ref = run_ring(6, 1, KernelConfig{.end_time = 100});
+  KernelConfig one_node;
+  one_node.end_time = 100;
+  const RunStats ref = run_ring(6, 1, one_node);
   for (std::size_t i = 0; i < ref.final_states.size(); ++i) {
     EXPECT_EQ(out.final_states[i], ref.final_states[i]);
   }

@@ -258,6 +258,96 @@ TEST(LpRuntime, FinalizeCommitsTrailingBatches) {
   EXPECT_TRUE(rt.input_queue().empty());
 }
 
+/// fossil_idle() holds, and fossil_collect at every higher GVT is a no-op.
+void expect_fossil_noop_from(LpRuntime& rt, SimTime gvt) {
+  ASSERT_TRUE(rt.fossil_idle());
+  const std::size_t live = rt.live_entries();
+  for (const SimTime g : {gvt, gvt + 1, gvt + 1000, kEndOfTime}) {
+    EXPECT_EQ(rt.fossil_collect(g).committed_events, 0u) << "gvt " << g;
+    EXPECT_EQ(rt.live_entries(), live) << "gvt " << g;
+    EXPECT_TRUE(rt.fossil_idle()) << "gvt " << g;
+  }
+}
+
+TEST(LpRuntime, FossilIdleAfterEverythingCommits) {
+  for (const std::uint32_t period : {1u, 3u}) {
+    SCOPED_TRACE(period);
+    NullLp lp;
+    LpRuntime rt(0, &lp, period);
+    EXPECT_TRUE(rt.fossil_idle());  // fresh LP: nothing to collect
+    for (std::uint64_t i = 1; i <= 3; ++i) rt.insert(ev(i * 10, 0, 1, i));
+    EXPECT_TRUE(rt.fossil_idle());  // pending only
+    for (int i = 0; i < 3; ++i) process_next(rt);
+    rt.record_output(ev(31, 9, 0, 100, /*send=*/30));
+    EXPECT_FALSE(rt.fossil_idle());
+    // The t=30 batch is snapshotted at either period; GVT above it commits
+    // all three events and prunes the output.
+    EXPECT_EQ(rt.fossil_collect(31).committed_events, 3u);
+    ASSERT_EQ(rt.snapshots().size(), 1u);
+    expect_fossil_noop_from(rt, 31);
+  }
+}
+
+TEST(LpRuntime, FossilNotIdleWithProcessedEventsPastTheBase) {
+  for (const std::uint32_t period : {1u, 3u}) {
+    SCOPED_TRACE(period);
+    NullLp lp;
+    LpRuntime rt(0, &lp, period);
+    for (std::uint64_t i = 1; i <= 4; ++i) rt.insert(ev(i * 10, 0, 1, i));
+    for (int i = 0; i < 4; ++i) process_next(rt);
+    // Period 1: GVT 35 keeps base t=30 plus the t=40 snapshot (a second
+    // snapshot) and the processed t=40 event.  Period 3: the only snapshot
+    // is t=30, so even GVT end-of-time leaves t=40 processed past it.
+    rt.fossil_collect(period == 1 ? 35 : kEndOfTime);
+    EXPECT_EQ(rt.processed_count(), 1u);
+    EXPECT_FALSE(rt.fossil_idle());
+    if (period == 1) {
+      EXPECT_EQ(rt.snapshots().size(), 2u);
+      EXPECT_EQ(rt.fossil_collect(41).committed_events, 1u);
+      expect_fossil_noop_from(rt, 41);
+    }
+  }
+}
+
+TEST(LpRuntime, FossilNotIdleWithUncommittedOutput) {
+  // Period 3 snapshots only t=30.  A straggler at 38 restores it and
+  // leaves the t=35 batch as a muted replay whose output (sent at 35)
+  // stays valid.  GVT 32 commits everything processed, but that output
+  // must wait for GVT > 35.
+  NullLp lp;
+  LpRuntime rt(0, &lp, /*state_period=*/3);
+  for (const SimTime t : {10, 20, 30, 35, 40}) rt.insert(ev(t, 0, 1, t));
+  for (int i = 0; i < 5; ++i) process_next(rt);
+  rt.record_output(ev(36, 9, 0, 100, /*send=*/35));
+  ASSERT_TRUE(rt.insert(ev(38, 0, 2, 9)).rolled_back);
+  EXPECT_TRUE(rt.in_replay(35));
+  EXPECT_EQ(rt.fossil_collect(32).committed_events, 3u);
+  EXPECT_EQ(rt.processed_count(), 0u);
+  ASSERT_EQ(rt.snapshots().size(), 1u);
+  ASSERT_EQ(rt.output_queue().size(), 1u);
+  EXPECT_FALSE(rt.fossil_idle());
+  const std::size_t live = rt.live_entries();
+  EXPECT_EQ(rt.fossil_collect(36).committed_events, 0u);
+  EXPECT_EQ(rt.live_entries(), live - 1);  // the output committed
+  expect_fossil_noop_from(rt, 36);
+}
+
+TEST(LpRuntime, FossilNotIdleWithParkedAnti) {
+  for (const std::uint32_t period : {1u, 3u}) {
+    SCOPED_TRACE(period);
+    NullLp lp;
+    LpRuntime rt(0, &lp, period);
+    rt.insert(anti_of(ev(20, 0, 1, 7)));  // overtook its positive twin
+    EXPECT_FALSE(rt.fossil_idle());
+    const std::size_t live = rt.live_entries();
+    rt.fossil_collect(20);  // the anti is not below GVT yet
+    EXPECT_FALSE(rt.fossil_idle());
+    rt.fossil_collect(21);
+    EXPECT_EQ(rt.live_entries(), live - 1);
+    expect_fossil_noop_from(rt, 21);
+  }
+}
+
 // ---- periodic state saving & coast-forward replay -------------------------
 
 TEST(LpRuntime, PeriodicSavingSnapshotsEveryNth) {

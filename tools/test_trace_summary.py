@@ -112,6 +112,24 @@ class TraceSummaryTest(unittest.TestCase):
         self.assertIn("max=0.400ms", r.stdout)
         self.assertIn("gvt progress: 2 samples, 0 -> 350", r.stdout)
 
+    def test_finished_run_gvt_prints_end(self):
+        # A run that drains every event publishes GVT = 2^64-1 (the
+        # kernel's end-of-time sentinel); the summary names it, never the
+        # raw number.  One below the sentinel is an ordinary time.
+        events = [span("execute", 0, 0, 10),
+                  counter("gvt", 0, 0, 0),
+                  counter("gvt", 0, 2000, 2**64 - 2),
+                  counter("gvt", 0, 4000, 2**64 - 1)]
+        r = run_tool(self.write({"traceEvents": events}))
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("gvt progress: 3 samples, 0 -> end", r.stdout)
+        self.assertNotIn("18446744073709551615", r.stdout)
+        events = [span("execute", 0, 0, 10),
+                  counter("gvt", 0, 0, 2**64 - 2)]
+        r = run_tool(self.write({"traceEvents": events}))
+        self.assertIn("gvt progress: 1 samples, 18446744073709551614 -> "
+                      "18446744073709551614", r.stdout)
+
     def test_drop_accounting_warns(self):
         trace = {"traceEvents": [span("execute", 0, 0, 10)],
                  "otherData": {"dropped_node0": 42, "dropped_node1": 0,

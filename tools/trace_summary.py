@@ -38,6 +38,14 @@ def fmt_ms(us):
     return f"{us / 1000.0:.3f}ms"
 
 
+# The kernel's kEndOfTime: the GVT of a run that finished every event.
+END_OF_TIME = 2**64 - 1
+
+
+def fmt_gvt(v):
+    return "end" if v == END_OF_TIME else str(v)
+
+
 def main():
     args = [a for a in sys.argv[1:] if not a.startswith("--")]
     buckets = 40
@@ -128,7 +136,7 @@ def main():
     if gvt_series:
         vals = [e["args"]["value"] for e in gvt_series]
         print(f"  gvt progress: {len(vals)} samples, "
-              f"{vals[0]} -> {vals[-1]}")
+              f"{fmt_gvt(vals[0])} -> {fmt_gvt(vals[-1])}")
 
     # --- drop accounting ----------------------------------------------
     other = trace.get("otherData", {})
