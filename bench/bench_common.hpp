@@ -81,7 +81,7 @@ struct BenchConfig {
   warped::SimTime stim_period = 50;
   warped::SimTime clock_period = 10;
 
-  /// Bit-parallel stimulus lanes (--lanes, 1-64): 1 runs the classic
+  /// Bit-parallel stimulus lanes (--lanes, 1-256): 1 runs the classic
   /// scalar engine; N > 1 runs N Monte Carlo scenarios per event through
   /// the batched word-wise engine (DriverConfig::lanes).  Throughput
   /// columns then report events/sec alongside committed lane

@@ -51,6 +51,12 @@ std::optional<GateType> gate_type_from(const std::string& kw) {
   return std::nullopt;
 }
 
+/// An INPUT or OUTPUT declaration and the line it sits on.
+struct Declaration {
+  std::string name;
+  int line;
+};
+
 struct PendingGate {
   std::string name;
   GateType type;
@@ -62,8 +68,8 @@ struct PendingGate {
 
 Circuit parse_bench(std::istream& in, const std::string& name) {
   Circuit c(name);
-  std::vector<std::string> input_names;
-  std::vector<std::string> output_names;
+  std::vector<Declaration> inputs;
+  std::vector<Declaration> outputs;
   std::vector<PendingGate> pending;
 
   std::string raw;
@@ -92,9 +98,9 @@ Circuit parse_bench(std::istream& in, const std::string& name) {
           strip(line.substr(lparen + 1, rparen - lparen - 1));
       if (arg.empty()) throw BenchParseError(lineno, "empty signal name");
       if (kw == "INPUT") {
-        input_names.push_back(arg);
+        inputs.push_back({arg, lineno});
       } else if (kw == "OUTPUT") {
-        output_names.push_back(arg);
+        outputs.push_back({arg, lineno});
       } else {
         throw BenchParseError(lineno, "unknown declaration '" + kw + "'");
       }
@@ -135,11 +141,11 @@ Circuit parse_bench(std::istream& in, const std::string& name) {
   }
 
   // Create vertices first (inputs, then gates) so forward references work.
-  for (const auto& in_name : input_names) {
-    if (c.find(in_name) != kInvalidGate) {
-      throw BenchParseError(0, "duplicate INPUT '" + in_name + "'");
+  for (const Declaration& in : inputs) {
+    if (c.find(in.name) != kInvalidGate) {
+      throw BenchParseError(in.line, "duplicate INPUT '" + in.name + "'");
     }
-    c.add_input(in_name);
+    c.add_input(in.name);
   }
   for (const auto& g : pending) {
     if (c.find(g.name) != kInvalidGate) {
@@ -160,13 +166,21 @@ Circuit parse_bench(std::istream& in, const std::string& name) {
       c.connect(id, f);
     }
   }
-  for (const auto& out_name : output_names) {
-    const GateId o = c.find(out_name);
+  for (const Declaration& out : outputs) {
+    const GateId o = c.find(out.name);
     if (o == kInvalidGate) {
-      throw BenchParseError(0, "OUTPUT references undefined signal '" +
-                                   out_name + "'");
+      throw BenchParseError(out.line, "OUTPUT references undefined signal '" +
+                                          out.name + "'");
     }
     c.mark_output(o);
+  }
+  // Ids follow creation order — the inputs, then `pending` — and a cycle
+  // runs through gates only (an input has no fanins).
+  if (const GateId g = c.combinational_cycle_gate(); g != kInvalidGate) {
+    const PendingGate& gate = pending[g - inputs.size()];
+    throw BenchParseError(gate.line, "combinational cycle through gate '" +
+                                         gate.name +
+                                         "' not broken by a flip-flop");
   }
 
   try {

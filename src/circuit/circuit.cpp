@@ -77,7 +77,8 @@ void Circuit::check_arities() const {
   }
 }
 
-void Circuit::check_combinational_acyclic() const {
+GateId Circuit::combinational_cycle_gate() const {
+  check_unfrozen();
   // Iterative three-color DFS over combinational edges only.  Edges into a
   // DFF's D pin terminate a combinational path (the DFF output is a new
   // sequential source), so cycles through flip-flops are legal — they are
@@ -100,18 +101,14 @@ void Circuit::check_combinational_acyclic() const {
       }
       const GateId next = fin[idx++];
       if (types_[next] == GateType::kDff) continue;  // sequential boundary
-      if (color[next] == kGray) {
-        ::pls::util::check_failed(
-            "combinational cycle", __FILE__, __LINE__,
-            "cycle through gate '" + names_[next] +
-                "' not broken by a flip-flop");
-      }
+      if (color[next] == kGray) return next;
       if (color[next] == kWhite) {
         color[next] = kGray;
         stack.emplace_back(next, 0);
       }
     }
   }
+  return kInvalidGate;
 }
 
 void Circuit::build_fanouts() {
@@ -149,7 +146,11 @@ void Circuit::freeze() {
   check_unfrozen();
   PLS_CHECK_MSG(!types_.empty(), "empty circuit");
   check_arities();
-  check_combinational_acyclic();
+  if (const GateId g = combinational_cycle_gate(); g != kInvalidGate) {
+    ::pls::util::check_failed(
+        "combinational cycle", __FILE__, __LINE__,
+        "cycle through gate '" + names_[g] + "' not broken by a flip-flop");
+  }
   build_fanouts();
   fanin_build_.clear();
   fanin_build_.shrink_to_fit();

@@ -44,6 +44,10 @@ class Circuit {
   /// combinational cycles (cycles are legal only through DFFs).
   void freeze();
 
+  /// A gate on a combinational cycle (one not broken by a flip-flop), or
+  /// kInvalidGate if there is none.  Before freeze() only.
+  GateId combinational_cycle_gate() const;
+
   // ----- queries (any time; fanout queries require freeze) -----
 
   const std::string& name() const noexcept { return name_; }
@@ -87,7 +91,6 @@ class Circuit {
   void check_unfrozen() const;
   void build_fanouts();
   void check_arities() const;
-  void check_combinational_acyclic() const;
 
   std::string name_ = "circuit";
   bool frozen_ = false;

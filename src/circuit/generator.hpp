@@ -32,20 +32,20 @@ struct GeneratorSpec {
   std::uint32_t depth = 0;  ///< target logic depth; 0 = auto from size
   std::uint64_t seed = 1;
 
-  // Gate-type mix (fractions of combinational gates; renormalized).
-  double frac_not = 0.22;
-  double frac_buf = 0.06;
-  double frac_nand = 0.24;
-  double frac_and = 0.16;
-  double frac_nor = 0.14;
-  double frac_or = 0.10;
-  double frac_xor = 0.05;
-  double frac_xnor = 0.03;
+  // Fixed gate-type mix (fractions of combinational gates; renormalized).
+  static constexpr double frac_not = 0.22;
+  static constexpr double frac_buf = 0.06;
+  static constexpr double frac_nand = 0.24;
+  static constexpr double frac_and = 0.16;
+  static constexpr double frac_nor = 0.14;
+  static constexpr double frac_or = 0.10;
+  static constexpr double frac_xor = 0.05;
+  static constexpr double frac_xnor = 0.03;
 
   /// Probability that a fanin pick is redirected to the level's designated
   /// hub gate; produces the small population of very-high-fanout nets that
   /// real netlists (clock/control trees) exhibit.
-  double hub_bias = 0.08;
+  static constexpr double hub_bias = 0.08;
 };
 
 /// Generate a frozen circuit from the spec.  Deterministic in spec.seed.

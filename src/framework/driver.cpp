@@ -7,6 +7,7 @@
 #include "framework/registry.hpp"
 #include "logicsim/activity.hpp"
 #include "multilevel/metrics.hpp"
+#include "multilevel/weights.hpp"
 #include "partition/metrics.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -67,7 +68,7 @@ DriverResult partition_circuit(const circuit::Circuit& c,
             << cfg.partitioner << "'");
     util::WallTimer atimer;
     const warped::SimTime horizon =
-        cfg.activity_horizon != 0 ? cfg.activity_horizon : cfg.end_time / 4;
+        cfg.end_time / DriverConfig::kActivityHorizonDivisor;
     logicsim::ActivityProfile profile;
     if (cfg.activity_source == DriverConfig::ActivitySource::kProfile) {
       // Profile the exact stimulus the measured run will see.
@@ -80,8 +81,7 @@ DriverResult partition_circuit(const circuit::Circuit& c,
       profile = warmup_activity(c, cfg, horizon);
       res.activity_mode = "warmup";
     }
-    weights = multilevel::weights_from_activity(profile.work, profile.traffic,
-                                                cfg.weight_options);
+    weights = multilevel::weights_from_activity(profile.work, profile.traffic);
     ml.weights = &weights;
     res.activity_seconds = atimer.elapsed_seconds();
   }
@@ -157,97 +157,48 @@ DriverResult run_parallel(const circuit::Circuit& c, const DriverConfig& cfg) {
   // GVT epochs (always from node 0's thread, never concurrently with
   // itself), so the captured epoch state needs no locking; the results
   // vector is read back only after kernel.run() joined every thread.
-  struct ActivitySnapshot {
-    warped::SimTime gvt = 0;
-    std::vector<std::uint64_t> events;
-    std::vector<std::uint64_t> sends;
-  };
-  std::vector<ActivitySnapshot> snaps;
   warped::SimTime last_adopt_gvt = 0;
   warped::SimTime last_eval_gvt = 0;
   if (cfg.repartition_interval > 0) {
     kc.repartition_interval = cfg.repartition_interval;
-    kc.repartition_hook = [&c, &cfg, &res, &snaps, &last_adopt_gvt,
-                           &last_eval_gvt](
+    kc.repartition_hook = [&c, &cfg, &res, &last_adopt_gvt, &last_eval_gvt](
                               const warped::RepartitionRequest& req)
         -> std::vector<std::uint32_t> {
       util::WallTimer rtimer;
       // Live work/traffic signal: committed counters, cumulative from the
-      // start by default (repartition_window == 0) or over a sliding
-      // virtual-time window.  Cumulative counts are the signal a
-      // full-horizon profile would measure, built up live: smooth (no
-      // epoch-slice sampling noise to chase) and converging, after a
-      // drift, on the all-phases mixture an oracle profile would weight
-      // by.  A window trades that stability for reaction speed — recent
-      // activity predicts the remaining horizon better when drift recurs
-      // faster than cumulative averages can track — at the price of
-      // spikier weights.
-      const warped::SimTime window = cfg.repartition_window;
-      // Baseline = newest snapshot at least one window old (zeros — i.e.
-      // cumulative counts — in the default regime or until the history is
-      // deep enough).
-      const ActivitySnapshot* base = nullptr;
-      if (window > 0) {
-        for (const auto& s : snaps) {
-          if (s.gvt + window <= req.gvt) base = &s;
-        }
-      }
-      std::vector<std::uint64_t> events(c.size(), 0);
+      // start — the signal a full-horizon profile would measure, built up
+      // live: smooth (no epoch-slice sampling noise to chase) and
+      // converging, after a drift, on the all-phases mixture an oracle
+      // profile would weight by.  Work is the lane-aware signal
+      // (committed lane transitions, == events_committed on scalar runs)
+      // — see warmup_activity.
+      const std::vector<std::uint64_t>& events = req.lane_work_committed;
       std::vector<std::uint64_t> transitions(c.size(), 0);
       std::uint64_t total = 0;
       for (std::size_t lp = 0; lp < c.size(); ++lp) {
-        // Lane-aware live work signal (committed lane transitions, ==
-        // events_committed on scalar runs) — see warmup_activity.
-        const std::uint64_t ev =
-            req.lane_work_committed[lp] - (base ? base->events[lp] : 0);
-        const std::uint64_t sends =
-            req.sends_committed[lp] - (base ? base->sends[lp] : 0);
+        const std::uint64_t sends = req.sends_committed[lp];
         const std::size_t fanout = c.fanouts(lp).size();
-        events[lp] = ev;
         transitions[lp] = fanout > 0 ? sends / fanout : sends;
-        total += ev;
+        total += events[lp];
       }
-      // Record this epoch and drop history older than the baseline — any
-      // future epoch's GVT only grows, so nothing older can be a baseline
-      // again.  (The controller never runs this hook concurrently with
-      // itself, so the captured history needs no locking.)  The cumulative
-      // regime never consults history, so it keeps none.
-      if (window > 0) {
-        if (base != nullptr) {
-          const warped::SimTime keep_from = base->gvt;
-          std::erase_if(snaps, [keep_from](const ActivitySnapshot& s) {
-            return s.gvt < keep_from;
-          });
-        }
-        if (snaps.empty() || snaps.back().gvt < req.gvt) {
-          snaps.push_back(
-              {req.gvt, req.lane_work_committed, req.sends_committed});
-        }
-      }
-      if (total == 0) return {};  // nothing committed inside the window
+      if (total == 0) return {};  // nothing committed yet
       // Startup gate: the first epochs arrive when GVT has barely left 0,
       // so the counters have only sampled the power-on transient (every
       // gate stabilizing once — committed-event counts there are large
       // but say nothing about steady-state activity).  Repartitioning on
       // that trades the (profile-guided) starting partition for noise —
       // observed to move 5–10% of the circuit before the first real
-      // stimulus vectors have propagated.  The snapshots above are still
-      // recorded during gated epochs, so the first adoption decision sees
-      // a full window.
-      const warped::SimTime warmup =
-          cfg.repartition_warmup_gvt > 0 ? cfg.repartition_warmup_gvt
-                                         : 4 * cfg.model.stim_period;
-      if (req.gvt < warmup) return {};
-      // Adoption cooldown: after adopting a plan, hold it for a full
-      // window (a few stimulus periods in the cumulative regime).  Right
-      // after an adoption the signal is a mixture of pre- and
-      // post-adoption activity (and GVT rounds publish commits in bursts,
-      // so adjacent epochs can sample very different slices) —
-      // re-litigating the plan on that churns LPs between equally good
-      // local optima.  One decision per window of fresh signal.
-      const warped::SimTime hold =
-          window > 0 ? window : 4 * cfg.model.stim_period;
-      if (last_adopt_gvt > 0 && req.gvt < last_adopt_gvt + hold) {
+      // stimulus vectors have propagated.
+      const warped::SimTime settle =
+          DriverConfig::kRepartitionSettlePeriods * cfg.model.stim_period;
+      if (req.gvt < settle) return {};
+      // Adoption cooldown: after adopting a plan, hold it for the same few
+      // stimulus periods.  Right after an adoption the signal is a
+      // mixture of pre- and post-adoption activity (and GVT rounds publish
+      // commits in bursts, so adjacent epochs can sample very different
+      // slices) — re-litigating the plan on that churns LPs between
+      // equally good local optima.
+      if (last_adopt_gvt > 0 && req.gvt < last_adopt_gvt + settle) {
         return {};
       }
       // Evaluation spacing: GVT rounds are wall-clock paced, so a fast
@@ -265,7 +216,7 @@ DriverResult run_parallel(const circuit::Circuit& c, const DriverConfig& cfg) {
       const multilevel::VertexTrafficWeights w =
           multilevel::weights_from_activity(
               logicsim::normalize_counts(events),
-              logicsim::normalize_counts(transitions), cfg.weight_options);
+              logicsim::normalize_counts(transitions));
       partition::MultilevelOptions rml = cfg.multilevel;
       rml.weights = &w;
       partition::Partition cur;

@@ -17,7 +17,6 @@
 #include "circuit/circuit.hpp"
 #include "logicsim/netlist_lps.hpp"
 #include "logicsim/sequential.hpp"
-#include "multilevel/weights.hpp"
 #include "obs/session.hpp"
 #include "partition/multilevel_partitioner.hpp"
 #include "partition/partition.hpp"
@@ -61,9 +60,10 @@ struct DriverConfig {
   std::uint32_t state_period = 1;
 
   /// Optimism throttling (see warped/throttle.hpp): adaptive by default,
-  /// every controller knob reachable; `optimism_window` is the fixed
-  /// window in kFixed mode and the initial window in kAdaptive mode
-  /// (0 = unbounded / horizon-derived start).
+  /// with a settable rollback budget and window cap over fixed
+  /// control-law constants; `optimism_window` is the fixed window in
+  /// kFixed mode and the initial window in kAdaptive mode (0 = unbounded
+  /// / horizon-derived start).
   warped::ThrottleConfig throttle;
   warped::SimTime optimism_window = 0;
 
@@ -87,18 +87,18 @@ struct DriverConfig {
                ///< counts (RunStats::per_lp) are the activity signal
   };
   ActivitySource activity_source = ActivitySource::kProfile;
-  /// Virtual-time horizon of the pre-run (0 = end_time / 4: long enough
-  /// for steady-state switching rates, short next to the real run).
-  warped::SimTime activity_horizon = 0;
-  /// Activity → weight mapping knobs (caps, traffic granularity).
-  multilevel::WeightOptions weight_options;
+  /// The pre-run covers end_time / kActivityHorizonDivisor of virtual
+  /// time: long enough for steady-state switching rates, short next to
+  /// the real run.  Activity maps to weights through the fixed caps in
+  /// multilevel/weights.hpp.
+  static constexpr warped::SimTime kActivityHorizonDivisor = 4;
   partition::MultilevelOptions multilevel;
 
   /// Dynamic repartitioning with live LP migration: every
   /// `repartition_interval` completed GVT rounds the driver re-derives
   /// work/traffic weights from the per-LP committed counters (cumulative
-  /// or over a sliding window — see repartition_window), warm-starts an
-  /// *incremental* refinement from the live assignment
+  /// from the start of the run), warm-starts an *incremental* refinement
+  /// from the live assignment
   /// (registry::repartition_incremental) and migrates the LPs whose node
   /// changed — without stopping the simulation.  Requires a
   /// weight-consuming strategy ("Multilevel" or "MultilevelHG"),
@@ -114,22 +114,13 @@ struct DriverConfig {
   /// third of the circuit must promise far more than a marginal cut win.
   double repartition_min_gain = 0.05;
   double repartition_churn_cost = 0.5;
-  /// Virtual-time width of the sliding window the live activity signal is
-  /// measured over.  0 (the default) uses cumulative-from-start committed
-  /// counters: the signal a full-horizon profile would measure, built up
-  /// live — smooth (no epoch-slice sampling noise to chase) and
-  /// converging, after a drift, on the all-phases mixture an oracle
-  /// profile would weight by.  A positive window trades that stability
-  /// for reaction speed: recent activity predicts the remaining horizon
-  /// better when drift recurs faster than cumulative averages can track,
-  /// at the price of spikier weights (a thin virtual-time slice has
-  /// vector-to-vector noise the cumulative signal averages away).
-  warped::SimTime repartition_window = 0;
-  /// Startup gate: no plan is adopted before GVT reaches this virtual
-  /// time (0 = auto: 4 × stim_period).  The opening epochs sample only
-  /// the power-on transient — every gate stabilizing once — and
-  /// repartitioning on that trades the starting partition for noise.
-  warped::SimTime repartition_warmup_gvt = 0;
+  /// Startup gate and adoption hold, in stimulus periods: no plan is
+  /// adopted before GVT reaches kRepartitionSettlePeriods ×
+  /// model.stim_period, and an adopted plan is kept for that much virtual
+  /// time.  The opening epochs sample only the power-on transient — every
+  /// gate stabilizing once — and repartitioning on that trades the
+  /// starting partition for noise.
+  static constexpr warped::SimTime kRepartitionSettlePeriods = 4;
 
   /// On-disk partition cache directory (`--partition-cache <dir>` in the
   /// examples; empty = off).  Computed assignments are stored keyed on the

@@ -74,7 +74,6 @@ std::uint64_t partition_cache_key(const circuit::Circuit& c, std::uint32_t k,
   f.mix(static_cast<std::uint64_t>(opts.scheme));
   f.mix(static_cast<std::uint64_t>(opts.refiner));
   f.mix_double(opts.balance_tol);
-  f.mix(opts.refine_iters);
   if (weights != nullptr && !weights->uniform()) {
     // Activity-guided runs: the assignment is a function of the exact
     // weight vectors, so the key must be too (a re-profiled run with

@@ -31,10 +31,9 @@ std::unique_ptr<partition::Partitioner> make_partitioner(
   if (name == "MultilevelHG") {
     // Shares the multilevel knobs that have hypergraph equivalents, so a
     // head-to-head comparison runs both pipelines at the same imbalance
-    // tolerance, refinement budget, and activity weighting.
+    // tolerance and activity weighting.
     hypergraph::MultilevelHGOptions hgo;
     hgo.balance_tol = ml.balance_tol;
-    hgo.refine_iters = ml.refine_iters;
     hgo.coarsen_threshold = ml.coarsen_threshold;
     hgo.weights = ml.weights;
     return std::make_unique<hypergraph::MultilevelHGPartitioner>(hgo);
@@ -59,7 +58,6 @@ IncrementalRepartition repartition_incremental(
   } else {
     hypergraph::MultilevelHGOptions hgo;
     hgo.balance_tol = ml.balance_tol;
-    hgo.refine_iters = ml.refine_iters;
     hgo.coarsen_threshold = ml.coarsen_threshold;
     hgo.weights = ml.weights;
     const hypergraph::MultilevelHGPartitioner p(hgo);

@@ -39,7 +39,7 @@ struct HgCoarsenOptions {
   std::uint64_t max_globule_weight = 0;
   /// Nets with more pins than this are ignored when rating matches (they
   /// are almost never removable from the cut, and rating them is O(|e|²)).
-  std::size_t rating_pin_limit = 64;
+  static constexpr std::size_t rating_pin_limit = 64;
   /// Optional activity-derived weights: H0 is built with per-gate work
   /// vertex weights and per-driver traffic net weights (see
   /// Hypergraph::from_circuit).  Must outlive the coarsen() call; nullptr

@@ -29,7 +29,8 @@ struct MultilevelHGOptions {
   /// Same default as MultilevelOptions::balance_tol so head-to-head
   /// comparisons run at equal imbalance tolerance.
   double balance_tol = 0.03;
-  std::uint32_t refine_iters = 8;
+  /// FM passes per level; the same budget as MultilevelOptions.
+  static constexpr std::uint32_t refine_iters = 8;
   /// Optional activity-derived work/traffic weights, consumed exactly like
   /// MultilevelOptions::weights (net weight = driver's traffic weight);
   /// must outlive the run.

@@ -31,8 +31,9 @@
 namespace pls::logicsim {
 
 struct ModelOptions {
-  warped::SimTime gate_delay = 1;   ///< combinational propagation delay
-  warped::SimTime dff_delay = 1;    ///< clock-to-Q delay
+  /// Fixed combinational propagation delay and clock-to-Q delay.
+  static constexpr warped::SimTime gate_delay = 1;
+  static constexpr warped::SimTime dff_delay = 1;
   warped::SimTime clock_period = 10;
   warped::SimTime clock_phase = 5;  ///< first tick (0 < phase recommended)
   warped::SimTime stim_period = 20; ///< new input vector interval

@@ -32,13 +32,7 @@ VertexTrafficWeights uniform_weights(std::size_t n) {
 }
 
 VertexTrafficWeights weights_from_activity(const std::vector<double>& work,
-                                           const std::vector<double>& traffic,
-                                           const WeightOptions& opt) {
-  PLS_CHECK_MSG(opt.vertex_cap >= 1, "vertex_cap must be >= 1");
-  PLS_CHECK_MSG(opt.traffic_granularity >= 1,
-                "traffic_granularity must be >= 1");
-  PLS_CHECK_MSG(opt.traffic_cap >= opt.traffic_granularity,
-                "traffic_cap must fit the uniform-activity weight");
+                                           const std::vector<double>& traffic) {
   PLS_CHECK_MSG(work.size() == traffic.size(),
                 "work and traffic profiles must cover the same gates");
   VertexTrafficWeights w;
@@ -49,18 +43,17 @@ VertexTrafficWeights weights_from_activity(const std::vector<double>& work,
                       std::isfinite(traffic[g]) && traffic[g] >= 0.0,
                   "activity must be finite and non-negative at gate " << g);
     w.vertex.push_back(static_cast<std::uint32_t>(std::clamp<long>(
-        std::lround(work[g]), 1, static_cast<long>(opt.vertex_cap))));
+        std::lround(work[g]), 1, static_cast<long>(kVertexCap))));
     w.traffic.push_back(static_cast<std::uint32_t>(std::clamp<long>(
-        std::lround(static_cast<double>(opt.traffic_granularity) *
-                    traffic[g]),
-        1, static_cast<long>(opt.traffic_cap))));
+        std::lround(static_cast<double>(kTrafficGranularity) * traffic[g]),
+        1, static_cast<long>(kTrafficCap))));
   }
   return w;
 }
 
-VertexTrafficWeights weights_from_activity(const std::vector<double>& activity,
-                                           const WeightOptions& opt) {
-  return weights_from_activity(activity, activity, opt);
+VertexTrafficWeights weights_from_activity(
+    const std::vector<double>& activity) {
+  return weights_from_activity(activity, activity);
 }
 
 }  // namespace pls::multilevel

@@ -39,18 +39,21 @@
 
 namespace pls::multilevel {
 
-struct WeightOptions {
-  /// Work weights are clamp(round(activity), 1, vertex_cap): mean activity
-  /// is exactly weight 1, a hot gate counts as up to `vertex_cap` gates of
-  /// load.  The cap keeps one pathological gate from eating a whole part's
-  /// balance budget.
-  std::uint32_t vertex_cap = 8;
-  /// Traffic weights are clamp(round(granularity · activity), 1, cap):
-  /// the granularity gives sub-mean resolution (a net at 1.125× mean is
-  /// distinguishable from mean) without floating-point edge weights.
-  std::uint32_t traffic_granularity = 8;
-  std::uint32_t traffic_cap = 256;
-};
+/// Work weights are clamp(round(activity), 1, kVertexCap): mean activity
+/// is exactly weight 1, a hot gate counts as up to kVertexCap gates of
+/// load.  The cap keeps one pathological gate from eating a whole part's
+/// balance budget.
+inline constexpr std::uint32_t kVertexCap = 8;
+/// Traffic weights are clamp(round(kTrafficGranularity · activity), 1,
+/// kTrafficCap): the granularity gives sub-mean resolution (a net at
+/// 1.125× mean is distinguishable from mean) without floating-point edge
+/// weights.
+inline constexpr std::uint32_t kTrafficGranularity = 8;
+inline constexpr std::uint32_t kTrafficCap = 256;
+static_assert(kVertexCap >= 1);
+static_assert(kTrafficGranularity >= 1);
+static_assert(kTrafficCap >= kTrafficGranularity,
+              "traffic cap must fit the uniform-activity weight");
 
 /// Per-vertex work weights plus per-driver net/edge traffic weights, both
 /// indexed by gate id.  Pointers to one of these thread through
@@ -78,11 +81,10 @@ VertexTrafficWeights uniform_weights(std::size_t n);
 /// The signals genuinely differ — a gate that is evaluated often but
 /// rarely toggles is heavy work yet cheap to cut.
 VertexTrafficWeights weights_from_activity(const std::vector<double>& work,
-                                           const std::vector<double>& traffic,
-                                           const WeightOptions& opt = {});
+                                           const std::vector<double>& traffic);
 
 /// Single-signal convenience: one profile drives both weights.
-VertexTrafficWeights weights_from_activity(const std::vector<double>& activity,
-                                           const WeightOptions& opt = {});
+VertexTrafficWeights weights_from_activity(
+    const std::vector<double>& activity);
 
 }  // namespace pls::multilevel

@@ -7,6 +7,7 @@
 #include "obs/session.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
+#include "warped/types.hpp"
 
 namespace pls::obs {
 namespace {
@@ -15,6 +16,20 @@ namespace {
 /// can never predate its session, so the subtraction is safe.
 double rel_us(std::uint64_t ts_ns, std::uint64_t t0_ns) {
   return static_cast<double>(ts_ns - t0_ns) / 1000.0;
+}
+
+/// A virtual time as an export value: the number, or "end" for
+/// end-of-time, whose raw value means nothing to a reader.
+void time_kv(util::JsonWriter& j, const char* key, std::uint64_t t) {
+  if (t == warped::kEndOfTime) {
+    j.kv(key, "end");
+  } else {
+    j.kv(key, t);
+  }
+}
+
+std::string time_csv(std::uint64_t t) {
+  return t == warped::kEndOfTime ? "end" : std::to_string(t);
 }
 
 void event_common(util::JsonWriter& j, const TraceEvent& ev,
@@ -51,16 +66,18 @@ void event_args(util::JsonWriter& j, const TraceEvent& ev) {
       j.kv("round", ev.a);
       break;
     case TraceKind::kGvtJoin:
-      j.kv("round", ev.a).kv("local_min", ev.b);
+      j.kv("round", ev.a);
+      time_kv(j, "local_min", ev.b);
       break;
     case TraceKind::kGvtDone:
-      j.kv("round", ev.a).kv("gvt", ev.b);
+      j.kv("round", ev.a);
+      time_kv(j, "gvt", ev.b);
       break;
     case TraceKind::kFossil:
       j.kv("committed", ev.a).kv("live", ev.b);
       break;
     case TraceKind::kThrottle: {
-      j.kv("window", ev.a);
+      time_kv(j, "window", ev.a);
       j.key("fraction");
       j.value(static_cast<double>(ev.b) / 1e6, 6);
       const char* dir = ev.lp == 0 ? "shrink" : (ev.lp == 2 ? "grow" : "hold");
@@ -195,14 +212,14 @@ void write_metrics_csv(std::ostream& os, const ObsSession& session) {
     std::snprintf(buf, sizeof(buf), "%.3f",
                   static_cast<double>(s.wall_ns) / 1e6);
     const std::string t(buf);
-    os << t << ",-1,gvt," << s.gvt << "\n";
+    os << t << ",-1,gvt," << time_csv(s.gvt) << "\n";
     for (std::uint32_t n = 0; n < s.nodes.size(); ++n) {
       const MetricsSample::Node& g = s.nodes[n];
       os << t << ',' << n << ",processed," << g.events_processed << "\n";
       os << t << ',' << n << ",committed," << g.events_committed << "\n";
       os << t << ',' << n << ",rolled_back," << g.events_rolled_back << "\n";
       os << t << ',' << n << ",rollbacks," << g.rollbacks << "\n";
-      os << t << ',' << n << ",window," << g.window << "\n";
+      os << t << ',' << n << ",window," << time_csv(g.window) << "\n";
       os << t << ',' << n << ",live," << g.live_entries << "\n";
       os << t << ',' << n << ",holding," << g.holding_events << "\n";
       os << t << ',' << n << ",pool_bytes," << g.pool_bytes << "\n";
@@ -224,7 +241,7 @@ void write_metrics_json(std::ostream& os, const ObsSession& session) {
     j.begin_object();
     j.key("wall_ms");
     j.value(static_cast<double>(s.wall_ns) / 1e6, 3);
-    j.kv("gvt", s.gvt);
+    time_kv(j, "gvt", s.gvt);
     j.key("nodes");
     j.begin_array();
     for (const MetricsSample::Node& g : s.nodes) {
@@ -233,7 +250,7 @@ void write_metrics_json(std::ostream& os, const ObsSession& session) {
       j.kv("committed", g.events_committed);
       j.kv("rolled_back", g.events_rolled_back);
       j.kv("rollbacks", g.rollbacks);
-      j.kv("window", g.window);
+      time_kv(j, "window", g.window);
       j.kv("live", g.live_entries);
       j.kv("holding", g.holding_events);
       j.kv("pool_bytes", g.pool_bytes);

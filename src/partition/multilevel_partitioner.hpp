@@ -29,7 +29,8 @@ struct MultilevelOptions {
   /// Tight by default: the baselines balance to within one gate, and any
   /// slack here shows up directly as one lagging node at runtime.
   double balance_tol = 0.03;
-  std::uint32_t refine_iters = 8;
+  /// Refinement passes per level.
+  static constexpr std::uint32_t refine_iters = 8;
   /// Optional activity-derived work/traffic weights (see
   /// CoarsenOptions::weights); must outlive the run.
   const multilevel::VertexTrafficWeights* weights = nullptr;

@@ -1,10 +1,7 @@
 #pragma once
 // The coalescing comm fabric: per-destination send buffering on the
-// sender side, batch-granular lock-free transfer in the middle, and a
-// transport-hiding Channel interface so the two ends never know whether
-// the peer lives in this process (InProcChannel, below) or behind a
-// socket/MPI rank (a future backend slots in without touching the
-// kernel).
+// sender side and batch-granular lock-free transfer to the receiving
+// node's mailbox (InProcChannel, below).
 //
 // Why batches: the paper's testbed made inter-node messages the dominant
 // cost, and the per-message protocol mirrored that — one mutex
@@ -134,53 +131,32 @@ class alignas(64) BatchMailbox {
   std::atomic<std::size_t> approx_msgs_{0};
 };
 
-/// Transport abstraction between node endpoints.  The kernel only ever
-/// sends whole Batches and drains whole Batches; what carries them —
-/// in-process pointers today, sockets or MPI ranks for a distributed
-/// backend — is the implementation's business.  All members must be
-/// callable concurrently from different node threads; drain() and
-/// probably_empty() for a given endpoint are only called by that
-/// endpoint's owner.
-class Channel {
- public:
-  virtual ~Channel() = default;
-
-  /// Number of endpoints (node slots) this channel connects.
-  virtual std::uint32_t endpoints() const noexcept = 0;
-
-  /// Deliver `batch` to endpoint `to` (any thread).
-  virtual void send(std::uint32_t to, std::unique_ptr<Batch> batch) = 0;
-
-  /// Move every delivered message for `node` into `out`; owner only.
-  virtual std::size_t drain(std::uint32_t node,
-                            std::vector<InFlight>& out) = 0;
-
-  /// Lock-free emptiness probe for `node`'s endpoint; owner only.  Same
-  /// staleness contract as BatchMailbox::probably_empty().
-  virtual bool probably_empty(std::uint32_t node) const noexcept = 0;
-};
-
-/// The in-process transport: one BatchMailbox per endpoint (cache-line
+/// The inter-node transport: one BatchMailbox per node endpoint (cache-line
 /// aligned so producers for different destinations never contend on one
-/// line).  This is the only backend today; the kernel constructs one
-/// itself when KernelConfig::channel is null.
-class InProcChannel final : public Channel {
+/// line).  The kernel only ever sends and drains whole Batches.  send()
+/// is callable from any thread; drain() and probably_empty() for a given
+/// endpoint only by that endpoint's owner.
+class InProcChannel {
  public:
   explicit InProcChannel(std::uint32_t n)
       : n_(n), boxes_(std::make_unique<BatchMailbox[]>(n)) {}
 
-  std::uint32_t endpoints() const noexcept override { return n_; }
+  /// Number of endpoints (node slots) this channel connects.
+  std::uint32_t endpoints() const noexcept { return n_; }
 
-  void send(std::uint32_t to, std::unique_ptr<Batch> batch) override {
+  /// Deliver `batch` to endpoint `to` (any thread).
+  void send(std::uint32_t to, std::unique_ptr<Batch> batch) {
     boxes_[to].push(std::move(batch));
   }
 
-  std::size_t drain(std::uint32_t node,
-                    std::vector<InFlight>& out) override {
+  /// Move every delivered message for `node` into `out`; owner only.
+  std::size_t drain(std::uint32_t node, std::vector<InFlight>& out) {
     return boxes_[node].drain(out);
   }
 
-  bool probably_empty(std::uint32_t node) const noexcept override {
+  /// Lock-free emptiness probe for `node`'s endpoint; owner only.  Same
+  /// staleness contract as BatchMailbox::probably_empty().
+  bool probably_empty(std::uint32_t node) const noexcept {
     return boxes_[node].probably_empty();
   }
 
@@ -214,7 +190,7 @@ struct CoalesceStats {
 };
 
 /// Per-node-thread send buffers, one per destination.  Owner-thread only
-/// — all the cross-thread machinery lives behind Channel::send.
+/// — all the cross-thread machinery lives behind InProcChannel::send.
 ///
 /// Protocol obligations of the caller (the kernel's routing step):
 ///  * stamp msg.epoch with the sender's current GVT round and call
@@ -237,7 +213,7 @@ class SendCoalescer {
  public:
   SendCoalescer() = default;
 
-  void configure(Channel* ch, CoalesceConfig cfg) {
+  void configure(InProcChannel* ch, CoalesceConfig cfg) {
     ch_ = ch;
     cfg_ = cfg;
     if (cfg_.max_batch_msgs == 0) cfg_.max_batch_msgs = 1;
@@ -311,7 +287,7 @@ class SendCoalescer {
     std::uint64_t first_add_ns = 0;
   };
 
-  Channel* ch_ = nullptr;
+  InProcChannel* ch_ = nullptr;
   CoalesceConfig cfg_;
   std::vector<DestBuf> bufs_;
   std::size_t buffered_ = 0;

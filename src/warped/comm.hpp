@@ -1,8 +1,8 @@
 #pragma once
 // Inter-node communication: message/package payloads, the modeled
 // network, and the receiver-side holding heap.  The transport itself —
-// per-destination send coalescing, lock-free batch mailboxes and the
-// pluggable Channel interface — lives in channel.hpp.
+// per-destination send coalescing and lock-free batch mailboxes — lives
+// in channel.hpp.
 //
 // The paper's testbed was eight workstations on fast Ethernet — inter-node
 // messages were orders of magnitude more expensive than intra-node event

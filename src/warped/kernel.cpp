@@ -37,7 +37,7 @@ constexpr std::uint64_t kIdleNapNs = 20'000;
 
 /// Per-node state.  Only the owning thread touches anything here except
 /// `exec_ticks` (read by the watchdog); the node's multi-producer
-/// receive endpoint lives in the kernel's Channel, keyed by node id.
+/// receive endpoint lives in the kernel's InProcChannel, keyed by node id.
 struct Kernel::Cluster {
   std::uint32_t node = 0;
   std::vector<LpId> own_lps;
@@ -301,7 +301,7 @@ class ClusterContext final : public Context {
 Kernel::Kernel(std::vector<LogicalProcess*> lps,
                std::vector<std::uint32_t> node_of, KernelConfig cfg)
     : lps_(std::move(lps)), node_of_(std::move(node_of)), cfg_(cfg),
-      gvt_coord_(cfg.num_nodes) {
+      channel_(cfg.num_nodes), gvt_coord_(cfg.num_nodes) {
   PLS_CHECK(cfg_.num_nodes >= 1);
   PLS_CHECK_MSG(lps_.size() == node_of_.size(),
                 "node map size must equal LP count");
@@ -325,23 +325,13 @@ Kernel::Kernel(std::vector<LogicalProcess*> lps,
   if (cfg_.throttle.mode == ThrottleMode::kAdaptive && base_window == 0) {
     base_window = std::max(cfg_.throttle.min_window, cfg_.end_time / 16);
   }
-  // Transport: the caller's channel, or an in-process one of our own.
-  if (cfg_.channel != nullptr) {
-    PLS_CHECK_MSG(cfg_.channel->endpoints() >= cfg_.num_nodes,
-                  "channel connects fewer endpoints than the kernel has "
-                  "nodes");
-    channel_ = cfg_.channel;
-  } else {
-    own_channel_ = std::make_unique<InProcChannel>(cfg_.num_nodes);
-    channel_ = own_channel_.get();
-  }
   clusters_.reserve(cfg_.num_nodes);
   for (std::uint32_t n = 0; n < cfg_.num_nodes; ++n) {
     clusters_.push_back(std::make_unique<Cluster>());
     clusters_.back()->node = n;
     clusters_.back()->throttle = OptimismThrottle(cfg_.throttle, base_window);
     clusters_.back()->pool = pools_[n].get();
-    clusters_.back()->coalescer.configure(channel_, cfg_.coalesce);
+    clusters_.back()->coalescer.configure(&channel_, cfg_.coalesce);
   }
   for (LpId i = 0; i < lps_.size(); ++i) {
     clusters_[node_of_[i]]->own_lps.push_back(i);
@@ -556,9 +546,9 @@ void Kernel::node_main(std::uint32_t node) {
     }
 
     // --- receive ----------------------------------------------------------
-    if (!channel_->probably_empty(node)) {
+    if (!channel_.probably_empty(node)) {
       cl.drain_buf.clear();
-      channel_->drain(node, cl.drain_buf);
+      channel_.drain(node, cl.drain_buf);
       for (auto& f : cl.drain_buf) {
         // Rounds serialize, so a drained message is at most one epoch away
         // from the receiver's color in either direction.  Each message of
@@ -1215,7 +1205,7 @@ RunStats Kernel::run() {
       PLS_CHECK_MSG(cl.coalescer.buffered() == 0,
                     "send buffer left unflushed after node exit");
       cl.drain_buf.clear();
-      channel_->drain(n, cl.drain_buf);
+      channel_.drain(n, cl.drain_buf);
       for (auto& f : cl.drain_buf) cl.holding.push(std::move(f));
       while (!cl.holding.empty()) {
         InFlight f = cl.holding.pop();

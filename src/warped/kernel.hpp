@@ -78,12 +78,6 @@ struct KernelConfig {
   /// comparisons.
   CoalesceConfig coalesce;
 
-  /// Inter-node transport (non-owning; must outlive run() and connect at
-  /// least num_nodes endpoints).  Null — the default — makes the kernel
-  /// construct its own InProcChannel; a distributed backend passes its
-  /// own implementation here without the kernel changing.
-  Channel* channel = nullptr;
-
   /// Wall-clock interval between GVT round starts.
   std::uint64_t gvt_interval_us = 2000;
 
@@ -166,9 +160,8 @@ class Kernel {
   std::vector<std::uint32_t> node_of_;
   KernelConfig cfg_;
 
-  /// The transport in use: cfg_.channel, or own_channel_ when null.
-  std::unique_ptr<InProcChannel> own_channel_;
-  Channel* channel_ = nullptr;
+  /// Inter-node transport: one batch mailbox per node.
+  InProcChannel channel_;
 
   /// Per-node arenas for wide event payloads and state words.  Declared
   /// *before* runtimes_ on purpose: members destroy in reverse order, so

@@ -14,7 +14,7 @@
 //  * each GVT round, a node accumulates a sample: events executed, events
 //    un-done, the deepest single rollback, and the deepest virtual-time
 //    lead (batch time minus GVT) it speculated to;
-//  * SHRINK (multiplicative, default ×0.5; doubled for a deep storm) when
+//  * SHRINK (multiplicative, ×0.5; doubled for a deep storm) when
 //    the sample's rolled-back/executed fraction exceeds the budget
 //    (default 20%) *and* the sample actually speculated into the window
 //    region (lead ≥ window/2).  Rollbacks at small leads are straggler
@@ -65,43 +65,45 @@ struct ThrottleConfig {
   /// Rollback budget: shrink while events_rolled_back / events_processed
   /// (per decision sample) exceeds this.
   double target_rollback_fraction = 0.20;
+  SimTime max_window = kEndOfTime;  ///< kEndOfTime = may fully re-open
+
+  // Fixed control-law constants.
+
   /// Grow when the observed fraction is below target * grow_margin
   /// (between the two thresholds the window holds — hysteresis).
-  double grow_margin = 0.5;
-
-  double shrink_factor = 0.5;
+  static constexpr double grow_margin = 0.5;
+  static constexpr double shrink_factor = 0.5;
   /// Growth below the last storm threshold is multiplicative (this
   /// factor); at or above it the window grows additively by 1/8 of itself
   /// per decision (TCP-style congestion avoidance), so the controller
   /// probes back into the region that previously stormed instead of
   /// leaping over it and re-triggering the storm.
-  double grow_factor = 2.0;
+  static constexpr double grow_factor = 2.0;
   /// A rollback that undoes more than this many events in one go counts as
   /// a deep storm: the shrink is applied twice.
-  std::uint64_t deep_rollback_depth = 64;
+  static constexpr std::uint64_t deep_rollback_depth = 64;
 
-  SimTime min_window = 8;
-  SimTime max_window = kEndOfTime;  ///< kEndOfTime = may fully re-open
+  static constexpr SimTime min_window = 8;
 
   /// Do not decide on fewer observed events than this (noise floor); the
   /// sample keeps accumulating across rounds until it is large enough.
-  std::uint64_t min_sample_events = 32;
+  static constexpr std::uint64_t min_sample_events = 32;
 
   /// Force a decision at least every this many GVT rounds even on a thin
   /// sample.  A node starved *by its own too-small window* executes few
   /// events, so waiting for a full sample would block exactly the growth
   /// decision that un-starves it; a thin sample always reads as "grow".
-  std::uint64_t max_rounds_per_decision = 2;
+  static constexpr std::uint64_t max_rounds_per_decision = 2;
 
   /// Rounds to sit out after a shrink before sampling resumes.  The
   /// events rolled back right after a shrink were speculated under the
   /// *old* window, so deciding on them would double-penalize; the tainted
   /// sample is discarded when the cooldown expires.
-  std::uint64_t shrink_cooldown_rounds = 2;
+  static constexpr std::uint64_t shrink_cooldown_rounds = 2;
 
   /// Cap on recorded trajectory entries per node (decisions beyond the cap
   /// still happen, they are just not recorded).
-  std::size_t max_trajectory = 4096;
+  static constexpr std::size_t max_trajectory = 4096;
 };
 
 /// One controller decision, recorded for RunStats.

@@ -136,6 +136,41 @@ TEST(BenchParser, ErrorCarriesLineNumber) {
   }
 }
 
+TEST(BenchParser, DuplicateInputErrorCarriesLineNumber) {
+  try {
+    parse_bench_string("INPUT(a)\nINPUT(b)\n\nINPUT(a)\ng = AND(a, b)\n");
+    FAIL() << "expected BenchParseError";
+  } catch (const BenchParseError& e) {
+    EXPECT_EQ(e.line(), 4);
+    EXPECT_NE(std::string(e.what()).find("'a'"), std::string::npos);
+  }
+}
+
+TEST(BenchParser, UndefinedOutputErrorCarriesLineNumber) {
+  try {
+    parse_bench_string("INPUT(a)\nOUTPUT(g)\nOUTPUT(zz)\ng = NOT(a)\n");
+    FAIL() << "expected BenchParseError";
+  } catch (const BenchParseError& e) {
+    EXPECT_EQ(e.line(), 3);
+    EXPECT_NE(std::string(e.what()).find("'zz'"), std::string::npos);
+  }
+}
+
+TEST(BenchParser, CombinationalCycleErrorCarriesLineNumber) {
+  // x and y feed each other with no flip-flop in between; the error names
+  // the gate the cycle was found through and that gate's line.
+  try {
+    parse_bench_string(
+        "INPUT(a)\nOUTPUT(y)\ng = NOT(a)\n# loop\nx = AND(g, y)\n"
+        "y = NOT(x)\n");
+    FAIL() << "expected BenchParseError";
+  } catch (const BenchParseError& e) {
+    EXPECT_EQ(e.line(), 5);
+    EXPECT_NE(std::string(e.what()).find("cycle through gate 'x'"),
+              std::string::npos);
+  }
+}
+
 TEST(BenchParser, UnknownGateTypeErrorNamesLineAndGate) {
   try {
     parse_bench_string("INPUT(a)\ng = NOT(a)\nbad = FROB(g)\n");

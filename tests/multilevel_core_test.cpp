@@ -56,9 +56,9 @@ TEST(Weights, UniformProfileYieldsUniformWeights) {
 }
 
 TEST(Weights, MappingIsMonotoneAndClamped) {
-  multilevel::WeightOptions opt;  // vertex_cap 8, granularity 8, cap 256
+  // kVertexCap 8, kTrafficGranularity 8, kTrafficCap 256
   const std::vector<double> acts = {0.0, 0.1, 1.0, 2.0, 7.9, 100.0};
-  const auto w = multilevel::weights_from_activity(acts, opt);
+  const auto w = multilevel::weights_from_activity(acts);
   for (std::size_t i = 1; i < acts.size(); ++i) {
     EXPECT_GE(w.vertex[i], w.vertex[i - 1]);
     EXPECT_GE(w.traffic[i], w.traffic[i - 1]);
@@ -66,9 +66,9 @@ TEST(Weights, MappingIsMonotoneAndClamped) {
   EXPECT_EQ(w.vertex.front(), 1u);   // zero activity still weighs 1
   EXPECT_EQ(w.traffic.front(), 1u);
   EXPECT_EQ(w.vertex[2], 1u);        // mean activity = unit work weight
-  EXPECT_EQ(w.traffic[2], opt.traffic_granularity);
-  EXPECT_EQ(w.vertex.back(), opt.vertex_cap);
-  EXPECT_EQ(w.traffic.back(), opt.traffic_cap);
+  EXPECT_EQ(w.traffic[2], multilevel::kTrafficGranularity);
+  EXPECT_EQ(w.vertex.back(), multilevel::kVertexCap);
+  EXPECT_EQ(w.traffic.back(), multilevel::kTrafficCap);
   EXPECT_FALSE(w.uniform());
 }
 

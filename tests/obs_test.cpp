@@ -310,6 +310,23 @@ TEST(ObsKernel, TwoNodeRunRecordsTraceAndMetrics) {
   std::ostringstream os;
   write_perfetto_trace(os, session);
   EXPECT_GT(os.str().size(), 100u);
+
+  // End-of-time is written as "end" wherever an export writes it as data;
+  // only the numeric counter tracks keep the raw value.
+  const std::string raw = std::to_string(warped::kEndOfTime);
+  static const std::regex counter_re("\"value\":[0-9]+");
+  const std::string args =
+      std::regex_replace(os.str(), counter_re, "\"value\":0");
+  EXPECT_EQ(args.find(raw), std::string::npos);
+  EXPECT_NE(args.find("\"gvt\":\"end\""), std::string::npos);
+  std::ostringstream csv;
+  write_metrics_csv(csv, session);
+  EXPECT_EQ(csv.str().find(raw), std::string::npos);
+  EXPECT_NE(csv.str().find(",-1,gvt,end\n"), std::string::npos);
+  std::ostringstream js;
+  write_metrics_json(js, session);
+  EXPECT_EQ(js.str().find(raw), std::string::npos);
+  EXPECT_NE(js.str().find("\"gvt\":\"end\""), std::string::npos);
 }
 
 }  // namespace
