@@ -1,7 +1,10 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <functional>
+#include <iostream>
 
 #include "circuit/generator.hpp"
 #include "framework/registry.hpp"
@@ -103,7 +106,10 @@ std::uint64_t get_flag_u64(const util::Cli& cli, const std::string& name,
   return v;
 }
 
-BenchConfig config_from_cli(const util::Cli& cli) {
+namespace {
+
+/// config_from_cli's reads and checks; a bad flag throws.
+BenchConfig read_config(const util::Cli& cli) {
   BenchConfig cfg;
   cfg.scale = cli.get_double("scale");
   // Checked reads: every one of these lands in an unsigned config field, so
@@ -141,10 +147,31 @@ BenchConfig config_from_cli(const util::Cli& cli) {
                 "--scale must be in (0, 4]");
   PLS_CHECK_MSG(cfg.rollback_budget > 0.0 && cfg.rollback_budget < 1.0,
                 "--rollback-budget must be in (0, 1)");
+  PLS_CHECK_MSG(std::filesystem::is_directory(cfg.csv_dir),
+                "--csv must name an existing directory, got '"
+                    << cfg.csv_dir << "'");
   throttle_modes(cfg);     // fail fast on a malformed --throttle spec
   activity_modes(cfg);     // ... and on a malformed --activity spec
   repartition_modes(cfg);  // ... and on a malformed --repartition spec
   return cfg;
+}
+
+}  // namespace
+
+BenchConfig config_from_cli(const util::Cli& cli) {
+  try {
+    return read_config(cli);
+  } catch (const std::exception& e) {
+    // A CheckError reads "check failed: (expr) at file:line — message";
+    // the user needs only the message.
+    std::string msg = e.what();
+    const std::string dash = " — ";
+    if (const auto at = msg.find(dash); at != std::string::npos) {
+      msg.erase(0, at + dash.size());
+    }
+    std::cerr << "error: " << msg << '\n';
+    std::exit(2);
+  }
 }
 
 std::vector<std::string> activity_modes(const BenchConfig& cfg) {

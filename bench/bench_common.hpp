@@ -105,7 +105,9 @@ struct BenchConfig {
 /// Register the common flags on a Cli.
 void add_common_flags(util::Cli& cli);
 
-/// Extract a BenchConfig after cli.parse().
+/// Extract a BenchConfig after cli.parse().  A bad flag value, or a --csv
+/// that is not an existing directory, prints one "error: ..." line on
+/// stderr and exits with status 2.
 BenchConfig config_from_cli(const util::Cli& cli);
 
 /// Checked integer flag read: rejects values outside [lo, hi] with a clear

@@ -134,8 +134,20 @@ Circuit parse_bench(std::istream& in, const std::string& name) {
       if (fanin.empty()) throw BenchParseError(lineno, "empty fanin name");
       g.fanin_names.push_back(fanin);
     }
-    if (g.fanin_names.empty()) {
-      throw BenchParseError(lineno, "gate '" + g.name + "' has no fanins");
+    // Checked here rather than left to Circuit::freeze, which cannot know
+    // the line a gate came from.
+    const std::size_t arity = g.fanin_names.size();
+    const auto lo = static_cast<std::size_t>(min_arity(g.type));
+    const auto hi = static_cast<std::size_t>(max_arity(g.type));
+    if (arity < lo || arity > hi) {
+      const std::string allowed = lo == hi ? std::to_string(lo)
+                                           : std::to_string(lo) + " to " +
+                                                 std::to_string(hi);
+      throw BenchParseError(lineno, "gate '" + g.name + "' (" +
+                                        std::string(to_string(g.type)) +
+                                        ") takes " + allowed +
+                                        " fanins, got " +
+                                        std::to_string(arity));
     }
     pending.push_back(std::move(g));
   }

@@ -1,8 +1,8 @@
 #include "logicsim/sequential.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <queue>
 
 #include "mem/pool.hpp"
 #include "util/check.hpp"
@@ -12,63 +12,93 @@ namespace pls::logicsim {
 namespace {
 
 using warped::Event;
-using warped::kEndOfTime;
 using warped::LpId;
 using warped::LpState;
 using warped::SimTime;
 
-/// Per-LP event list: a sorted vector whose executed prefix [0, head)
-/// compacts away at LpRuntime's threshold (no fossil collection here —
-/// everything commits immediately).
-struct SeqLp {
-  std::vector<Event> queue;
-  std::size_t head = 0;
-  std::uint64_t next_id = 1;
+/// Ring width in ticks.  It covers every delay of the netlist model (gate
+/// and DFF 1, clock 10, stimulus 20), so the overflow heap only sees
+/// generic models' long sends.  No wider: slot vectors keep their
+/// capacity, so every slot costs resident memory.
+constexpr SimTime kSlots = 32;
 
-  bool has_pending() const noexcept { return head < queue.size(); }
-  SimTime next_time() const noexcept {
-    return has_pending() ? queue[head].recv_time : kEndOfTime;
-  }
-  void insert(Event&& ev) {
-    // In-order arrivals, the common case (a gate's inputs arrive in time
-    // order), append in O(1).
-    if (queue.empty() || queue.back() < ev) {
-      queue.push_back(std::move(ev));
-      return;
-    }
-    auto pos = std::lower_bound(
-        queue.begin() + static_cast<std::ptrdiff_t>(head), queue.end(), ev);
-    queue.insert(pos, std::move(ev));
-  }
-  /// Amortized O(1): the live range moves once per >= equal run of
-  /// executed events.
-  void compact() {
-    if (head >= 64 && head * 2 >= queue.size()) {
-      queue.erase(queue.begin(),
-                  queue.begin() + static_cast<std::ptrdiff_t>(head));
-      head = 0;
+/// Pending events by receive time.  Ring slot t % kSlots holds the events
+/// due at tick t, for the kSlots ticks from now() on; an event due later
+/// waits in a recv_time min-heap and moves into the ring when the window
+/// reaches its tick.
+class Calendar {
+ public:
+  SimTime now() const noexcept { return now_; }
+  std::vector<Event>& current() noexcept { return ring_[now_ % kSlots]; }
+
+  /// `ev` is due at or after now(), and strictly after it once now()'s
+  /// slot is executing.
+  void push(Event&& ev) {
+    if (ev.recv_time - now_ < kSlots) {
+      ring_[ev.recv_time % kSlots].push_back(std::move(ev));
+      ++in_ring_;
+    } else {
+      later_.push_back(std::move(ev));
+      std::push_heap(later_.begin(), later_.end(), due_later);
     }
   }
-};
 
-struct SchedEntry {
-  SimTime time;
-  LpId lp;
-  friend bool operator>(const SchedEntry& a, const SchedEntry& b) noexcept {
-    if (a.time != b.time) return a.time > b.time;
-    return a.lp > b.lp;
+  /// Retires the current tick, freeing its events, and moves to the next
+  /// tick that holds any.  False when no events remain.
+  bool advance() {
+    in_ring_ -= current().size();
+    current().clear();
+    if (in_ring_ > 0) {
+      // Every heap event is due at least kSlots past the old tick, so the
+      // next non-empty slot is the earliest pending tick.
+      do {
+        ++now_;
+      } while (ring_[now_ % kSlots].empty());
+    } else if (!later_.empty()) {
+      now_ = later_.front().recv_time;  // skip a gap with no events
+    } else {
+      return false;
+    }
+    while (!later_.empty() && later_.front().recv_time - now_ < kSlots) {
+      std::pop_heap(later_.begin(), later_.end(), due_later);
+      ring_[later_.back().recv_time % kSlots].push_back(
+          std::move(later_.back()));
+      later_.pop_back();
+      ++in_ring_;
+    }
+    return true;
   }
+
+ private:
+  static bool due_later(const Event& a, const Event& b) noexcept {
+    return a.recv_time > b.recv_time;
+  }
+
+  std::array<std::vector<Event>, kSlots> ring_;
+  std::vector<Event> later_;
+  std::size_t in_ring_ = 0;
+  SimTime now_ = 0;
 };
 
-/// Buffers the executing LP's sends in `sent`: the batch it executes is a
-/// view into a queue that delivering them could grow, so delivery waits
-/// until execute() returns.
+/// One tick's batches in execution order: ascending target, then each
+/// LP's events in queue order.  (sender, id) is unique, so the order is
+/// total and a batch is exactly what the kernel's sorted per-LP queue
+/// would hold.
+bool batch_order(const Event& a, const Event& b) noexcept {
+  return a.target != b.target ? a.target < b.target : a < b;
+}
+
+/// Delivers each send straight into the calendar.  A send is due after
+/// now(), so it never lands in the slot being executed.
 class SeqContext final : public warped::Context {
  public:
-  SeqContext(SimTime end, std::vector<SeqLp>* lps,
-             std::vector<LpState>* states, std::vector<Event>* sent,
+  SeqContext(SimTime end, Calendar* calendar, std::vector<LpState>* states,
              std::vector<std::uint64_t>* sends)
-      : end_(end), lps_(lps), states_(states), sent_(sent), sends_(sends) {}
+      : end_(end),
+        calendar_(calendar),
+        states_(states),
+        sends_(sends),
+        next_id_(states->size(), 1) {}
 
   void set_current(SimTime now, LpId self, bool init_mode) {
     now_ = now;
@@ -83,23 +113,16 @@ class SeqContext final : public warped::Context {
 
   void send(LpId target, SimTime recv_time, std::uint32_t port,
             std::uint64_t value, std::uint64_t mask) override {
-    PLS_CHECK_MSG(init_mode_ ? recv_time >= now_ : recv_time > now_,
-                  "sequential send not after now");
-    Event& ev = sent_->emplace_back();
-    ev.recv_time = recv_time;
-    ev.send_time = now_;
-    ev.target = target;
-    ev.sender = self_;
-    ev.port = port;
+    Event ev = make_event(target, recv_time, port);
     ev.value = value;
     ev.mask = mask;
-    ev.id = (*lps_)[self_].next_id++;
     // Self-sends are scheduling ticks (DFF clocks, stimulus timers), not
     // net traffic — counting them would mark every clocked LP "hot"
     // regardless of whether its output ever toggles.  Batched events weigh
     // popcount(mask) lane transitions, matching the Time Warp kernel's
     // committed-send accounting (scalar mask = 1 keeps the old count).
     if (target != self_) (*sends_)[self_] += std::popcount(mask);
+    calendar_->push(std::move(ev));
   }
 
   void send_wide(LpId target, SimTime recv_time, std::uint32_t port,
@@ -109,36 +132,42 @@ class SeqContext final : public warped::Context {
       send(target, recv_time, port, values[0], masks[0]);
       return;
     }
-    PLS_CHECK_MSG(init_mode_ ? recv_time >= now_ : recv_time > now_,
-                  "sequential send not after now");
-    Event& ev = sent_->emplace_back();
-    ev.recv_time = recv_time;
-    ev.send_time = now_;
-    ev.target = target;
-    ev.sender = self_;
-    ev.port = port;
+    Event ev = make_event(target, recv_time, port);
     ev.widen(k);
     for (std::uint32_t w = 0; w < k; ++w) {
       ev.set_value_word(w, values[w]);
       ev.set_mask_word(w, masks[w]);
     }
-    ev.id = (*lps_)[self_].next_id++;
     if (target != self_) {
       for (std::uint32_t w = 0; w < k; ++w) {
         (*sends_)[self_] += std::popcount(masks[w]);
       }
     }
+    calendar_->push(std::move(ev));
   }
 
  private:
+  Event make_event(LpId target, SimTime recv_time, std::uint32_t port) {
+    PLS_CHECK_MSG(init_mode_ ? recv_time >= now_ : recv_time > now_,
+                  "sequential send not after now");
+    Event ev;
+    ev.recv_time = recv_time;
+    ev.send_time = now_;
+    ev.target = target;
+    ev.sender = self_;
+    ev.port = port;
+    ev.id = next_id_[self_]++;
+    return ev;
+  }
+
   SimTime now_ = 0;
   SimTime end_;
   LpId self_ = 0;
   bool init_mode_ = false;
-  std::vector<SeqLp>* lps_;
+  Calendar* calendar_;
   std::vector<LpState>* states_;
-  std::vector<Event>* sent_;
   std::vector<std::uint64_t>* sends_;
+  std::vector<std::uint64_t> next_id_;
 };
 
 }  // namespace
@@ -163,63 +192,39 @@ SeqStats simulate_sequential(const std::vector<warped::LogicalProcess*>& lps,
   {
     mem::PoolScope pool_scope(&pool);
     std::vector<LpState> states;
-    std::vector<SeqLp> queues(lps.size());
-    std::vector<Event> sent;
-    std::priority_queue<SchedEntry, std::vector<SchedEntry>, std::greater<>>
-        sched;
-    // Every LP with pending events holds a heap entry at its next_time():
-    // a delivery pushes one only when it lowers that time, and a batch
-    // pushes the LP's next remaining time.  Entries that no longer match
-    // next_time() are stale and skipped.
-    const auto deliver = [&] {
-      for (Event& ev : sent) {
-        SeqLp& q = queues[ev.target];
-        const SimTime t = ev.recv_time;
-        const LpId target = ev.target;
-        const bool earlier = t < q.next_time();
-        q.insert(std::move(ev));
-        if (earlier) sched.push(SchedEntry{t, target});
-      }
-      sent.clear();
-    };
-
-    SeqContext ctx(end_time, &queues, &states, &sent, &out.per_lp_sends);
     states.reserve(lps.size());
-    for (LpId i = 0; i < lps.size(); ++i) {
-      states.push_back(lps[i]->initial_state());
+    for (const warped::LogicalProcess* lp : lps) {
+      states.push_back(lp->initial_state());
     }
+    Calendar calendar;
+    SeqContext ctx(end_time, &calendar, &states, &out.per_lp_sends);
+    // Init sends may be due at time 0; tick 0 runs them after every init.
     for (LpId i = 0; i < lps.size(); ++i) {
       ctx.set_current(0, i, /*init_mode=*/true);
       lps[i]->init(ctx);
-      deliver();
     }
 
-    while (!sched.empty()) {
-      const SchedEntry top = sched.top();
-      sched.pop();
-      SeqLp& q = queues[top.lp];
-      if (q.next_time() != top.time) continue;  // stale entry
+    do {
+      std::vector<Event>& slot = calendar.current();
+      std::sort(slot.begin(), slot.end(), batch_order);
+      for (std::size_t first = 0; first < slot.size();) {
+        const LpId lp = slot[first].target;
+        std::size_t last = first;
+        std::uint64_t lane_work = 0;
+        for (; last < slot.size() && slot[last].target == lp; ++last) {
+          lane_work += slot[last].mask_popcount();
+        }
+        const warped::EventBatch batch(slot.data() + first, last - first);
+        ctx.set_current(calendar.now(), lp, /*init_mode=*/false);
+        lps[lp]->execute(ctx, batch);
+        if (event_cost_ns > 0) util::busy_spin_ns(event_cost_ns);
 
-      const SimTime t = top.time;
-      std::size_t last = q.head;
-      std::uint64_t lane_work = 0;
-      while (last < q.queue.size() && q.queue[last].recv_time == t) {
-        lane_work += q.queue[last].mask_popcount();
-        ++last;
+        out.events_processed += batch.size();
+        out.per_lp_events[lp] += batch.size();
+        out.per_lp_lane_work[lp] += lane_work;
+        first = last;
       }
-      const warped::EventBatch batch(q.queue.data() + q.head, last - q.head);
-      ctx.set_current(t, top.lp, /*init_mode=*/false);
-      lps[top.lp]->execute(ctx, batch);
-      if (event_cost_ns > 0) util::busy_spin_ns(event_cost_ns);
-
-      out.events_processed += batch.size();
-      out.per_lp_events[top.lp] += batch.size();
-      out.per_lp_lane_work[top.lp] += lane_work;
-      q.head = last;
-      q.compact();
-      if (q.has_pending()) sched.push(SchedEntry{q.next_time(), top.lp});
-      deliver();
-    }
+    } while (calendar.advance());
     const mem::PoolScope copy_out(caller_pool);
     out.final_states.assign(states.begin(), states.end());
   }

@@ -2,26 +2,31 @@
 // Sequential reference simulator.
 //
 // The paper's "Seq Time" column comes from a plain sequential simulation of
-// the same model: one central event list, no state saving, no rollbacks, no
-// communication.  This engine executes the *same* LogicalProcess behaviours
-// as the Time Warp kernel with identical batch semantics, so its final
-// states and event counts are the ground truth the optimistic runs are
-// checked against (logicsim/equivalence.hpp).
+// the same model: one time-ordered event calendar, no state saving, no
+// rollbacks, no communication.  This engine executes the *same*
+// LogicalProcess behaviours as the Time Warp kernel with identical batch
+// semantics, so its final states and event counts are the ground truth the
+// optimistic runs are checked against (logicsim/equivalence.hpp).
 //
 // Its cost is proportional to the events it executes:
-//  * each batch is a view into the LP's own sorted queue, not a copy; the
-//    LP's sends are buffered and delivered only after execute() returns,
-//    since delivering into that queue (a self-send) could reallocate it
-//    under the view;
-//  * in-order arrivals append in O(1), and an LP is (re)scheduled only
-//    when an arrival lowers its earliest pending time or a batch retires
-//    it, not once per event;
-//  * the executed prefix compacts away at LpRuntime's threshold (at least
-//    64 events and half the queue);
+//  * pending events sit in a ring of 32 slot vectors, slot t % 32 holding
+//    the events due at tick t for the next 32 ticks; an event due 32 or
+//    more ticks ahead waits in a receive-time min-heap and moves into the
+//    ring when the window reaches its tick, and a stretch with no event
+//    at all is skipped in one step;
+//  * each tick sorts its slot by (target, Event::operator<) and executes
+//    every target's run of events as one batch, a view into the slot, in
+//    ascending LP id.  operator< is a total order (ids are unique per
+//    sender), so a batch holds exactly the events, in exactly the order,
+//    that the kernel's sorted per-LP queue would; and since every send
+//    made while executing is due strictly later, batches at one tick are
+//    independent and a send never lands in the slot being executed;
+//  * init sends may be due at time 0; tick 0 runs them after every init;
 //  * wide event payloads and state words (lanes > 64) come from a
-//    mem::Pool owned by the call, which outlives every event and state
-//    allocated from it; the final states are copied out through the
-//    caller's allocator before the pool is destroyed.
+//    mem::Pool owned by the call.  The calendar lives inside the pool's
+//    scope, so every event it frees returns there; the final states are
+//    copied out through the caller's allocator before the pool is
+//    destroyed.
 
 #include <cstdint>
 #include <vector>

@@ -183,6 +183,31 @@ TEST(BenchParser, UnknownGateTypeErrorNamesLineAndGate) {
   }
 }
 
+TEST(BenchParser, ArityErrorCarriesLineNumber) {
+  // A fanin count the gate type does not allow names the gate's own line,
+  // for one-input types given two and n-ary types given one.
+  struct Case {
+    const char* text;
+    int line;
+    const char* gate;
+  };
+  const Case cases[] = {
+      {"INPUT(a)\nINPUT(b)\n\ng = NOT(a, b)\n", 4, "'g'"},
+      {"INPUT(a)\nINPUT(b)\nOUTPUT(q)\nq = DFF(a, b)\n", 4, "'q'"},
+      {"INPUT(a)\nx = NOT(a)\ny = AND(x)\n", 3, "'y'"},
+  };
+  for (const Case& k : cases) {
+    try {
+      parse_bench_string(k.text);
+      FAIL() << "expected BenchParseError for " << k.text;
+    } catch (const BenchParseError& e) {
+      EXPECT_EQ(e.line(), k.line) << e.what();
+      EXPECT_NE(std::string(e.what()).find(k.gate), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(BenchWriter, RoundTripPreservesStructure) {
   const Circuit orig = parse_bench_string(kS27, "s27");
   const std::string text = write_bench_string(orig);

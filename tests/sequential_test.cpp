@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
+#include <set>
+#include <string>
+
 #include "circuit/bench_io.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/generator.hpp"
@@ -168,23 +173,31 @@ class Fnv1a {
 
 TEST(SeqGolden, GeneratedCircuitsAcrossLaneCounts) {
   struct Case {
+    const char* circuit;
     std::uint32_t lanes;
     std::uint64_t stim_seed;
     warped::SimTime horizon;
     std::uint64_t hash;
   };
+  // The s15850 rows are the pipeline benchmark's circuit at its scalar and
+  // 256-lane horizons.
   const Case cases[] = {
-      {1, 11, 2000, 0xcf5b4870efd53910ULL},
-      {1, 29, 2000, 0xc57fef5ea3ad8e29ULL},
-      {64, 11, 600, 0xfc07072e002b11bfULL},
-      {64, 29, 600, 0x1fc25eb674e7a2f4ULL},
-      {130, 11, 400, 0x3df74e2e53980dd6ULL},
-      {130, 29, 400, 0x511ed548649b39d6ULL},
-      {256, 11, 300, 0x9c685428d3f56b13ULL},
-      {256, 29, 300, 0x2fa1a0846b70c39bULL},
+      {"s5378", 1, 11, 2000, 0xcf5b4870efd53910ULL},
+      {"s5378", 1, 29, 2000, 0xc57fef5ea3ad8e29ULL},
+      {"s5378", 64, 11, 600, 0xfc07072e002b11bfULL},
+      {"s5378", 64, 29, 600, 0x1fc25eb674e7a2f4ULL},
+      {"s5378", 130, 11, 400, 0x3df74e2e53980dd6ULL},
+      {"s5378", 130, 29, 400, 0x511ed548649b39d6ULL},
+      {"s5378", 256, 11, 300, 0x9c685428d3f56b13ULL},
+      {"s5378", 256, 29, 300, 0x2fa1a0846b70c39bULL},
+      {"s15850", 1, 4242, 6000, 0x262d9fc321f6d8f4ULL},
+      {"s15850", 256, 4242, 1200, 0x991282cb5f4d2d9eULL},
   };
-  const auto c = circuit::make_iscas_like("s5378", 2000);
+  const circuit::Circuit s5378 = circuit::make_iscas_like("s5378", 2000);
+  const circuit::Circuit s15850 = circuit::make_iscas_like("s15850", 2000);
   for (const Case& k : cases) {
+    const circuit::Circuit& c =
+        std::string(k.circuit) == "s5378" ? s5378 : s15850;
     ModelOptions opt;
     opt.lanes = k.lanes;
     opt.stim_seed = k.stim_seed;
@@ -193,8 +206,163 @@ TEST(SeqGolden, GeneratedCircuitsAcrossLaneCounts) {
     Fnv1a h;
     h.add(out);
     EXPECT_EQ(h.value(), k.hash)
-        << std::hex << "hash 0x" << h.value() << std::dec << " for lanes "
-        << k.lanes << ", stim_seed " << k.stim_seed;
+        << std::hex << "hash 0x" << h.value() << std::dec << " for "
+        << k.circuit << ", lanes " << k.lanes << ", stim_seed "
+        << k.stim_seed;
+  }
+}
+
+// ----- generic LPs ------------------------------------------------------
+//
+// A test-local LP model whose sends straddle any short time window: ticks
+// and data events go out at every delay in kDelays, several senders meet
+// at one LP and tick, init sends land at time 0, wide (multi-word)
+// payloads and state words come from the pool, and long delays leave
+// stretches of more than 32 ticks with no event at all.  Each batch folds
+// into the state in an order-sensitive way, so a batch that holds other
+// events, or the same events in another order, changes the hash.
+
+constexpr warped::SimTime kDelays[] = {1, 2, 20, 31, 32, 33, 64, 1000};
+constexpr std::uint32_t kWideWords = 3;
+
+std::uint64_t mix(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  return x ^ (x >> 33);
+}
+
+/// What the model did, gathered across every LP, so the test can check
+/// that the run covers the cases the model is built for.
+struct CalendarLog {
+  std::set<warped::SimTime> delays;   ///< recv_time - send_time seen
+  std::set<warped::SimTime> times;    ///< times with at least one batch
+  std::size_t multi_sender_batches = 0;
+  std::size_t wide_events = 0;
+};
+
+class CalendarLp final : public warped::LogicalProcess {
+ public:
+  CalendarLp(warped::LpId n, CalendarLog* log) : n_(n), log_(log) {}
+
+  warped::LpState initial_state() const override {
+    warped::LpState s;
+    s.w = mem::Words(kWideWords);
+    return s;
+  }
+
+  void init(warped::Context& ctx) override {
+    const warped::LpId self = ctx.self();
+    ctx.schedule_self(0, self);
+    // Every LP also sends to LP 0 at time 0: many senders, one batch.
+    ctx.send(0, 0, 1, self + 1);
+    if (self % 2 == 1) ctx.schedule_self(kDelays[self % 8], self);
+  }
+
+  void execute(warped::Context& ctx, warped::EventBatch batch) override {
+    warped::LpState& s = ctx.state();
+    bool tick = false;
+    std::set<warped::LpId> senders;
+    for (const warped::Event& e : batch) {
+      if (e.port == warped::kTickPort) tick = true;
+      senders.insert(e.sender);
+      log_->delays.insert(e.recv_time - e.send_time);
+      std::uint64_t f = mix((std::uint64_t{e.sender} << 32) ^ e.port);
+      for (std::uint32_t w = 0; w < e.payload_words(); ++w) {
+        f = mix(f ^ e.value_word(w)) + e.mask_word(w);
+      }
+      if (e.payload_words() > 1) ++log_->wide_events;
+      s.a = s.a * 31 + f;
+      s.w[e.id % kWideWords] = s.w[e.id % kWideWords] * 31 + (f >> 7);
+    }
+    s.b += batch.size();
+    log_->times.insert(ctx.now());
+    if (senders.size() > 1) ++log_->multi_sender_batches;
+    if (!tick) return;
+
+    const std::uint64_t h = mix(s.a);
+    const warped::SimTime now = ctx.now();
+    // Data delays, and half the tick delays, follow the clock, so LPs
+    // that tick together keep meeting: they send to one arrival tick and
+    // tick together again.  Every eighth 128-tick phase is quiet: only
+    // 64- and 1000-tick sends, which leaves long stretches with no event.
+    const bool quiet = (now / 128) % 8 == 7;
+    const std::uint64_t by_clock = mix(now);
+    const warped::SimTime data_at =
+        now + (quiet ? kDelays[6 + h % 2] : kDelays[by_clock % 8]);
+    const std::uint64_t tick_pick = (h >> 3) % 2 ? h >> 4 : by_clock >> 3;
+    const warped::SimTime tick_at =
+        now + (quiet ? 1000 : kDelays[tick_pick % 8]);
+    // One send goes to a hub (LP 0 or 1), where senders meet; the other
+    // to any LP.  A third of the sends are wide.
+    const warped::LpId targets[] = {static_cast<warped::LpId>((h >> 6) % 2),
+                                    static_cast<warped::LpId>((h >> 8) % n_)};
+    const std::uint32_t port = static_cast<std::uint32_t>((h >> 16) % 3);
+    for (const warped::LpId target : targets) {
+      if (data_at > ctx.end_time()) break;
+      if ((h >> 20) % 3 == 0) {
+        std::uint64_t values[kWideWords];
+        std::uint64_t masks[kWideWords];
+        for (std::uint32_t w = 0; w < kWideWords; ++w) {
+          values[w] = mix(h + w);
+          masks[w] = mix(h ^ (w + 1)) | 1;
+        }
+        ctx.send_wide(target, data_at, port, values, masks, kWideWords);
+      } else {
+        ctx.send(target, data_at, port, h >> 32, (h >> 24) | 1);
+      }
+    }
+    if (tick_at <= ctx.end_time()) ctx.schedule_self(tick_at, h >> 40);
+  }
+
+ private:
+  warped::LpId n_;
+  CalendarLog* log_;
+};
+
+TEST(SeqGolden, GenericLpsAcrossTheCalendar) {
+  struct Case {
+    warped::LpId lps;
+    warped::SimTime horizon;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {3, 20000, 0x5326c4e8dd351819ULL},
+      {7, 20000, 0x478426bf46edab75ULL},
+      {16, 12000, 0xcd33af4922445e27ULL},
+  };
+  for (const Case& k : cases) {
+    CalendarLog log;
+    std::vector<std::unique_ptr<CalendarLp>> owners;
+    std::vector<warped::LogicalProcess*> lps;
+    for (warped::LpId i = 0; i < k.lps; ++i) {
+      owners.push_back(std::make_unique<CalendarLp>(k.lps, &log));
+      lps.push_back(owners.back().get());
+    }
+    const SeqStats out = simulate_sequential(lps, k.horizon);
+
+    // The run reaches every case the model is built for.
+    EXPECT_EQ(log.delays,
+              std::set<warped::SimTime>({0, 1, 2, 20, 31, 32, 33, 64, 1000}));
+    EXPECT_EQ(*log.times.begin(), 0u);
+    EXPECT_GT(log.multi_sender_batches, 10u);
+    EXPECT_GT(log.wide_events, 10u);
+    std::size_t long_gaps = 0;
+    for (auto it = std::next(log.times.begin()); it != log.times.end();
+         ++it) {
+      if (*it - *std::prev(it) > 32) ++long_gaps;
+    }
+    EXPECT_GT(long_gaps, 2u);
+
+    Fnv1a h;
+    h.add(out);
+    EXPECT_EQ(h.value(), k.hash)
+        << std::hex << "hash 0x" << h.value() << std::dec << " for "
+        << k.lps << " LPs, horizon " << k.horizon << " ("
+        << out.events_processed << " events, " << log.multi_sender_batches
+        << " batches from several senders, " << long_gaps
+        << " gaps over 32 ticks)";
   }
 }
 
