@@ -60,13 +60,9 @@ void add_common_flags(util::Cli& cli) {
                "activity-guided partitioning mode(s): off | profile | "
                "warmup, comma-separated for unweighted-vs-activity columns",
                "off");
-  cli.add_flag("repartition",
-               "dynamic repartitioning mode(s): off | gvt, comma-separated "
-               "for static-vs-adaptive columns",
-               "off");
   cli.add_flag("drift",
                "shift the hot input cone at half the horizon (drifting "
-               "stimulus for repartitioning experiments)",
+               "stimulus)",
                "false");
   cli.add_flag("rollback-budget",
                "adaptive throttle: target rolled-back/processed fraction",
@@ -128,7 +124,6 @@ BenchConfig read_config(const util::Cli& cli) {
       get_flag_u64(cli, "window", 0, std::uint64_t{1} << 60);
   cfg.throttle = cli.get("throttle");
   cfg.activity = cli.get("activity");
-  cfg.repartition = cli.get("repartition");
   cfg.drift = cli.get_bool("drift");
   cfg.rollback_budget = cli.get_double("rollback-budget");
   cfg.max_batches_per_poll =
@@ -150,9 +145,8 @@ BenchConfig read_config(const util::Cli& cli) {
   PLS_CHECK_MSG(std::filesystem::is_directory(cfg.csv_dir),
                 "--csv must name an existing directory, got '"
                     << cfg.csv_dir << "'");
-  throttle_modes(cfg);     // fail fast on a malformed --throttle spec
-  activity_modes(cfg);     // ... and on a malformed --activity spec
-  repartition_modes(cfg);  // ... and on a malformed --repartition spec
+  throttle_modes(cfg);  // fail fast on a malformed --throttle spec
+  activity_modes(cfg);  // ... and on a malformed --activity spec
   return cfg;
 }
 
@@ -183,23 +177,6 @@ std::vector<std::string> activity_modes(const BenchConfig& cfg) {
   });
 }
 
-std::vector<std::string> repartition_modes(const BenchConfig& cfg) {
-  return split_modes(
-      "repartition", cfg.repartition, [](const std::string& tok) {
-        PLS_CHECK_MSG(tok == "off" || tok == "gvt",
-                      "--repartition: unknown mode '" << tok
-                                                      << "' (want off|gvt)");
-        return tok;
-      });
-}
-
-void apply_repartition(framework::DriverConfig& dc, const std::string& mode) {
-  // Every 4 completed GVT rounds: frequent enough to track a mid-run
-  // drift, coarse enough that the incremental refinement and migrations
-  // amortize over real progress.
-  dc.repartition_interval = mode == "gvt" ? 4 : 0;
-}
-
 void require_activity_off(const BenchConfig& cfg, const char* bench_name) {
   PLS_CHECK_MSG(cfg.activity == "off",
                 bench_name << " builds its own weighting variants and does "
@@ -223,23 +200,19 @@ void apply_activity(framework::DriverConfig& dc, const std::string& mode) {
 std::vector<SweepCell> sweep_cells(const BenchConfig& cfg) {
   const auto tmodes = throttle_modes(cfg);
   const auto amodes = activity_modes(cfg);
-  const auto rmodes = repartition_modes(cfg);
   std::vector<SweepCell> cells;
-  for (const auto& rep : rmodes) {
-    for (const auto& act : amodes) {
-      for (const auto tmode : tmodes) {
-        for (const auto& strategy : strategies()) {
-          const bool weighted = framework::strategy_consumes_weights(strategy);
-          if (act != "off" && !weighted) continue;
-          if (rep != "off" && !weighted) continue;
-          SweepCell cell{tmode, act, strategy, rep, strategy};
-          if (tmodes.size() > 1) {
-            cell.label += std::string("@") + warped::to_string(tmode);
-          }
-          if (amodes.size() > 1 && act != "off") cell.label += "+" + act;
-          if (rmodes.size() > 1 && rep != "off") cell.label += "+repart";
-          cells.push_back(std::move(cell));
+  for (const auto& act : amodes) {
+    for (const auto tmode : tmodes) {
+      for (const auto& strategy : strategies()) {
+        if (act != "off" && !framework::strategy_consumes_weights(strategy)) {
+          continue;
         }
+        SweepCell cell{tmode, act, strategy, strategy};
+        if (tmodes.size() > 1) {
+          cell.label += std::string("@") + warped::to_string(tmode);
+        }
+        if (amodes.size() > 1 && act != "off") cell.label += "+" + act;
+        cells.push_back(std::move(cell));
       }
     }
   }
@@ -338,13 +311,11 @@ AveragedRun run_parallel_averaged(const circuit::Circuit& c,
                                   const std::string& partitioner,
                                   std::uint32_t nodes,
                                   warped::ThrottleMode mode,
-                                  const std::string& activity_mode,
-                                  const std::string& repartition_mode) {
+                                  const std::string& activity_mode) {
   AveragedRun avg;
   framework::DriverConfig base = driver_config(cfg, partitioner, nodes);
   base.throttle.mode = mode;
   apply_activity(base, activity_mode);
-  apply_repartition(base, repartition_mode);
   for (std::uint32_t r = 0; r < cfg.repeats; ++r) {
     framework::DriverConfig dc = base;
     dc.seed = cfg.seed + r;  // paper: repeated five times, averaged
@@ -364,8 +335,6 @@ AveragedRun run_parallel_averaged(const circuit::Circuit& c,
         static_cast<double>(res.run.totals.throttle_shrinks);
     avg.throttle_grows +=
         static_cast<double>(res.run.totals.throttle_grows);
-    avg.lps_migrated += static_cast<double>(res.lps_migrated);
-    avg.repartitions += static_cast<double>(res.run.repartitions);
     for (const auto& lp : res.run.per_lp) {
       avg.committed_transitions +=
           static_cast<double>(lp.sends_committed);
@@ -383,15 +352,11 @@ AveragedRun run_parallel_averaged(const circuit::Circuit& c,
   avg.events_rolled_back /= n;
   avg.throttle_shrinks /= n;
   avg.throttle_grows /= n;
-  avg.lps_migrated /= n;
-  avg.repartitions /= n;
   avg.committed_transitions /= n;
   export_obs_artifacts(cfg, avg.last,
                        partitioner + "_" + warped::to_string(mode) +
                            (activity_mode != "off" ? "_" + activity_mode
                                                    : std::string()) +
-                           (repartition_mode != "off" ? "_rep"
-                                                      : std::string()) +
                            "_n" + std::to_string(nodes));
   return avg;
 }

@@ -53,15 +53,9 @@ struct BenchConfig {
   /// activity_source).  Benches with activity column groups sweep the
   /// list; non-"off" modes only apply to the multilevel strategies.
   std::string activity = "off";
-  /// Dynamic repartitioning spec from --repartition: comma-separated list
-  /// of off|gvt.  "gvt" turns on GVT-epoch repartitioning with live LP
-  /// migration (DriverConfig::repartition_interval); like --activity it
-  /// only applies to the weight-consuming multilevel strategies, and
-  /// benches with static-vs-adaptive column groups sweep the list.
-  std::string repartition = "off";
   /// Drifting stimulus (--drift): shift the hot input cone at half the
   /// horizon (ModelOptions::stim_drift_at = end_time / 2), the workload
-  /// any static partition ages under and dynamic repartitioning tracks.
+  /// any static partition ages under.
   bool drift = false;
   /// Target rollback fraction for the adaptive controller.
   double rollback_budget = 0.20;
@@ -124,14 +118,6 @@ std::vector<warped::ThrottleMode> throttle_modes(const BenchConfig& cfg);
 /// "warmup"), deduped, order-preserving; rejects unknown tokens.
 std::vector<std::string> activity_modes(const BenchConfig& cfg);
 
-/// Resolve cfg.repartition into concrete modes ("off" / "gvt"), deduped,
-/// order-preserving; rejects unknown tokens.
-std::vector<std::string> repartition_modes(const BenchConfig& cfg);
-
-/// Configure one repartition mode on a driver config ("gvt" = repartition
-/// every 4 completed GVT rounds; "off" = static).
-void apply_repartition(framework::DriverConfig& dc, const std::string& mode);
-
 /// Fail fast unless --activity is plain "off" — for benches that build
 /// their own weighting variants (the ablations) and would otherwise
 /// silently ignore or corrupt the flag.
@@ -147,14 +133,12 @@ struct SweepCell {
   warped::ThrottleMode throttle;
   std::string activity;
   std::string strategy;
-  std::string repartition = "off";
-  /// "Strategy[@throttle][+activity][+repart]" column header
+  /// "Strategy[@throttle][+activity]" column header
   std::string label;
 };
 
-/// Cross product of --throttle, --activity and --repartition with the
-/// per-mode strategy sets; suffixes appear in labels only for dimensions
-/// actually swept.
+/// Cross product of --throttle and --activity with the per-mode strategy
+/// sets; suffixes appear in labels only for dimensions actually swept.
 std::vector<SweepCell> sweep_cells(const BenchConfig& cfg);
 
 /// The paper's three benchmarks, scaled.  scale=1 reproduces Table 1's
@@ -187,8 +171,6 @@ struct AveragedRun {
   double events_rolled_back = 0.0;
   double throttle_shrinks = 0.0;
   double throttle_grows = 0.0;
-  double lps_migrated = 0.0;   ///< LPs live-migrated (dynamic repartitioning)
-  double repartitions = 0.0;   ///< migration plans adopted
   /// Committed lane transitions (popcount-weighted sends): with --lanes N
   /// one committed event carries up to N of these, so transitions/sec is
   /// the batching speedup metric.
@@ -210,8 +192,7 @@ AveragedRun run_parallel_averaged(const circuit::Circuit& c,
                                   const std::string& partitioner,
                                   std::uint32_t nodes,
                                   warped::ThrottleMode mode,
-                                  const std::string& activity_mode,
-                                  const std::string& repartition_mode = "off");
+                                  const std::string& activity_mode);
 
 /// Averaged sequential reference run.
 double run_sequential_averaged(const circuit::Circuit& c,

@@ -30,39 +30,32 @@ int main(int argc, char** argv) {
   // The unweighted-vs-activity comparison lives here: --activity
   // off,profile adds "Multilevel+profile" / "MultilevelHG+profile" column
   // groups whose app_messages measure what traffic-weighted partitions
-  // actually save at runtime.  Likewise --repartition off,gvt (usually
-  // with --drift) adds "+repart" static-vs-adaptive column groups: under
-  // a drifting stimulus a static partition ages mid-run, and the adaptive
-  // columns show what GVT-epoch repartitioning with live LP migration
-  // recovers.
+  // actually save at runtime.  With --drift the stimulus's hot region
+  // moves at half the horizon, so the same columns show how each
+  // partition ages mid-run.
   const auto cells = bench::sweep_cells(cfg);
   std::vector<std::string> header{"Nodes"};
   for (const auto& cell : cells) header.push_back(cell.label);
   util::AsciiTable table(header);
   util::CsvWriter csv(cfg.csv_dir + "/fig5_messaging.csv",
                       {"circuit", "nodes", "strategy", "throttle",
-                       "activity", "repartition", "app_messages",
-                       "anti_messages", "rollbacks", "static_comm_volume",
-                       "weighted_imbalance", "lps_migrated",
-                       "repartitions"});
+                       "activity", "app_messages", "anti_messages",
+                       "rollbacks", "static_comm_volume",
+                       "weighted_imbalance"});
 
   for (std::uint32_t nodes = 2; nodes <= max_nodes; ++nodes) {
     std::vector<std::string> row{std::to_string(nodes)};
     for (const auto& cell : cells) {
       const auto avg = bench::run_parallel_averaged(
-          c, cfg, cell.strategy, nodes, cell.throttle, cell.activity,
-          cell.repartition);
+          c, cfg, cell.strategy, nodes, cell.throttle, cell.activity);
       row.push_back(util::AsciiTable::num(avg.app_messages, 0));
       csv.row({circuit_name, std::to_string(nodes), cell.strategy,
                warped::to_string(cell.throttle), cell.activity,
-               cell.repartition,
                util::AsciiTable::num(avg.app_messages, 0),
                util::AsciiTable::num(avg.anti_messages, 0),
                util::AsciiTable::num(avg.rollbacks, 0),
                std::to_string(avg.last.comm_volume),
-               util::AsciiTable::num(avg.last.weighted_imbalance, 3),
-               util::AsciiTable::num(avg.lps_migrated, 1),
-               util::AsciiTable::num(avg.repartitions, 1)});
+               util::AsciiTable::num(avg.last.weighted_imbalance, 3)});
     }
     table.add_row(row);
   }

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   // unweighted ones.
   // weighted_imbalance is the imbalance under the activity work weights
   // the partitioner actually optimized (equals imbalance for unweighted
-  // rows) — the balance objective dynamic repartitioning tracks at runtime.
+  // rows).
   util::CsvWriter csv(cfg.csv_dir + "/partition_quality.csv",
                       {"circuit", "strategy", "activity", "k", "edge_cut",
                        "comm_volume", "hg_lambda1", "hg_cut_nets",

@@ -30,11 +30,6 @@ int main(int argc, char** argv) {
   cli.add_flag("window",
                "optimism window (fixed mode) / initial window (adaptive)",
                "0");
-  cli.add_flag("repartition",
-               "dynamic repartitioning: off | gvt (gvt = repartition every "
-               "4 GVT rounds with live LP migration; multilevel strategies "
-               "only)",
-               "off");
   cli.add_flag("partition-cache",
                "directory for the on-disk partition cache (empty = off); "
                "repeat runs with identical circuit/strategy/seed replay "
@@ -85,12 +80,6 @@ int main(int argc, char** argv) {
   }
   cfg.optimism_window = static_cast<warped::SimTime>(window);
   cfg.partition_cache_dir = cli.get("partition-cache");
-  const std::string repartition = cli.get("repartition");
-  if (repartition != "off" && repartition != "gvt") {
-    std::fprintf(stderr, "unknown --repartition mode '%s' (want off|gvt)\n",
-                 repartition.c_str());
-    return 1;
-  }
   const std::string trace_path = cli.get("trace");
   const std::int64_t metrics_ms = cli.get_int("metrics-interval");
   if (metrics_ms < 0) {
@@ -107,14 +96,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(seq.events_processed));
 
   util::AsciiTable table({"Strategy", "Time(s)", "Speedup", "Rollbacks",
-                          "AppMsgs", "Migrations", "Verified"});
+                          "AppMsgs", "Verified"});
   for (const auto& name : framework::partitioner_names()) {
     cfg.partitioner = name;
-    // Dynamic repartitioning needs a weight-consuming strategy; the other
-    // rows stay static so the table keeps every strategy comparable.
-    const bool adaptive = repartition == "gvt" &&
-                          framework::strategy_consumes_weights(name);
-    cfg.repartition_interval = adaptive ? 4 : 0;
     // Trace exactly one row — the paper's headline strategy — so the
     // artifact shows a single run, not six concatenated ones.
     const bool traced = !trace_path.empty() && name == "Multilevel";
@@ -137,7 +121,6 @@ int main(int argc, char** argv) {
          util::AsciiTable::num(seq.wall_seconds / res.run.wall_seconds, 2),
          std::to_string(res.run.totals.total_rollbacks()),
          std::to_string(res.run.totals.inter_node_messages),
-         adaptive ? std::to_string(res.lps_migrated) : "-",
          eq.ok() ? "yes" : ("NO: " + eq.describe())});
     if (!eq.ok()) {
       std::fprintf(stderr, "equivalence failure under %s!\n", name.c_str());

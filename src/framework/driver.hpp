@@ -94,34 +94,6 @@ struct DriverConfig {
   static constexpr warped::SimTime kActivityHorizonDivisor = 4;
   partition::MultilevelOptions multilevel;
 
-  /// Dynamic repartitioning with live LP migration: every
-  /// `repartition_interval` completed GVT rounds the driver re-derives
-  /// work/traffic weights from the per-LP committed counters (cumulative
-  /// from the start of the run), warm-starts an *incremental* refinement
-  /// from the live assignment
-  /// (registry::repartition_incremental) and migrates the LPs whose node
-  /// changed — without stopping the simulation.  Requires a
-  /// weight-consuming strategy ("Multilevel" or "MultilevelHG"),
-  /// validated up front like use_activity.  0 = off.
-  std::uint64_t repartition_interval = 0;
-  /// Minimum relative improvement of the weighted objective before a new
-  /// plan is adopted (hysteresis against migration churn): adopt only if
-  /// (before - after) >= threshold * before, where threshold grows with
-  /// the fraction of LPs the plan would move —
-  /// max(repartition_min_gain, repartition_churn_cost * moved_fraction).
-  /// Migration is not free (cancelled speculation at the source, package
-  /// shipping, limbo stalls at the destination), so a plan that moves a
-  /// third of the circuit must promise far more than a marginal cut win.
-  double repartition_min_gain = 0.05;
-  double repartition_churn_cost = 0.5;
-  /// Startup gate and adoption hold, in stimulus periods: no plan is
-  /// adopted before GVT reaches kRepartitionSettlePeriods ×
-  /// model.stim_period, and an adopted plan is kept for that much virtual
-  /// time.  The opening epochs sample only the power-on transient — every
-  /// gate stabilizing once — and repartitioning on that trades the
-  /// starting partition for noise.
-  static constexpr warped::SimTime kRepartitionSettlePeriods = 4;
-
   /// On-disk partition cache directory (`--partition-cache <dir>` in the
   /// examples; empty = off).  Computed assignments are stored keyed on the
   /// circuit's structural hash, node count, strategy, seed, multilevel
@@ -135,18 +107,6 @@ struct DriverConfig {
   /// finished session is handed back in DriverResult::obs for export.
   /// Activity pre-runs (warmup mode) are never traced.
   obs::ObsConfig obs;
-};
-
-/// One adopted (or evaluated) repartition epoch, for post-run analysis.
-struct RepartitionEpoch {
-  std::uint64_t round = 0;      ///< completed GVT rounds at the epoch
-  warped::SimTime gvt = 0;
-  double imbalance_before = 0.0;  ///< weighted work imbalance, live weights
-  double imbalance_after = 0.0;
-  std::uint64_t quality_before = 0;  ///< weighted cut / λ−1 of the seed
-  std::uint64_t quality_after = 0;
-  std::uint64_t lps_moved = 0;       ///< 0 = plan evaluated but rejected
-  double seconds = 0.0;              ///< incremental repartition wall time
 };
 
 struct DriverResult {
@@ -167,10 +127,6 @@ struct DriverResult {
   /// optimized (equals `imbalance` when no weights were in play).
   double weighted_imbalance = 0.0;
   double concurrency = 0.0;
-
-  // Dynamic repartitioning outcome (empty / zero when off).
-  std::vector<RepartitionEpoch> repartition_epochs;
-  std::uint64_t lps_migrated = 0;  ///< total LPs live-migrated
 
   /// The finished observability session (trace rings read-ready, sampler
   /// stopped), or null when DriverConfig::obs was off.  shared_ptr keeps

@@ -15,8 +15,7 @@
 // (and is overwritten by the fresh store), never to a bad partition.
 //
 // Enabled via DriverConfig::partition_cache_dir (`--partition-cache <dir>`
-// in the examples).  Dynamic repartitioning composes fine: only the seed
-// partition is cached; live epochs still refine from the running state.
+// in the examples).
 
 #include <cstdint>
 #include <string>

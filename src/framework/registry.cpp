@@ -42,31 +42,4 @@ std::unique_ptr<partition::Partitioner> make_partitioner(
   return nullptr;
 }
 
-IncrementalRepartition repartition_incremental(
-    const std::string& name, const partition::MultilevelOptions& ml,
-    const circuit::Circuit& c, std::uint32_t k, std::uint64_t seed,
-    const partition::Partition& current) {
-  PLS_CHECK_MSG(strategy_consumes_weights(name),
-                "incremental repartition requires a weight-consuming "
-                "strategy (\"Multilevel\" or \"MultilevelHG\"), not '"
-                    << name << "'");
-  multilevel::Trace trace;
-  IncrementalRepartition out;
-  if (name == "Multilevel") {
-    const partition::MultilevelPartitioner p(ml);
-    out.partition = p.run_incremental(c, k, seed, current, &trace);
-  } else {
-    hypergraph::MultilevelHGOptions hgo;
-    hgo.balance_tol = ml.balance_tol;
-    hgo.coarsen_threshold = ml.coarsen_threshold;
-    hgo.weights = ml.weights;
-    const hypergraph::MultilevelHGPartitioner p(hgo);
-    out.partition = p.run_incremental(c, k, seed, current, &trace);
-  }
-  out.quality_before = trace.initial_quality;
-  out.quality_after = trace.final_quality;
-  out.changed = out.partition.assign != current.assign;
-  return out;
-}
-
 }  // namespace pls::framework

@@ -31,23 +31,4 @@ bool strategy_consumes_weights(const std::string& name);
 std::unique_ptr<partition::Partitioner> make_partitioner(
     const std::string& name, const partition::MultilevelOptions& ml = {});
 
-/// Outcome of a warm-started (incremental) repartition at a GVT epoch.
-struct IncrementalRepartition {
-  partition::Partition partition;    ///< == input unless strictly better
-  std::uint64_t quality_before = 0;  ///< seed's weighted objective
-  std::uint64_t quality_after = 0;   ///< returned partition's objective
-  bool changed = false;              ///< any assignment actually moved
-};
-
-/// Warm-started repartition entry for the dynamic (GVT-epoch) path: the
-/// live assignment `current` seeds a single weighted refinement pass on
-/// the finest graph/hypergraph (run_incremental_vcycle) instead of a
-/// from-scratch V-cycle.  Only the weight-consuming strategies support
-/// this; any other name throws util::CheckError (the driver validates the
-/// combination up front).
-IncrementalRepartition repartition_incremental(
-    const std::string& name, const partition::MultilevelOptions& ml,
-    const circuit::Circuit& c, std::uint32_t k, std::uint64_t seed,
-    const partition::Partition& current);
-
 }  // namespace pls::framework

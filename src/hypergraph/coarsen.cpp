@@ -15,8 +15,7 @@ constexpr std::uint32_t kNone = ~std::uint32_t{0};
 /// the globule count.
 std::pair<std::vector<std::uint32_t>, std::size_t> heavy_pin_round(
     const Hypergraph& hg, const std::vector<std::uint8_t>& contains_input,
-    const std::vector<std::uint32_t>& part, const HgCoarsenOptions& opt,
-    util::Rng& rng) {
+    const HgCoarsenOptions& opt, util::Rng& rng) {
   const std::size_t n = hg.num_vertices();
   std::vector<std::uint32_t> globule(n, kNone);
   std::uint32_t next_globule = 0;
@@ -39,7 +38,6 @@ std::pair<std::vector<std::uint32_t>, std::size_t> heavy_pin_round(
                        static_cast<double>(pin_span.size() - 1);
       for (VertexId u : pin_span) {
         if (u == v || globule[u] != kNone) continue;
-        if (!part.empty() && part[u] != part[v]) continue;  // respect_parts
         if (contains_input[v] && contains_input[u]) continue;  // PI rule
         if (opt.max_globule_weight != 0 &&
             std::uint64_t{hg.vertex_weight(v)} + hg.vertex_weight(u) >
@@ -148,14 +146,6 @@ HgHierarchy coarsen(const circuit::Circuit& c, const HgCoarsenOptions& opt) {
 
   const Hypergraph* cur = &h.base;
   const std::vector<std::uint8_t>* cur_inputs = &h.base_contains_input;
-  // Part id per current-level vertex when respecting a partition (all of
-  // a globule's members share one part by construction); empty otherwise.
-  std::vector<std::uint32_t> cur_part;
-  if (opt.respect_parts != nullptr) {
-    PLS_CHECK_MSG(opt.respect_parts->size() == c.size(),
-                  "respect_parts must cover every gate");
-    cur_part = *opt.respect_parts;
-  }
 
   while (h.levels.size() < opt.max_levels &&
          cur->num_vertices() > threshold) {
@@ -164,8 +154,7 @@ HgHierarchy coarsen(const circuit::Circuit& c, const HgCoarsenOptions& opt) {
                     [](std::uint8_t b) { return b != 0; });
     if (all_inputs) break;
 
-    auto [globule, count] =
-        heavy_pin_round(*cur, *cur_inputs, cur_part, opt, rng);
+    auto [globule, count] = heavy_pin_round(*cur, *cur_inputs, opt, rng);
     if (count == cur->num_vertices()) break;  // no merges happened; stuck
 
     HgCoarseLevel level;
@@ -175,13 +164,6 @@ HgHierarchy coarsen(const circuit::Circuit& c, const HgCoarsenOptions& opt) {
     for (VertexId v = 0; v < cur->num_vertices(); ++v) {
       level.contains_input[globule[v]] |= (*cur_inputs)[v];
       ++members[globule[v]];
-    }
-    if (!cur_part.empty()) {
-      std::vector<std::uint32_t> coarse_part(count, 0);
-      for (VertexId v = 0; v < cur->num_vertices(); ++v) {
-        coarse_part[globule[v]] = cur_part[v];
-      }
-      cur_part = std::move(coarse_part);
     }
     level.merged_globules = static_cast<std::size_t>(
         std::count_if(members.begin(), members.end(),

@@ -45,12 +45,6 @@ struct HgCoarsenOptions {
   /// Hypergraph::from_circuit).  Must outlive the coarsen() call; nullptr
   /// means unit weights.
   const multilevel::VertexTrafficWeights* weights = nullptr;
-  /// Optional partition to respect (one part id per gate): vertices merge
-  /// only with vertices of the same part, so a partition-shaped seed lifts
-  /// losslessly to every level — the warm start of the iterated V-cycle
-  /// used by incremental repartitioning (multilevel::run_iterated_vcycle).
-  /// Must outlive the coarsen() call; nullptr means unconstrained.
-  const std::vector<std::uint32_t>* respect_parts = nullptr;
 };
 
 /// One coarse level derived from the level above it.

@@ -97,55 +97,4 @@ partition::Partition MultilevelHGPartitioner::run_traced(
   return p;
 }
 
-partition::Partition MultilevelHGPartitioner::run_incremental(
-    const circuit::Circuit& c, std::uint32_t k, std::uint64_t seed,
-    const partition::Partition& current, MultilevelHGTrace* trace) const {
-  PLS_CHECK(k >= 1);
-  PLS_CHECK_MSG(current.k == k && current.assign.size() == c.size(),
-                "incremental repartition seed must match circuit and k");
-  util::SplitMix64 seeder(seed);
-  const Hypergraph hg = Hypergraph::from_circuit(c, opt_.weights);
-  HgPolicy pol{k, opt_, seeder};
-  partition::Partition p =
-      multilevel::run_incremental_vcycle(hg, pol, current, trace);
-  if (p.assign == current.assign) {
-    // Flat refinement fixed point: the weights did not move the optimum.
-    // Return the live assignment untouched (the unchanged-weights
-    // contract the kernel's skip-migration path and unit tests pin).
-    return p;
-  }
-  // The flat pass detected drift.  Escalate to the iterated V-cycle:
-  // re-coarsen respecting the live partition and refine coarsest-first,
-  // so whole clusters can cross the cut — the moves a hot-region shift
-  // demands and single-vertex FM cannot reach.
-  // 4× the from-scratch coarsening threshold: drift correction needs
-  // cluster-granularity moves, not a fully coarsened hierarchy, and the
-  // shallower build keeps each epoch within the ≤1/3-of-from-scratch
-  // budget that makes live repartitioning affordable at all.
-  HgCoarsenOptions icopt;
-  icopt.threshold = opt_.coarsen_threshold != 0
-                        ? 4 * opt_.coarsen_threshold
-                        : std::max<std::size_t>(std::size_t{32} * k, 512);
-  icopt.seed = seeder.next();
-  icopt.weights = opt_.weights;
-  const std::uint64_t total_work =
-      opt_.weights != nullptr ? opt_.weights->total_vertex_weight()
-                              : static_cast<std::uint64_t>(c.size());
-  icopt.max_globule_weight =
-      std::max<std::uint64_t>(1, total_work / (std::uint64_t{4} * k));
-  icopt.respect_parts = &current.assign;
-  const HgHierarchy hi = coarsen(c, icopt);
-  partition::Partition pit =
-      multilevel::run_iterated_vcycle(hi, pol, current, nullptr);
-  if (pol.quality(hg, pit) < pol.quality(hg, p)) {
-    p = std::move(pit);
-    if (trace != nullptr) {
-      trace->final_quality = pol.quality(hg, p);
-      trace->quality_after_level.assign(1, trace->final_quality);
-    }
-  }
-  p.validate(c.size());
-  return p;
-}
-
 }  // namespace pls::hypergraph

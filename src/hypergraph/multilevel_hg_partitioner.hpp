@@ -55,15 +55,6 @@ class MultilevelHGPartitioner final : public partition::Partitioner {
                                   std::uint64_t seed,
                                   MultilevelHGTrace* trace) const;
 
-  /// Warm-started repartition for GVT-epoch use: FM-refines `current` on
-  /// the weighted circuit hypergraph directly (no coarsening), returning
-  /// `current` unchanged unless strictly better under λ−1.  See
-  /// multilevel::run_incremental_vcycle.
-  partition::Partition run_incremental(const circuit::Circuit& c,
-                                       std::uint32_t k, std::uint64_t seed,
-                                       const partition::Partition& current,
-                                       MultilevelHGTrace* trace = nullptr) const;
-
   const MultilevelHGOptions& options() const noexcept { return opt_; }
 
  private:

@@ -21,7 +21,7 @@
 // extract_lane_states() projects a batched run's final LP states onto the
 // scalar state layout for one lane, so the existing state-vector compare
 // closes the loop against a real scalar run — on either backend, under
-// rollback storms and live migration alike (the kernel never interprets
+// rollback storms and coast-forward alike (the kernel never interprets
 // the payload, so nothing lane-specific exists to get wrong there; the
 // test exists to prove that).
 //

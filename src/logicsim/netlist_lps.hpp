@@ -39,7 +39,7 @@ struct ModelOptions {
   warped::SimTime stim_period = 20; ///< new input vector interval
   std::uint64_t stim_seed = 7;      ///< stimulus stream seed
 
-  /// Drifting stimulus for dynamic-repartitioning experiments: when
+  /// Drifting stimulus (a workload whose activity moves mid-run): when
   /// non-zero, the first half of the primary inputs (by ordinal) drives
   /// fresh vectors only *before* this virtual time and then freezes, while
   /// the second half freezes first and comes alive *at* this time — the

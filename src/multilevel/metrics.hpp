@@ -24,8 +24,8 @@ double imbalance_from_loads(std::span<const std::uint64_t> loads,
 /// Imbalance of a partition measured in *work weights* (vertex weights of
 /// a VertexTrafficWeights): the load a node actually carries at runtime.
 /// An empty weight vector means unit weights, where this equals the plain
-/// gate-count imbalance.  This is the before/after drift observable the
-/// dynamic-repartitioning path reports per migration epoch.
+/// gate-count imbalance.  The driver reports it for activity-guided
+/// partitions (DriverResult::weighted_imbalance).
 double weighted_imbalance(const partition::Partition& p,
                           const std::vector<std::uint32_t>& vertex_weights);
 

@@ -137,82 +137,4 @@ partition::Partition run_guided_vcycle(const Hier& hw, const Hier& hu,
   return chosen;
 }
 
-/// Incremental (warm-started) repartition for dynamic use at GVT epochs.
-/// The live assignment replaces the whole coarsening hierarchy: the seed
-/// partition is refined directly on the finest graph with fresh activity
-/// weights, so the cost is one refinement pass instead of a full V-cycle —
-/// the point of repartitioning *during* a run, where a from-scratch
-/// MultilevelHG would stall the controller.
-///
-/// Contract: the seed is returned unchanged unless the refined candidate is
-/// *strictly* better under the policy's quality.  Refiners never increase
-/// the objective, so with unchanged weights (where the seed is already a
-/// refinement fixed point) this degenerates to the identity — which is what
-/// lets the kernel skip migrations entirely when no drift happened, and
-/// what the unchanged-weights unit test pins down.
-template <class Graph, class Policy>
-partition::Partition run_incremental_vcycle(const Graph& base, Policy&& pol,
-                                            const partition::Partition& seed,
-                                            Trace* trace = nullptr) {
-  partition::Partition p = seed;
-  pol.refine(base, p);
-  const std::uint64_t q_seed = pol.quality(base, seed);
-  const std::uint64_t q_ref = pol.quality(base, p);
-  if (trace != nullptr) {
-    trace->level_sizes.assign(1, pol.size(base));
-    trace->initial_quality = q_seed;
-    trace->final_quality = std::min(q_seed, q_ref);
-    trace->quality_after_level.assign(1, trace->final_quality);
-  }
-  return q_ref < q_seed ? p : seed;
-}
-
-/// Iterated V-cycle (hMETIS-style) — the escalation behind the flat
-/// incremental pass when drift has already been detected.  The hierarchy
-/// must have been coarsened *respecting* the seed partition (vertices
-/// merge only within their part, CoarsenOptions::respect_parts), so the
-/// seed lifts losslessly to every level; refinement then runs coarsest to
-/// finest from the lifted seed.  The point: a coarse-level move relocates
-/// a whole globule — the cluster-sized escape hatch flat refinement lacks
-/// when the workload's hot region has moved across the cut and the seed
-/// sits in a structural local minimum.  There is no initial-partitioning
-/// phase, so the cost stays one restricted coarsening plus one refinement
-/// sweep — well under a from-scratch guided V-cycle.
-///
-/// Contract matches run_incremental_vcycle: the seed is returned
-/// unchanged unless the iterated candidate is *strictly* better under the
-/// policy's quality.
-template <class Hier, class Policy>
-partition::Partition run_iterated_vcycle(const Hier& h, Policy&& pol,
-                                         const partition::Partition& seed,
-                                         Trace* trace = nullptr) {
-  // Lift the seed to the coarsest level: every globule's members share
-  // one part by construction, so any member's part is the globule's part.
-  partition::Partition p = seed;
-  for (const auto& lvl : h.levels) {
-    partition::Partition coarse;
-    coarse.k = seed.k;
-    coarse.assign.assign(pol.size(pol.graph(lvl)), 0);
-    for (std::size_t v = 0; v < lvl.parent_map.size(); ++v) {
-      coarse.assign[lvl.parent_map[v]] = p.assign[v];
-    }
-    p = std::move(coarse);
-  }
-
-  pol.refine(h.coarsest(), p);
-  for (std::size_t i = h.levels.size(); i-- > 0;) {
-    p = project(h.levels[i].parent_map, p);
-    const auto& gfine = i == 0 ? h.base : pol.graph(h.levels[i - 1]);
-    pol.refine(gfine, p);
-  }
-
-  const std::uint64_t q_seed = pol.quality(h.base, seed);
-  const std::uint64_t q_new = pol.quality(h.base, p);
-  if (trace != nullptr) {
-    trace->initial_quality = q_seed;
-    trace->final_quality = std::min(q_seed, q_new);
-  }
-  return q_new < q_seed ? p : seed;
-}
-
 }  // namespace pls::multilevel

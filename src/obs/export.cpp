@@ -84,18 +84,6 @@ void event_args(util::JsonWriter& j, const TraceEvent& ev) {
       j.kv("direction", dir);
       break;
     }
-    case TraceKind::kRepartition:
-      j.kv("moved", ev.a).kv("round", ev.b);
-      break;
-    case TraceKind::kMigrateFreeze:
-      j.kv("lp", ev.lp).kv("cancelled", ev.a);
-      break;
-    case TraceKind::kMigrateShip:
-      j.kv("lp", ev.lp).kv("dest", ev.a).kv("events", ev.b);
-      break;
-    case TraceKind::kMigrateInstall:
-      j.kv("lp", ev.lp).kv("from", ev.a).kv("events", ev.b);
-      break;
     case TraceKind::kFlush:
       j.kv("msgs", ev.a).kv("batches_total", ev.b);
       break;

@@ -11,10 +11,6 @@ const char* to_string(TraceKind kind) noexcept {
     case TraceKind::kGvtDone: return "gvt_done";
     case TraceKind::kFossil: return "fossil";
     case TraceKind::kThrottle: return "throttle";
-    case TraceKind::kRepartition: return "repartition";
-    case TraceKind::kMigrateFreeze: return "mig_freeze";
-    case TraceKind::kMigrateShip: return "mig_ship";
-    case TraceKind::kMigrateInstall: return "mig_install";
     case TraceKind::kFlush: return "flush";
   }
   return "?";

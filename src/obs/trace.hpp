@@ -40,11 +40,6 @@ enum class TraceKind : std::uint16_t {
   kFossil,          ///< span: a = events committed, b = live entries after
   kThrottle,        ///< instant: a = window after, b = fraction*1e6,
                     ///<          lp = direction + 1 (0 shrink/1 hold/2 grow)
-  kRepartition,     ///< span (node 0): a = LPs moved (0 = evaluated only),
-                    ///<               b = completed GVT rounds
-  kMigrateFreeze,   ///< span: lp, a = events cancelled at the source
-  kMigrateShip,     ///< instant: lp, a = destination node, b = events shipped
-  kMigrateInstall,  ///< instant: lp, a = source node, b = events in package
   kFlush,           ///< instant: a = messages flushed this burst end,
                     ///<          b = cumulative batches flushed
 };

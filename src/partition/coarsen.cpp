@@ -18,19 +18,12 @@ struct WorkLevel {
   std::vector<std::uint8_t> is_start;  ///< traversal roots for this level
   /// Directed out-edges with weights (deduplicated per source vertex).
   std::vector<std::vector<graph::Edge>> out;
-  /// Part id per vertex when CoarsenOptions::respect_parts is set (merges
-  /// stay within a part); empty = unconstrained.
-  std::vector<std::uint32_t> part;
 
   std::size_t size() const noexcept { return vweight.size(); }
-  bool cross_part(std::uint32_t a, std::uint32_t b) const noexcept {
-    return !part.empty() && part[a] != part[b];
-  }
 };
 
 WorkLevel base_level(const circuit::Circuit& c,
-                     const multilevel::VertexTrafficWeights* weights,
-                     const std::vector<std::uint32_t>* respect_parts) {
+                     const multilevel::VertexTrafficWeights* weights) {
   if (weights != nullptr) {
     PLS_CHECK_MSG(weights->vertex.size() == c.size() &&
                       weights->traffic.size() == c.size(),
@@ -46,11 +39,6 @@ WorkLevel base_level(const circuit::Circuit& c,
   w.contains_input.assign(n, 0);
   w.is_start.assign(n, 0);
   w.out.resize(n);
-  if (respect_parts != nullptr) {
-    PLS_CHECK_MSG(respect_parts->size() == n,
-                  "respect_parts must cover every gate");
-    w.part = *respect_parts;
-  }
   for (circuit::GateId pi : c.primary_inputs()) {
     w.contains_input[pi] = 1;
     w.is_start[pi] = 1;
@@ -103,7 +91,6 @@ std::pair<std::vector<std::uint32_t>, std::size_t> fanout_round(
     for (const graph::Edge& e : lvl.out[v]) {
       const std::uint32_t t = e.to;
       if (globule[t] != kNone) continue;           // coarsened once per level
-      if (lvl.cross_part(v, t)) continue;          // respect_parts
       if (glob_has_input[g] && lvl.contains_input[t]) continue;  // PI rule
       if (max_weight != 0 && glob_weight[g] + lvl.vweight[t] > max_weight) {
         continue;  // weight cap: keep globules movable by refinement
@@ -182,7 +169,6 @@ std::pair<std::vector<std::uint32_t>, std::size_t> heavy_edge_round(
     std::uint32_t best_w = 0;
     for (const graph::Edge& e : nbr[v]) {
       if (globule[e.to] != kNone) continue;
-      if (lvl.cross_part(v, e.to)) continue;  // respect_parts
       if (lvl.contains_input[v] && lvl.contains_input[e.to]) continue;
       if (max_weight != 0 &&
           std::uint64_t{lvl.vweight[v]} + lvl.vweight[e.to] > max_weight) {
@@ -210,15 +196,12 @@ WorkLevel contract(const WorkLevel& fine,
   coarse.contains_input.assign(num_globules, 0);
   coarse.is_start.assign(num_globules, 0);
   coarse.out.resize(num_globules);
-  if (!fine.part.empty()) coarse.part.assign(num_globules, 0);
 
   std::vector<std::uint32_t> member_count(num_globules, 0);
   for (std::size_t v = 0; v < fine.size(); ++v) {
     const std::uint32_t g = globule[v];
     coarse.vweight[g] += fine.vweight[v];
     coarse.contains_input[g] |= fine.contains_input[v];
-    // All members share one part when respecting a partition.
-    if (!fine.part.empty()) coarse.part[g] = fine.part[v];
     ++member_count[g];
   }
   // Next level's traversal starts at globules formed by actual merging this
@@ -284,7 +267,7 @@ Hierarchy coarsen(const circuit::Circuit& c, const CoarsenOptions& opt) {
   util::Rng rng(opt.seed);
 
   Hierarchy h;
-  WorkLevel cur = base_level(c, opt.weights, opt.respect_parts);
+  WorkLevel cur = base_level(c, opt.weights);
 
   // Public G0 view (for final-level refinement).
   {

@@ -55,12 +55,6 @@ struct CoarsenOptions {
   /// real load (paper §6).  Must outlive the coarsen() call; nullptr means
   /// unit weights.
   const multilevel::VertexTrafficWeights* weights = nullptr;
-  /// Optional partition to respect (one part id per gate): vertices merge
-  /// only with vertices of the same part, so a partition-shaped seed lifts
-  /// losslessly to every level — the warm start of the iterated V-cycle
-  /// used by incremental repartitioning (multilevel::run_iterated_vcycle).
-  /// Must outlive the coarsen() call; nullptr means unconstrained.
-  const std::vector<std::uint32_t>* respect_parts = nullptr;
 };
 
 /// One coarse level G_{i+1} derived from the level below it.

@@ -107,69 +107,4 @@ Partition MultilevelPartitioner::run_traced(const circuit::Circuit& c,
   return p;
 }
 
-Partition MultilevelPartitioner::run_incremental(const circuit::Circuit& c,
-                                                 std::uint32_t k,
-                                                 std::uint64_t seed,
-                                                 const Partition& current,
-                                                 MultilevelTrace* trace) const {
-  PLS_CHECK(k >= 1);
-  PLS_CHECK_MSG(current.k == k && current.assign.size() == c.size(),
-                "incremental repartition seed must match circuit and k");
-  util::SplitMix64 seeder(seed);
-  // max_levels = 0: coarsen() only builds the (weighted) finest graph —
-  // the warm start replaces the hierarchy, which is where the ≥3× cost
-  // advantage over a from-scratch run comes from.
-  CoarsenOptions copt;
-  copt.max_levels = 0;
-  copt.seed = seeder.next();
-  copt.weights = opt_.weights;
-  const Hierarchy h = coarsen(c, copt);
-  const auto refiner = make_refiner(opt_.refiner);
-  GraphPolicy pol{k, opt_, seeder, *refiner};
-  Partition p = multilevel::run_incremental_vcycle(h.base, pol, current, trace);
-  if (p.assign == current.assign) {
-    // Flat refinement fixed point: the weights did not move the optimum.
-    // Return the live assignment untouched (the unchanged-weights
-    // contract the kernel's skip-migration path and unit tests pin).
-    return p;
-  }
-  // The flat pass detected drift.  Escalate to the iterated V-cycle:
-  // re-coarsen respecting the live partition and refine coarsest-first,
-  // so whole clusters can cross the cut — the moves a hot-region shift
-  // demands and single-vertex refinement cannot reach.
-  CoarsenOptions icopt;
-  icopt.threshold = opt_.coarsen_threshold != 0
-                        ? opt_.coarsen_threshold
-                        : std::max<std::size_t>(std::size_t{4} * k, 64);
-  icopt.scheme = opt_.scheme;
-  icopt.seed = seeder.next();
-  icopt.weights = opt_.weights;
-  const std::uint64_t total_work =
-      opt_.weights != nullptr ? opt_.weights->total_vertex_weight()
-                              : static_cast<std::uint64_t>(c.size());
-  icopt.max_globule_weight =
-      std::max<std::uint64_t>(1, total_work / (std::uint64_t{4} * k));
-  icopt.respect_parts = &current.assign;
-  const Hierarchy hi = coarsen(c, icopt);
-  Partition pit = multilevel::run_iterated_vcycle(hi, pol, current, nullptr);
-  // Third candidate: a from-scratch run under the live weights.  The warm
-  // start and the partition-respecting hierarchy both keep the first two
-  // candidates near the current basin; after a large drift the global
-  // optimum may be a different basin entirely, which only an unconstrained
-  // run can reach.  The graph pipeline is cheap enough (well inside the
-  // incremental budget) to afford it every escalation.  Relabeling maps
-  // the candidate's arbitrary part names onto the live ones so the churn
-  // hysteresis prices real group moves, not label noise.
-  Partition ps = run_traced(c, k, seed, nullptr);
-  relabel_to_match(current, ps);
-  if (pol.quality(h.base, pit) < pol.quality(h.base, p)) p = std::move(pit);
-  if (pol.quality(h.base, ps) < pol.quality(h.base, p)) p = std::move(ps);
-  if (trace != nullptr) {
-    trace->final_quality = pol.quality(h.base, p);
-    trace->quality_after_level.assign(1, trace->final_quality);
-  }
-  p.validate(c.size());
-  return p;
-}
-
 }  // namespace pls::partition

@@ -54,14 +54,6 @@ class MultilevelPartitioner final : public Partitioner {
   Partition run_traced(const circuit::Circuit& c, std::uint32_t k,
                        std::uint64_t seed, MultilevelTrace* trace) const;
 
-  /// Warm-started repartition for GVT-epoch use: refines `current` on the
-  /// weighted finest graph only (no coarsening — the live assignment is
-  /// the hierarchy), returning `current` unchanged unless strictly better
-  /// under the weighted edge cut.  See multilevel::run_incremental_vcycle.
-  Partition run_incremental(const circuit::Circuit& c, std::uint32_t k,
-                            std::uint64_t seed, const Partition& current,
-                            MultilevelTrace* trace = nullptr) const;
-
   const MultilevelOptions& options() const noexcept { return opt_; }
 
  private:

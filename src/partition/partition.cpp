@@ -15,42 +15,6 @@ std::vector<std::uint64_t> Partition::loads(
   return out;
 }
 
-void relabel_to_match(const Partition& reference, Partition& p) {
-  PLS_CHECK_MSG(p.k == reference.k && p.assign.size() == reference.assign.size(),
-                "relabel_to_match requires partitions of the same shape");
-  const std::uint32_t k = p.k;
-  // overlap[q][r]: vertices labelled q in `p` and r in `reference`.
-  std::vector<std::vector<std::uint64_t>> overlap(
-      k, std::vector<std::uint64_t>(k, 0));
-  for (std::size_t v = 0; v < p.assign.size(); ++v) {
-    ++overlap[p.assign[v]][reference.assign[v]];
-  }
-  // Greedy maximum matching: k is small (node count), so k passes over the
-  // k×k matrix beat the bookkeeping of the optimal Hungarian assignment —
-  // and a non-optimal matching only costs a few extra counted moves, never
-  // correctness.
-  std::vector<std::uint32_t> remap(k, k);  // q -> new label
-  std::vector<std::uint8_t> used(k, 0);
-  for (std::uint32_t step = 0; step < k; ++step) {
-    std::uint64_t best = 0;
-    std::uint32_t bq = k, br = k;
-    for (std::uint32_t q = 0; q < k; ++q) {
-      if (remap[q] != k) continue;
-      for (std::uint32_t r = 0; r < k; ++r) {
-        if (used[r]) continue;
-        if (bq == k || overlap[q][r] > best) {
-          best = overlap[q][r];
-          bq = q;
-          br = r;
-        }
-      }
-    }
-    remap[bq] = br;
-    used[br] = 1;
-  }
-  for (auto& a : p.assign) a = remap[a];
-}
-
 void Partition::validate(std::size_t num_gates) const {
   PLS_CHECK_MSG(k >= 1, "partition needs k >= 1");
   PLS_CHECK_MSG(assign.size() == num_gates,

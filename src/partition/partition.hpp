@@ -28,15 +28,6 @@ struct Partition {
   void validate(std::size_t num_gates) const;
 };
 
-/// Relabel `p`'s part ids (in place) to maximize per-vertex agreement with
-/// `reference` (greedy maximum-overlap matching on the k×k confusion
-/// matrix).  Part ids are arbitrary names, so this never changes the cut
-/// or the balance — but when `p` is a from-scratch candidate considered
-/// against a live assignment, the relabeled candidate migrates only the
-/// vertices whose *group* moved, not every vertex whose label happened to
-/// differ.  Requires p.k == reference.k and equal sizes.
-void relabel_to_match(const Partition& reference, Partition& p);
-
 /// Abstract partitioning strategy (paper §4: strategies are selected at
 /// runtime by name, without recompiling the simulator).
 class Partitioner {

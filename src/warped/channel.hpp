@@ -24,9 +24,8 @@
 //    SendCoalescer::min_recv_time() must be folded into the node's join
 //    report exactly like the holding heap's minimum.
 //  * Flush is forced at LTSF-burst end (every kernel poll), before a GVT
-//    join, at migration ship, and by the size/age bounds in
-//    CoalesceConfig — a white message can sit buffered only within one
-//    poll, so GVT rounds stay live.
+//    join, and by the size/age bounds in CoalesceConfig — a white message
+//    can sit buffered only within one poll, so GVT rounds stay live.
 
 #include <atomic>
 #include <cstdint>
@@ -200,11 +199,10 @@ struct CoalesceStats {
 ///    flushes;
 ///  * charge the modeled per-message send_overhead_ns before add();
 ///  * fold min_recv_time() into every GVT join report — a buffered
-///    message is work this node owes the world, exactly like a held or
-///    limbo event;
+///    message is work this node owes the world, exactly like a held
+///    event;
 ///  * flush_all() at every LTSF-burst end (and thus before the next
-///    join) and after the node loop exits; flush_dest() when shipping a
-///    migration package so packages never sit buffered.
+///    join) and after the node loop exits.
 /// deliver_at_ns is stamped at flush time (flush wall-clock + latency):
 /// the wire is only paid when the batch actually leaves, which is what
 /// makes a coalesced run's modeled delivery no *earlier* than the

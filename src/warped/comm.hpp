@@ -1,6 +1,6 @@
 #pragma once
-// Inter-node communication: message/package payloads, the modeled
-// network, and the receiver-side holding heap.  The transport itself —
+// Inter-node communication: the in-flight message, the modeled network,
+// and the receiver-side holding heap.  The transport itself —
 // per-destination send coalescing and lock-free batch mailboxes — lives
 // in channel.hpp.
 //
@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "warped/types.hpp"
@@ -37,63 +36,13 @@ struct NetworkModel {
   std::uint64_t latency_ns = 0;        ///< delivery delay (wall clock)
 };
 
-/// Live LP migration package (dynamic repartitioning; see
-/// src/warped/README.md for the protocol).  The source node cancels the
-/// LP's speculation past GVT, fossil-collects to GVT, and ships everything
-/// that remains — the committed state at the newest surviving snapshot
-/// plus the pending input events — through the *same* coalesced channel
-/// as events (flushed immediately at ship time, never left buffered).
-/// Riding the normal channel is what keeps the Mattern transient-message
-/// accounting (gvt.hpp) sound for a package in flight:
-/// it is counted before the add and on the drain like any message, and
-/// the carrying InFlight's event.recv_time is the LP's gvt_min_time at
-/// packaging time, so the package holds GVT down until it is installed.
-struct MigrationMsg {
-  LpId lp = kInvalidLp;
-  std::uint32_t from_node = 0;
-  std::uint32_t to_node = 0;
-
-  // Residual Time Warp state (everything at or below the fossil base was
-  // already committed and discarded at the source).
-  LpState state;             ///< state at the newest surviving snapshot
-  LpState initial_state;
-  SimTime last_processed = 0;
-  bool processed_any = false;
-  SimTime replay_until = 0;  ///< coast-forward boundary (lp_runtime.hpp)
-  std::size_t processed_count = 0;
-  std::uint32_t batches_since_snapshot = 0;
-  std::vector<Event> queue;  ///< committed prefix + pending input events
-  std::vector<Snapshot> snapshots;
-  std::vector<Event> output_queue;
-  std::vector<Event> pending_antis;
-
-  /// Monotonic send-id source: must survive the move, or a stale anti in
-  /// flight could annihilate a fresh post-migration send.
-  std::uint64_t next_event_id = 1;
-
-  // Cumulative per-LP counters travel with the LP, so RunStats::per_lp
-  // (and the activity signal fed back into repartitioning) stay
-  // migration-invariant.
-  std::uint64_t events_processed = 0;
-  std::uint64_t events_rolled_back = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t max_rollback_depth = 0;
-  std::uint64_t events_committed = 0;
-  std::uint64_t sends_committed = 0;
-  std::uint64_t lane_work_committed = 0;
-};
-
-/// A message in flight: deliverable once wall-clock `deliver_at_ns`
-/// (relative to the kernel's epoch) has passed.  Carries either a plain
-/// event or a migration package (`migration != nullptr`; `event` then
-/// only supplies the GVT-accounting receive time).  Move-only because of
-/// the package payload.
+/// An event in flight: deliverable once wall-clock `deliver_at_ns`
+/// (relative to the kernel's epoch) has passed.
 struct InFlight {
   std::uint64_t deliver_at_ns = 0;
   std::uint64_t seq = 0;    ///< FIFO tie-break for equal deadlines
   std::uint64_t epoch = 0;  ///< sender's GVT round at push (gvt.hpp color)
   Event event;
-  std::unique_ptr<MigrationMsg> migration;
 
   friend bool operator>(const InFlight& a, const InFlight& b) noexcept {
     if (a.deliver_at_ns != b.deliver_at_ns) {

@@ -66,31 +66,8 @@ struct Kernel::Cluster {
 
   // GVT round this node has joined (epoch color of its sends).
   std::uint64_t my_round = 0;
-  // Local minimum this node reported when it joined its current GVT round.
-  // The round's published estimate can never exceed it (the estimate is a
-  // min over all joins), so it bounds from above every GVT value a round
-  // this node already joined may still publish.
-  SimTime last_join_min = kEndOfTime;
   // Last completed-round count this node fossil-collected for.
   std::uint64_t last_fossil_round = 0;
-  // Last migration-plan version this node acted on (emigration scan).
-  std::uint64_t seen_plan_version = 0;
-
-  // Live migration (dynamic repartitioning).  `installed[lp]` is this
-  // node's local view of whether LP lp's runtime state physically lives
-  // here; an event routed here for a not-yet-installed LP (it raced ahead
-  // of the migration package) waits in `limbo` until the install.
-  std::vector<std::uint8_t> installed;
-  std::vector<Event> limbo;
-
-  /// Smallest receive time waiting in limbo (kEndOfTime if none); those
-  /// events are real pending work this node owes the world, so the GVT
-  /// report must cover them exactly like the holding heap's.
-  SimTime limbo_min() const noexcept {
-    SimTime m = kEndOfTime;
-    for (const Event& ev : limbo) m = std::min(m, ev.recv_time);
-    return m;
-  }
 
   std::uint64_t idle_streak = 0;
   NodeStats stats;
@@ -108,7 +85,7 @@ struct Kernel::Cluster {
   std::size_t traced_decisions = 0;
 
   // Live-memory accounting, maintained incrementally at every queue
-  // mutation (insert, commit, fossil, migration) instead of only at
+  // mutation (insert, commit, fossil) instead of only at
   // fossil passes — the high-water mark used to under-report between
   // fossil passes, exactly when a rollback storm balloons the queues.
   std::vector<std::size_t> live_of;  ///< per-LP last observed live_entries
@@ -125,11 +102,11 @@ struct Kernel::Cluster {
     }
   }
 
-  // Fossil work list: the LPs that executed, received or were installed
-  // here since a fossil pass last found them LpRuntime::fossil_idle().
-  // Nothing else creates fossil work, so a pass that walks this list
-  // instead of own_lps commits exactly the same events.  `in_fossil[lp]`
-  // dedups the list; an LP that emigrated leaves it at the next pass.
+  // Fossil work list: the LPs that executed or received here since a
+  // fossil pass last found them LpRuntime::fossil_idle().  Nothing else
+  // creates fossil work, so a pass that walks this list instead of
+  // own_lps commits exactly the same events.  `in_fossil[lp]` dedups the
+  // list.
   std::vector<LpId> fossil_lps;
   std::vector<std::uint8_t> in_fossil;
 
@@ -164,16 +141,9 @@ struct Kernel::Cluster {
   }
 
   /// Discard stale heap entries; afterwards the top (if any) is exact.
-  /// An entry for an LP that migrated away is dropped without touching
-  /// its runtime — the destination may be importing into it concurrently.
   void clean_top(const std::vector<LpRuntime>& rts) {
     while (!sched.empty()) {
       const SchedEntry top = sched.front();
-      if (!installed[top.lp]) {
-        pop_sched();
-        sched_mark[top.lp] = kEndOfTime;
-        continue;
-      }
       if (top.time != sched_mark[top.lp]) {
         // Superseded duplicate: the LP's live entry is elsewhere (or was
         // re-marked); this one dies here instead of being re-pushed.
@@ -190,11 +160,10 @@ struct Kernel::Cluster {
 
   /// GVT report contribution of this cluster's LPs: the minimum
   /// gvt_min_time() over the LPs that hold a live scheduler entry (an
-  /// installed LP whose entry time equals its mark).  Every installed LP
-  /// with pending work holds one at its next_time() — push_sched follows
-  /// every insert, commit and install, and clean_top re-pushes what it
-  /// corrects — so an LP without one reports kEndOfTime and can be
-  /// skipped.  The entry's key is not the report: an LP coast-forwarding
+  /// entry whose time equals its LP's mark).  Every LP with pending work
+  /// holds one at its next_time() — push_sched follows every insert and
+  /// commit, and clean_top re-pushes what it corrects — so an LP without
+  /// one reports kEndOfTime and can be skipped.  The entry's key is not the report: an LP coast-forwarding
   /// through a replay window has pending batches *below* an already
   /// published GVT whose re-execution is effect-free, which
   /// gvt_min_time() excludes.  O(heap), once per GVT round; debug builds
@@ -202,7 +171,7 @@ struct Kernel::Cluster {
   SimTime gvt_report_min(const std::vector<LpRuntime>& rts) const {
     SimTime m = kEndOfTime;
     for (const SchedEntry& e : sched) {
-      if (installed[e.lp] && e.time == sched_mark[e.lp]) {
+      if (e.time == sched_mark[e.lp]) {
         m = std::min(m, rts[e.lp].gvt_min_time());
       }
     }
@@ -336,16 +305,7 @@ Kernel::Kernel(std::vector<LogicalProcess*> lps,
   for (LpId i = 0; i < lps_.size(); ++i) {
     clusters_[node_of_[i]]->own_lps.push_back(i);
   }
-  // Live routing table: starts as the static partition; dynamic
-  // repartitioning flips entries at migration time.
-  route_ = std::make_unique<std::atomic<std::uint32_t>[]>(lps_.size());
-  for (LpId i = 0; i < lps_.size(); ++i) {
-    route_[i].store(node_of_[i], std::memory_order_relaxed);
-  }
-  migratory_ = cfg_.repartition_interval > 0 &&
-               static_cast<bool>(cfg_.repartition_hook);
   for (auto& cl : clusters_) {
-    cl->installed.assign(lps_.size(), 0);
     cl->live_of.assign(lps_.size(), 0);
     cl->in_fossil.assign(lps_.size(), 0);
     cl->sched_mark.assign(lps_.size(), kEndOfTime);
@@ -356,27 +316,6 @@ Kernel::Kernel(std::vector<LogicalProcess*> lps,
     for (std::uint32_t n = 0; n < cfg_.num_nodes; ++n) {
       clusters_[n]->trace = cfg_.obs->ring(n);
       clusters_[n]->gauges = &cfg_.obs->gauges(n);
-    }
-  }
-  for (LpId i = 0; i < lps_.size(); ++i) {
-    clusters_[node_of_[i]]->installed[i] = 1;
-  }
-  if (migratory_) {
-    plan_ = node_of_;
-    pub_committed_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-        lps_.size());
-    pub_sends_ = std::make_unique<std::atomic<std::uint64_t>[]>(lps_.size());
-    pub_lane_work_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(lps_.size());
-    for (LpId i = 0; i < lps_.size(); ++i) {
-      pub_committed_[i].store(0, std::memory_order_relaxed);
-      pub_sends_[i].store(0, std::memory_order_relaxed);
-      pub_lane_work_[i].store(0, std::memory_order_relaxed);
-    }
-    plan_ack_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-        cfg_.num_nodes);
-    for (std::uint32_t n = 0; n < cfg_.num_nodes; ++n) {
-      plan_ack_[n].store(0, std::memory_order_relaxed);
     }
   }
 }
@@ -416,8 +355,8 @@ void Kernel::node_main(std::uint32_t node) {
   // Attribute this thread's log lines (PLS_LOG_TIMESTAMPS=1 shows them).
   util::set_log_thread_tag("node" + std::to_string(node));
   // Node-local arena for the whole loop: every wide payload this thread
-  // allocates (inserts, snapshots, migration installs) comes from — and
-  // recycles into — this node's pool.
+  // allocates (inserts, snapshots) comes from — and recycles into — this
+  // node's pool.
   mem::PoolScope pool_scope(cl.pool);
 
   // Routes everything in cl.pending: local events are inserted (possibly
@@ -426,22 +365,13 @@ void Kernel::node_main(std::uint32_t node) {
   // in the per-destination send coalescer, epoch-tagged and counted for
   // the GVT transient-message accounting *at add time* (the batch they
   // later flush in is invisible to GVT — n buffered messages are n
-  // transients).  The route table is re-read per event and per hop, so an
-  // event that chased a migrated LP to its old node simply forwards one
-  // more hop.
+  // transients).
   auto route_pending = [&] {
     while (!cl.pending.empty()) {
       const Event ev = cl.pending.front();
       cl.pending.pop_front();
-      const std::uint32_t target_node =
-          route_[ev.target].load(std::memory_order_relaxed);
+      const std::uint32_t target_node = node_of_[ev.target];
       if (target_node == node) {
-        if (!cl.installed[ev.target]) {
-          // The LP is migrating here and its package has not arrived yet;
-          // park the event until the install.
-          cl.limbo.push_back(ev);
-          continue;
-        }
         auto res = runtimes_[ev.target].insert(ev);
         if (ev.sign == Sign::kPositive) ++cl.stats.intra_node_events;
         if (res.rolled_back) {
@@ -489,19 +419,17 @@ void Kernel::node_main(std::uint32_t node) {
     if (r != cl.my_round) {
       // cl.pending is empty here (route_pending ran to completion last
       // iteration), so everything this node owes the world is in its LP
-      // queues, its holding heap, its limbo, or its send buffers —
-      // exactly what the report covers.  The coalescer term is the GVT
-      // coalescing invariant: a buffered-but-unflushed send must hold
-      // this node's report down (the burst-end flush normally empties
-      // the buffers before we get here, but the report must not depend
-      // on that scheduling detail).  Whites still in a mailbox are
-      // caught by the drain counters.
+      // queues, its holding heap, or its send buffers — exactly what the
+      // report covers.  The coalescer term is the GVT coalescing
+      // invariant: a buffered-but-unflushed send must hold this node's
+      // report down (the burst-end flush normally empties the buffers
+      // before we get here, but the report must not depend on that
+      // scheduling detail).  Whites still in a mailbox are caught by the
+      // drain counters.
       SimTime local = cl.gvt_report_min(runtimes_);
       local = std::min(local, cl.holding.min_recv_time());
-      local = std::min(local, cl.limbo_min());
       local = std::min(local, cl.coalescer.min_recv_time());
       gvt_coord_.join(node, r, local);
-      cl.last_join_min = local;
       cl.my_round = r;
       if (cl.trace != nullptr) {
         cl.trace->record(obs::TraceKind::kGvtJoin, steady_now_ns(), 0, r,
@@ -532,19 +460,6 @@ void Kernel::node_main(std::uint32_t node) {
       fossil_round(cl);
     }
 
-    // --- dynamic repartitioning: act on a freshly published plan ----------
-    if (migratory_) {
-      const std::uint64_t pv = plan_version_.load(std::memory_order_acquire);
-      if (pv != cl.seen_plan_version) {
-        cl.seen_plan_version = pv;
-        emigrate_planned(cl);
-        route_pending();  // antis raised by the packaging rollbacks
-        // Ack after the scan's last read of plan_: the release pairs with
-        // the controller's acquire, licensing it to rewrite the plan.
-        plan_ack_[node].store(pv, std::memory_order_release);
-      }
-    }
-
     // --- receive ----------------------------------------------------------
     if (!channel_.probably_empty(node)) {
       cl.drain_buf.clear();
@@ -563,12 +478,7 @@ void Kernel::node_main(std::uint32_t node) {
     }
     const std::uint64_t now_ns = steady_now_ns();
     while (!cl.holding.empty() && cl.holding.top().deliver_at_ns <= now_ns) {
-      InFlight f = cl.holding.pop();
-      if (f.migration != nullptr) {
-        install_migration(cl, std::move(*f.migration));
-      } else {
-        cl.pending.push_back(f.event);
-      }
+      cl.pending.push_back(cl.holding.pop().event);
     }
     route_pending();
 
@@ -763,213 +673,6 @@ void Kernel::controller_poll(std::uint64_t now_ns) {
       }
     }
   }
-  // Dynamic repartitioning: on the epoch cadence, once every migration of
-  // the previous plan has installed (so plan_ is quiescent and no LP can
-  // be emigrated twice concurrently), consult the policy hook.
-  if (migratory_ && !done_.load(std::memory_order_relaxed) &&
-      !oom_.load(std::memory_order_relaxed)) {
-    const std::uint64_t completed =
-        completed_rounds_.load(std::memory_order_relaxed);
-    if (completed - ctrl_last_repartition_round_ >=
-            cfg_.repartition_interval &&
-        migrations_outstanding_.load(std::memory_order_acquire) == 0) {
-      // Every node must have finished scanning the current plan before it
-      // may be rewritten (a scan reads plan_ unsynchronized otherwise).
-      const std::uint64_t pv = plan_version_.load(std::memory_order_relaxed);
-      bool all_acked = true;
-      for (std::uint32_t n = 0; n < cfg_.num_nodes; ++n) {
-        if (plan_ack_[n].load(std::memory_order_acquire) != pv) {
-          all_acked = false;
-          break;
-        }
-      }
-      const SimTime g = gvt_.load(std::memory_order_relaxed);
-      if (all_acked && g != kEndOfTime) {
-        ctrl_last_repartition_round_ = completed;
-        maybe_repartition(g, completed);
-      }
-    }
-  }
-}
-
-void Kernel::maybe_repartition(SimTime gvt_now, std::uint64_t round) {
-  obs::TraceRing* tr = clusters_[0]->trace;  // runs on node 0's thread
-  const std::uint64_t t0 = tr != nullptr ? steady_now_ns() : 0;
-  std::uint64_t moves = 0;
-  // Trace the epoch even when no plan is published: "evaluated, moved 0"
-  // is itself a repartitioner decision worth seeing on the timeline.
-  const auto trace_epoch = [&] {
-    if (tr != nullptr) {
-      const std::uint64_t t1 = steady_now_ns();
-      tr->record(obs::TraceKind::kRepartition, t0, t1 > t0 ? t1 - t0 : 1,
-                 moves, round);
-    }
-  };
-  RepartitionRequest req;
-  req.gvt = gvt_now;
-  req.round = round;
-  req.current.resize(lps_.size());
-  req.events_committed.resize(lps_.size());
-  req.sends_committed.resize(lps_.size());
-  req.lane_work_committed.resize(lps_.size());
-  for (LpId i = 0; i < lps_.size(); ++i) {
-    req.current[i] = route_[i].load(std::memory_order_relaxed);
-    req.events_committed[i] =
-        pub_committed_[i].load(std::memory_order_relaxed);
-    req.sends_committed[i] = pub_sends_[i].load(std::memory_order_relaxed);
-    req.lane_work_committed[i] =
-        pub_lane_work_[i].load(std::memory_order_relaxed);
-  }
-  const std::vector<std::uint32_t> next = cfg_.repartition_hook(req);
-  if (next.empty()) {
-    trace_epoch();
-    return;
-  }
-  PLS_CHECK_MSG(next.size() == lps_.size(),
-                "repartition hook returned an assignment of wrong size");
-  for (LpId i = 0; i < lps_.size(); ++i) {
-    PLS_CHECK_MSG(next[i] < cfg_.num_nodes,
-                  "repartition hook mapped LP " << i << " to node "
-                                                << next[i] << " >= num_nodes");
-    if (next[i] != req.current[i]) ++moves;
-  }
-  if (moves == 0) {
-    trace_epoch();
-    return;
-  }
-  ++repartitions_;
-  plan_ = next;
-  // Order matters: the move count and the plan contents must be visible
-  // before any node observes the version bump.
-  migrations_outstanding_.store(moves, std::memory_order_release);
-  plan_version_.fetch_add(1, std::memory_order_release);
-  trace_epoch();
-}
-
-void Kernel::emigrate_planned(Cluster& cl) {
-  // Migration cancellation boundary.  The published GVT alone is NOT a
-  // safe bound: this node has already joined the in-flight round reporting
-  // last_join_min, and the round may conclude with any estimate up to that
-  // value while this scan runs.  Rolling back below it would un-process
-  // events and emit anti-messages *below* a GVT about to be published —
-  // after the round's accounting cut — so peers could fossil-commit the
-  // very events those antis cancel (observed as double commits /
-  // rollback-to-initial corruption).  Cancelling only at or above
-  // max(gvt, last_join_min)+1 keeps every migration-induced message and
-  // newly-unprocessed event safely above any publishable estimate; the
-  // residual speculation ships with the package (export_migration carries
-  // processed events, snapshots and output history) instead of being
-  // cancelled.
-  const SimTime g = gvt_.load(std::memory_order_acquire);
-  const SimTime bound = saturating_add(std::max(g, cl.last_join_min), 1);
-  const std::uint64_t latency = cfg_.network.latency_ns;
-  for (std::size_t i = 0; i < cl.own_lps.size();) {
-    const LpId lp = cl.own_lps[i];
-    const std::uint32_t dest = plan_[lp];
-    if (dest == cl.node) {
-      ++i;
-      continue;
-    }
-    LpRuntime& rt = runtimes_[lp];
-    const std::uint64_t tf0 = cl.trace != nullptr ? steady_now_ns() : 0;
-    // 1. Cancel speculation past the safe boundary.  The anti-messages
-    //    route like any rollback's (the caller flushes cl.pending right
-    //    after); the rollback is real work undone, so it feeds the normal
-    //    counters — but not the optimism throttle, since it says nothing
-    //    about how far ahead this node was running.
-    auto res = rt.cancel_uncommitted(bound);
-    if (res.rolled_back) {
-      ++cl.stats.primary_rollbacks;
-      cl.stats.events_rolled_back += res.unprocessed_events;
-      for (Event& anti : res.antis) cl.pending.push_back(anti);
-    }
-    // 2. Commit everything GVT already covers; less to ship.
-    cl.stats.events_committed += rt.fossil_collect(g).committed_events;
-    if (pub_committed_ != nullptr) {
-      pub_committed_[lp].store(rt.events_committed(),
-                               std::memory_order_relaxed);
-      pub_sends_[lp].store(rt.sends_committed(), std::memory_order_relaxed);
-      pub_lane_work_[lp].store(rt.lane_work_committed(),
-                               std::memory_order_relaxed);
-    }
-    // 3. Flip the route *before* shipping: from here on every sender
-    //    forwards to the destination, where events queue in limbo until
-    //    the package installs.  Our own copy is no longer authoritative.
-    cl.installed[lp] = 0;
-    route_[lp].store(dest, std::memory_order_release);
-    // 4. Package the residual state and ship it through the normal
-    //    mailbox channel so the GVT transient accounting covers it; its
-    //    accounting receive time is the LP's pending minimum, so the
-    //    package holds GVT down until installed.
-    auto msg = std::make_unique<MigrationMsg>();
-    msg->from_node = cl.node;
-    msg->to_node = dest;
-    const SimTime pkg_min = rt.gvt_min_time();
-    rt.export_migration(*msg);
-    // The LP's queues moved into the package; drop it from live accounting.
-    cl.note_live(runtimes_, lp);
-    cl.stats.migration_events_shipped += msg->queue.size();
-    ++cl.stats.lps_migrated_out;
-    if (cl.trace != nullptr) {
-      const std::uint64_t tf1 = steady_now_ns();
-      cl.trace->record(obs::TraceKind::kMigrateFreeze, tf0,
-                       tf1 > tf0 ? tf1 - tf0 : 1, res.unprocessed_events, 0,
-                       lp);
-      cl.trace->record(obs::TraceKind::kMigrateShip, tf1, 0, dest,
-                       msg->queue.size(), lp);
-    }
-    if (cfg_.network.send_overhead_ns > 0) {
-      util::busy_spin_ns(cfg_.network.send_overhead_ns);
-    }
-    InFlight f;
-    f.seq = cl.net_seq++;
-    f.epoch = cl.my_round;
-    f.event.recv_time = pkg_min;
-    f.event.target = lp;
-    f.event.sender = lp;
-    f.migration = std::move(msg);
-    // Count before buffering, like any send — then force the flush:
-    // migration ship is one of the mandatory flush points, so a package
-    // never sits in a send buffer behind the route flip.
-    gvt_coord_.count_send(cl.node, cl.my_round);
-    const std::uint64_t ship_ns = steady_now_ns();
-    cl.coalescer.add(dest, std::move(f), ship_ns, latency);
-    cl.coalescer.flush_dest(dest, ship_ns, latency);
-    // Swap-erase: own_lps order carries no meaning.
-    cl.own_lps[i] = cl.own_lps.back();
-    cl.own_lps.pop_back();
-  }
-}
-
-void Kernel::install_migration(Cluster& cl, MigrationMsg&& msg) {
-  const LpId lp = msg.lp;
-  const std::uint32_t from = msg.from_node;
-  const std::uint64_t pkg_events = msg.queue.size();
-  PLS_CHECK_MSG(route_[lp].load(std::memory_order_relaxed) == cl.node,
-                "migration package delivered to a node that is not the "
-                "plan's destination");
-  PLS_CHECK_MSG(!cl.installed[lp], "double install of LP " << lp);
-  runtimes_[lp].import_migration(std::move(msg));
-  cl.installed[lp] = 1;
-  cl.own_lps.push_back(lp);
-  cl.push_sched(runtimes_[lp].next_time(), lp);
-  cl.note_touched(runtimes_, lp);
-  ++cl.stats.lps_migrated_in;
-  if (cl.trace != nullptr) {
-    cl.trace->record(obs::TraceKind::kMigrateInstall, steady_now_ns(), 0,
-                     from, pkg_events, lp);
-  }
-  // Release the events that raced ahead of the package, preserving their
-  // arrival order (the caller's route_pending inserts them next).
-  for (std::size_t i = 0; i < cl.limbo.size();) {
-    if (cl.limbo[i].target == lp) {
-      cl.pending.push_back(cl.limbo[i]);
-      cl.limbo.erase(cl.limbo.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
-  }
-  migrations_outstanding_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void Kernel::fossil_round(Cluster& cl) {
@@ -979,24 +682,11 @@ void Kernel::fossil_round(Cluster& cl) {
   for (std::size_t i = 0; i < cl.fossil_lps.size();) {
     const LpId lp = cl.fossil_lps[i];
     LpRuntime& rt = runtimes_[lp];
-    // An emigrated LP's runtime belongs to its new node (which may be
-    // importing into it right now): drop it without touching it.
-    if (cl.installed[lp]) {
-      committed += rt.fossil_collect(g).committed_events;
-      cl.note_live(runtimes_, lp);
-      if (pub_committed_ != nullptr) {
-        // Republish the committed counters for the controller's next
-        // repartition snapshot (monotone, so staleness is harmless).
-        pub_committed_[lp].store(rt.events_committed(),
-                                 std::memory_order_relaxed);
-        pub_sends_[lp].store(rt.sends_committed(), std::memory_order_relaxed);
-        pub_lane_work_[lp].store(rt.lane_work_committed(),
-                                 std::memory_order_relaxed);
-      }
-      if (!rt.fossil_idle()) {
-        ++i;
-        continue;
-      }
+    committed += rt.fossil_collect(g).committed_events;
+    cl.note_live(runtimes_, lp);
+    if (!rt.fossil_idle()) {
+      ++i;
+      continue;
     }
     // Swap-erase: the list's order carries no meaning.
     cl.in_fossil[lp] = 0;
@@ -1117,7 +807,7 @@ void Kernel::dump_stall_diagnostics() const {
                  "[warped]   earliest pending work: LP %u at t=%llu "
                  "(node %u)\n",
                  min_lp, static_cast<unsigned long long>(min_t),
-                 route_[min_lp].load(std::memory_order_relaxed));
+                 node_of_[min_lp]);
   }
   if (worst_lp != kInvalidLp) {
     std::fprintf(stderr,
@@ -1126,7 +816,7 @@ void Kernel::dump_stall_diagnostics() const {
                  worst_lp, static_cast<unsigned long long>(worst_rb),
                  static_cast<unsigned long long>(
                      runtimes_[worst_lp].events_rolled_back()),
-                 route_[worst_lp].load(std::memory_order_relaxed));
+                 node_of_[worst_lp]);
   }
   // With tracing on, the ring tails show what each node was doing when it
   // wedged — usually more telling than the counters above.  Safe to read
@@ -1193,13 +883,8 @@ RunStats Kernel::run() {
   // Skipped on abnormal exits, whose states are not meaningful anyway.
   if (!stalled_.load(std::memory_order_acquire) &&
       !oom_.load(std::memory_order_acquire)) {
-    // A migration package whose accounting receive time was kEndOfTime
-    // (pure-replay or drained LP) cannot delay the final round, so it may
-    // still sit in a mailbox or holding heap here.  Install those now —
-    // their replay batches and committed counters belong to the run.  Any
-    // *event* still in flight at this point would disprove GVT soundness.
-    // (Send buffers were flushed when each node_main exited, so the
-    // channel drain below sees everything.)
+    // Send buffers were flushed when each node_main exited, so the channel
+    // drain below sees everything still in flight.
     for (std::uint32_t n = 0; n < cfg_.num_nodes; ++n) {
       Cluster& cl = *clusters_[n];
       PLS_CHECK_MSG(cl.coalescer.buffered() == 0,
@@ -1208,38 +893,19 @@ RunStats Kernel::run() {
       channel_.drain(n, cl.drain_buf);
       for (auto& f : cl.drain_buf) cl.holding.push(std::move(f));
       while (!cl.holding.empty()) {
-        InFlight f = cl.holding.pop();
-        if (f.migration == nullptr) {
-          // Only an event beyond the horizon may still be in flight once
-          // GVT hit end-of-time; it can never execute, so drop it.
-          PLS_CHECK_MSG(f.event.recv_time == kEndOfTime,
-                        "event at " << f.event.recv_time
-                                    << " still in flight after termination "
-                                       "(unsound GVT)");
-          continue;
-        }
-        install_migration(cl, std::move(*f.migration));
+        // Only an event beyond the horizon may still be in flight once GVT
+        // hit end-of-time; it can never execute, so drop it.
+        const SimTime t = cl.holding.pop().event.recv_time;
+        PLS_CHECK_MSG(t == kEndOfTime,
+                      "event at " << t
+                                  << " still in flight after termination "
+                                     "(unsound GVT)");
       }
-      // A final-sweep install may have released limbo events; like above,
-      // only beyond-horizon events may legitimately remain.
-      for (const Event& ev : cl.pending) {
-        PLS_CHECK_MSG(ev.recv_time == kEndOfTime,
-                      "event left unrouted after termination (unsound GVT)");
-      }
-      for (const Event& ev : cl.limbo) {
-        PLS_CHECK_MSG(ev.recv_time == kEndOfTime,
-                      "event stranded in limbo after termination");
-      }
-      cl.pending.clear();
-      cl.limbo.clear();
     }
-    // Drain suppressed coast-forward replays over *all* runtimes (an LP
-    // installed a moment ago is already in its destination's own_lps, but
-    // scanning the table directly is immune to cluster bookkeeping).
     std::deque<Event> sink;
     for (LpId lp = 0; lp < runtimes_.size(); ++lp) {
       LpRuntime& rt = runtimes_[lp];
-      Cluster& owner = *clusters_[route_[lp].load(std::memory_order_relaxed)];
+      Cluster& owner = *clusters_[node_of_[lp]];
       while (rt.has_unprocessed()) {
         SimTime t = 0;
         const EventBatch batch = rt.begin_batch(t);
@@ -1262,7 +928,6 @@ RunStats Kernel::run() {
   out.wall_seconds = wall_seconds;
   out.final_gvt = gvt_.load(std::memory_order_acquire);
   out.gvt_cycles = completed_rounds_.load(std::memory_order_acquire);
-  out.repartitions = repartitions_;
   out.out_of_memory = oom_.load(std::memory_order_acquire);
   out.stalled = stalled_.load(std::memory_order_acquire);
   out.per_node.resize(cfg_.num_nodes);

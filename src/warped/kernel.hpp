@@ -12,11 +12,10 @@
 // per node; LPs within a cluster interact directly as classical Time Warp
 // processes; inter-cluster messages pay the network costs.  The partition
 // produced by any of the study's algorithms is exactly the LP→node map
-// given to this kernel.
+// given to this kernel, and it stays fixed for the whole run.
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -35,29 +34,6 @@ class ObsSession;
 }
 
 namespace pls::warped {
-
-/// Snapshot handed to the repartition hook at a GVT epoch (dynamic
-/// repartitioning).  `current` is the live LP→node map; the committed
-/// counters are cumulative (the hook diffs successive epochs for a drift
-/// signal) and may lag the very latest fossil pass by one round.
-struct RepartitionRequest {
-  SimTime gvt = 0;
-  std::uint64_t round = 0;                    ///< completed GVT rounds
-  std::vector<std::uint32_t> current;         ///< live LP→node assignment
-  std::vector<std::uint64_t> events_committed;  ///< per-LP, cumulative
-  std::vector<std::uint64_t> sends_committed;   ///< per-LP, cumulative
-  /// Per-LP committed incoming lane transitions (mask popcounts), the
-  /// lane-aware work signal; equals events_committed in single-lane runs.
-  std::vector<std::uint64_t> lane_work_committed;
-};
-
-/// Policy callback for dynamic repartitioning: return the desired LP→node
-/// assignment (same size as `current`), or an empty vector to keep the
-/// current one.  Runs on node 0's thread between GVT rounds — keep it
-/// cheap (the driver wires an *incremental* refinement here, never a
-/// from-scratch V-cycle).
-using RepartitionHook =
-    std::function<std::vector<std::uint32_t>(const RepartitionRequest&)>;
 
 struct KernelConfig {
   std::uint32_t num_nodes = 1;
@@ -107,16 +83,6 @@ struct KernelConfig {
   /// dump per-node / per-LP diagnostics to stderr.  0 disables it.
   std::uint64_t watchdog_timeout_ms = 30000;
 
-  /// Dynamic repartitioning: every `repartition_interval` completed GVT
-  /// rounds (and only once all previously planned migrations installed)
-  /// the controller snapshots the live per-LP committed counters and asks
-  /// `repartition_hook` for a fresh assignment; every LP whose node
-  /// changed is live-migrated at the GVT boundary without stopping the
-  /// other nodes (protocol: src/warped/README.md).  0 or a null hook =
-  /// static partitioning.
-  std::uint64_t repartition_interval = 0;
-  RepartitionHook repartition_hook;
-
   /// Observability session (src/obs/): per-node trace rings + metrics
   /// gauges.  Non-owning, may be null (the default — tracing off costs the
   /// hot path one pointer test); must outlive run().  The kernel only
@@ -146,18 +112,12 @@ class Kernel {
   void node_main(std::uint32_t node);
   void controller_poll(std::uint64_t now_ns);  ///< node 0's GVT duties
   void fossil_round(Cluster& cl);
-  /// Controller: snapshot counters, run the hook, publish a migration plan.
-  void maybe_repartition(SimTime gvt_now, std::uint64_t round);
-  /// Owner thread: package + ship every own LP the current plan moved away.
-  void emigrate_planned(Cluster& cl);
-  /// Owner thread: install an arrived package and release its limbo events.
-  void install_migration(Cluster& cl, MigrationMsg&& msg);
   void watchdog_main();
   std::uint64_t total_exec_ticks() const noexcept;
   void dump_stall_diagnostics() const;  ///< post-mortem, single-threaded
 
   std::vector<LogicalProcess*> lps_;
-  std::vector<std::uint32_t> node_of_;
+  std::vector<std::uint32_t> node_of_;  ///< static LP→node map; routes
   KernelConfig cfg_;
 
   /// Inter-node transport: one batch mailbox per node.
@@ -182,33 +142,6 @@ class Kernel {
   // Controller state, touched only by node 0's thread.
   std::uint64_t ctrl_started_rounds_ = 0;
   std::uint64_t ctrl_last_trigger_ns_ = 0;
-
-  // ---- dynamic repartitioning (live LP migration) -----------------------
-  /// Live LP→node routing table.  Replaces node_of_ on every routing
-  /// decision; the emigrating node flips an entry (release) *before*
-  /// shipping the package, so later senders forward to the destination.
-  /// Relaxed reads elsewhere: a stale route only costs one extra hop
-  /// (events are re-routed per hop), never correctness.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> route_;
-  /// Per-LP committed counters, republished whenever a fossil pass visits
-  /// the LP (an LP the pass skips as idle has unchanged counters), so the
-  /// controller can snapshot live activity without touching peer LPs.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> pub_committed_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> pub_sends_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> pub_lane_work_;
-  /// Current migration plan: written by the controller strictly before the
-  /// plan_version_ bump (release); nodes read it after observing a new
-  /// version (acquire).  Never rewritten while migrations_outstanding_ > 0.
-  std::vector<std::uint32_t> plan_;
-  std::atomic<std::uint64_t> plan_version_{0};
-  std::atomic<std::uint64_t> migrations_outstanding_{0};
-  /// Per-node acknowledgement of the plan version whose emigration scan
-  /// completed; the controller publishes a new plan only after every node
-  /// acked the current one (so no scan can still be reading plan_).
-  std::unique_ptr<std::atomic<std::uint64_t>[]> plan_ack_;
-  std::uint64_t repartitions_ = 0;  ///< controller-only; read after join
-  std::uint64_t ctrl_last_repartition_round_ = 0;
-  bool migratory_ = false;  ///< repartition_interval > 0 and hook set
 
   /// Batches executed during the watchdog's frozen-GVT window (written by
   /// the watchdog before it raises stalled_): 0 = deadlock, >0 = livelock.

@@ -35,14 +35,11 @@ std::size_t LpRuntime::first_at_or_after(SimTime t) const {
 void LpRuntime::maybe_compact() {
   // Amortized O(1): compaction moves the live range once per >= equal
   // run of retired events.
-  if (head_ >= 64 && head_ * 2 >= queue_.size()) compact();
-}
-
-void LpRuntime::compact() {
-  if (head_ == 0) return;
-  queue_.erase(queue_.begin(),
-               queue_.begin() + static_cast<std::ptrdiff_t>(head_));
-  head_ = 0;
+  if (head_ >= 64 && head_ * 2 >= queue_.size()) {
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
 }
 
 void LpRuntime::rollback(SimTime to_time, InsertResult& res) {
@@ -68,8 +65,7 @@ void LpRuntime::rollback(SimTime to_time, InsertResult& res) {
     // at or below GVT, and no legal rollback targets below GVT — so
     // falling back to the initial state here would silently re-derive
     // history whose inputs were already fossil-erased (the signature of a
-    // GVT-safety violation, e.g. a migration cancelling below a
-    // concurrently published estimate).
+    // GVT-safety violation).
     PLS_CHECK_MSG(events_committed_ == 0,
                   "rollback past the fossil base (LP " << id_ << " to time "
                   << to_time << " with " << events_committed_
@@ -143,20 +139,12 @@ LpRuntime::InsertResult LpRuntime::insert(const Event& ev) {
         PLS_CHECK_MSG(false, "positive twin vanished during annihilation");
       }
     }
-    // Twin not here yet: the anti overtook its positive.  Impossible over
-    // plain FIFO channels, but real under migration (a forwarded anti can
-    // beat the twin riding inside the migration package); park it.
-    pending_antis_.push_back(ev);
-    return res;
-  }
-
-  // Positive event.  A waiting anti annihilates it on arrival.
-  for (std::size_t i = 0; i < pending_antis_.size(); ++i) {
-    if (pending_antis_[i].matches(ev)) {
-      pending_antis_.erase(pending_antis_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-      return res;
-    }
+    // Every (sender, target) path is FIFO — the sender's local routing
+    // queue, or its flush-ordered batches through the receiver's holding
+    // heap — so an anti never overtakes its positive twin.
+    PLS_CHECK_MSG(false, "LP " << id_ << " got an anti-message from LP "
+                               << ev.sender << " (id " << ev.id << ", t="
+                               << ev.recv_time << ") with no positive twin");
   }
 
   // Straggler? Any event at or before the last processed batch — or below
@@ -270,81 +258,7 @@ LpRuntime::FossilResult LpRuntime::fossil_collect(SimTime gvt) {
     if (it->target != it->sender) sends_committed_ += it->mask_popcount();
   }
   output_queue_.erase(output_queue_.begin(), out);
-
-  // A waiting anti below GVT can never meet its positive twin any more (no
-  // message below GVT is in flight); drop it so the defence-in-depth list
-  // stays bounded over long runs.
-  std::erase_if(pending_antis_,
-                [gvt](const Event& e) { return e.recv_time < gvt; });
   return res;
-}
-
-LpRuntime::InsertResult LpRuntime::cancel_uncommitted(SimTime bound) {
-  InsertResult res;
-  // Only a rollback can cancel outputs; if the LP never processed a batch
-  // at or past `bound` there is nothing speculative to cancel — any
-  // remaining replay window's outputs predate `bound` and stay valid.
-  if (processed_any_ && last_processed_ >= bound) rollback(bound, res);
-  return res;
-}
-
-void LpRuntime::export_migration(MigrationMsg& msg) {
-  compact();  // drop retired history; the package ships live events only
-  msg.lp = id_;
-  msg.state = state_;
-  msg.initial_state = initial_state_;
-  msg.last_processed = last_processed_;
-  msg.processed_any = processed_any_;
-  msg.replay_until = replay_until_;
-  msg.processed_count = processed_count_;
-  msg.batches_since_snapshot = batches_since_snapshot_;
-  msg.queue = std::move(queue_);
-  msg.snapshots = std::move(snapshots_);
-  msg.output_queue = std::move(output_queue_);
-  msg.pending_antis = std::move(pending_antis_);
-  msg.next_event_id = next_event_id_;
-  msg.events_processed = events_processed_;
-  msg.events_rolled_back = events_rolled_back_;
-  msg.rollbacks = rollbacks_;
-  msg.max_rollback_depth = max_rollback_depth_;
-  msg.events_committed = events_committed_;
-  msg.sends_committed = sends_committed_;
-  msg.lane_work_committed = lane_work_committed_;
-  // Leave the husk inert: an empty queue makes next_time()/gvt_min_time()
-  // report kEndOfTime and has_unprocessed() false.  The counters remain so
-  // an abnormal exit (package never installed) still reads committed work.
-  queue_.clear();
-  head_ = 0;
-  processed_count_ = 0;
-  snapshots_.clear();
-  output_queue_.clear();
-  pending_antis_.clear();
-}
-
-void LpRuntime::import_migration(MigrationMsg&& msg) {
-  PLS_CHECK_MSG(msg.lp == id_, "migration package installed on wrong LP");
-  PLS_CHECK_MSG(queue_.empty() && !has_unprocessed(),
-                "migration package installed on a live LP");
-  state_ = msg.state;
-  initial_state_ = msg.initial_state;
-  last_processed_ = msg.last_processed;
-  processed_any_ = msg.processed_any;
-  replay_until_ = msg.replay_until;
-  head_ = 0;
-  processed_count_ = msg.processed_count;
-  batches_since_snapshot_ = msg.batches_since_snapshot;
-  queue_ = std::move(msg.queue);
-  snapshots_ = std::move(msg.snapshots);
-  output_queue_ = std::move(msg.output_queue);
-  pending_antis_ = std::move(msg.pending_antis);
-  next_event_id_ = msg.next_event_id;
-  events_processed_ = msg.events_processed;
-  events_rolled_back_ = msg.events_rolled_back;
-  rollbacks_ = msg.rollbacks;
-  max_rollback_depth_ = msg.max_rollback_depth;
-  events_committed_ = msg.events_committed;
-  sends_committed_ = msg.sends_committed;
-  lane_work_committed_ = msg.lane_work_committed;
 }
 
 std::uint64_t LpRuntime::finalize() {

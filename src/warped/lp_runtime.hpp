@@ -24,7 +24,9 @@
 //    its time (primary rollback).
 //  * a negative event annihilates its positive twin; if the twin's effects
 //    are already reflected anywhere (processed, or below the replay
-//    boundary) this forces a rollback first (secondary rollback).
+//    boundary) this forces a rollback first (secondary rollback).  Routes
+//    are FIFO per (sender, target), so the twin has always arrived: an
+//    anti without one fails a check.
 //  * rollback = restore the latest snapshot strictly before the rollback
 //    time T, un-process everything after the snapshot, emit anti-messages
 //    for every output sent at or after T (aggressive cancellation), and
@@ -40,7 +42,6 @@
 #include <span>
 #include <vector>
 
-#include "warped/comm.hpp"
 #include "warped/lp.hpp"
 #include "warped/types.hpp"
 
@@ -140,37 +141,18 @@ class LpRuntime {
   /// True when fossil_collect at any higher GVT, kEndOfTime included,
   /// would commit nothing and leave live_entries() unchanged: no processed
   /// event awaits commitment, at most the base snapshot is kept, and no
-  /// output or parked anti awaits pruning.  Only execution, insertion
-  /// (rollback included) or a migration install can make it false again,
-  /// so the kernel's fossil pass skips idle LPs until one of those.
+  /// output awaits pruning.  Only execution or insertion (rollback
+  /// included) can make it false again, so the kernel's fossil pass skips
+  /// idle LPs until one of those.
   bool fossil_idle() const noexcept {
     return processed_count_ == 0 && snapshots_.size() <= 1 &&
-           output_queue_.empty() && pending_antis_.empty();
+           output_queue_.empty();
   }
 
   /// End-of-run commit: counts and discards every processed event still in
   /// the queue (with periodic state saving a few trailing batches survive
   /// fossil_collect(kEndOfTime)).  Call only when the simulation is over.
   std::uint64_t finalize();
-
-  // ---- live migration (dynamic repartitioning) ---------------------------
-
-  /// Cancel all speculation at or after `bound` (= GVT+1 for migration:
-  /// no receiver can have fossilized anything a resulting anti-message
-  /// targets).  No-op when the LP never processed that far.  The returned
-  /// anti-messages must be routed by the caller like any rollback's.
-  InsertResult cancel_uncommitted(SimTime bound);
-
-  /// Move the residual Time Warp state into `msg` (call after
-  /// cancel_uncommitted + fossil_collect).  Leaves this slot an empty
-  /// husk: next_time() == kEndOfTime, so a stale scheduler entry at the
-  /// source self-discards, while the committed counters stay readable in
-  /// case the run aborts before the package is installed.
-  void export_migration(MigrationMsg& msg);
-
-  /// Install a shipped LP at the destination: the inverse of
-  /// export_migration, onto this (previously husk) slot.
-  void import_migration(MigrationMsg&& msg);
 
   /// Monotonic event-id source for this LP's sends.  Deliberately *not*
   /// rolled back: re-sends after a rollback get fresh ids, so a stale
@@ -211,13 +193,12 @@ class LpRuntime {
   std::uint64_t max_rollback_depth() const noexcept {
     return max_rollback_depth_;
   }
-  /// Live memory footprint in queue entries (input + output + snapshots +
-  /// waiting antis); used to emulate the paper's out-of-memory behaviour.
-  /// Retired (fossil-collected, not yet compacted) entries are committed
-  /// history and excluded.
+  /// Live memory footprint in queue entries (input + output + snapshots);
+  /// used to emulate the paper's out-of-memory behaviour.  Retired
+  /// (fossil-collected, not yet compacted) entries are committed history
+  /// and excluded.
   std::size_t live_entries() const noexcept {
-    return (queue_.size() - head_) + output_queue_.size() +
-           snapshots_.size() + pending_antis_.size();
+    return (queue_.size() - head_) + output_queue_.size() + snapshots_.size();
   }
 
   /// Test hooks: inspect internals (live queue range only).
@@ -242,8 +223,6 @@ class LpRuntime {
   /// Compact the retired prefix out of the queue when it outgrows the
   /// live range (amortized O(1) per retired event).
   void maybe_compact();
-  /// Drop the retired prefix unconditionally (migration export).
-  void compact();
 
   LpId id_ = kInvalidLp;
   LogicalProcess* behavior_ = nullptr;
@@ -264,12 +243,6 @@ class LpRuntime {
   std::vector<Snapshot> snapshots_;  ///< ascending in time
 
   std::vector<Event> output_queue_;  ///< ascending in send_time
-
-  /// Anti-messages that arrived before their positive twin.  Impossible
-  /// over plain FIFO channels, but *reachable* under migration: an anti
-  /// chasing a moved LP is forwarded over a second hop and can overtake a
-  /// positive twin travelling inside the migration package.
-  std::vector<Event> pending_antis_;
 
   std::uint64_t events_processed_ = 0;
   std::uint64_t events_rolled_back_ = 0;

@@ -23,9 +23,6 @@ void NodeStats::merge(const NodeStats& o) noexcept {
   exec_polls += o.exec_polls;
   throttle_shrinks += o.throttle_shrinks;
   throttle_grows += o.throttle_grows;
-  lps_migrated_out += o.lps_migrated_out;
-  lps_migrated_in += o.lps_migrated_in;
-  migration_events_shipped += o.migration_events_shipped;
   pool_slab_bytes += o.pool_slab_bytes;
   pool_blocks_recycled += o.pool_blocks_recycled;
   pool_heap_fallbacks += o.pool_heap_fallbacks;
@@ -59,10 +56,6 @@ std::ostream& operator<<(std::ostream& os, const RunStats& s) {
       os << " (shrinks=" << s.totals.throttle_shrinks
          << ", grows=" << s.totals.throttle_grows << ")";
     }
-  }
-  if (s.repartitions > 0) {
-    os << " repartitions=" << s.repartitions
-       << " migrated=" << s.totals.lps_migrated_out;
   }
   if (s.out_of_memory) os << " OOM";
   if (s.stalled) os << " STALLED";

@@ -42,11 +42,6 @@ struct NodeStats {
   std::uint64_t throttle_shrinks = 0;  ///< adaptive window contractions
   std::uint64_t throttle_grows = 0;    ///< adaptive window expansions
 
-  // Dynamic repartitioning (live LP migration at GVT epochs).
-  std::uint64_t lps_migrated_out = 0;  ///< LPs this node packaged and shipped
-  std::uint64_t lps_migrated_in = 0;   ///< migration packages installed here
-  std::uint64_t migration_events_shipped = 0;  ///< events inside packages
-
   // Arena-pool accounting (mem/pool.hpp), snapshotted at run end.
   std::uint64_t pool_slab_bytes = 0;      ///< slab memory reserved
   std::uint64_t pool_blocks_recycled = 0; ///< free-list hits (carve avoided)
@@ -86,8 +81,6 @@ struct RunStats {
   double wall_seconds = 0.0;        ///< the paper's "Simulation Time"
   SimTime final_gvt = 0;
   std::uint64_t gvt_cycles = 0;     ///< completed asynchronous GVT rounds
-  std::uint64_t repartitions = 0;   ///< migration plans published (epochs
-                                    ///< where the hook actually moved LPs)
   bool out_of_memory = false;       ///< aborted by the live-event limit
   bool stalled = false;             ///< aborted by the deadlock watchdog
 

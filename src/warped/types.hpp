@@ -127,8 +127,8 @@ struct Event {
 /// word-0 output lane word in `b`.  `w` is arena-pooled (mem/words.hpp):
 /// snapshot copies recycle fixed-size blocks from the node-local pool
 /// instead of hitting the heap, and fossil collection reclaims whole runs
-/// of them per sweep.  Snapshots and migration packages copy the whole
-/// struct either way, so rollback restores full words per lane.
+/// of them per sweep.  Snapshots copy the whole struct either way, so
+/// rollback restores full words per lane.
 struct LpState {
   std::uint64_t a = 0;
   std::uint64_t b = 0;

@@ -10,9 +10,8 @@
 // both backends), and every lane of either must project onto the final
 // states of its own scalar reference run.  Dedicated cases drive the
 // engine through a forced rollback storm (unlimited optimism, high
-// latency, maximal cut) and through live repartitioning with LP migration,
-// because masked events must survive cancellation and re-execution
-// per-lane exactly.  Fault simulation (uniform stimulus + stuck-at lanes)
+// latency, maximal cut), because masked events must survive cancellation
+// and re-execution per-lane exactly.  Fault simulation (uniform stimulus + stuck-at lanes)
 // rides the same contract: lane 0 stays bit-identical to the fault-free
 // scalar run.
 
@@ -217,45 +216,6 @@ TEST(BatchEquivalenceExtras, RollbackStormPreserves128WideLanes) {
   ASSERT_TRUE(logicsim::check_equivalence(par.run, seq).ok());
   EXPECT_GT(par.run.totals.total_rollbacks(), 0u);
   expect_lanes_equal(c, cfg, par.run.final_states, "storm128",
-                     boundary_lanes(cfg.lanes));
-}
-
-TEST(BatchEquivalenceExtras, LiveRepartitionPreservesEveryLane) {
-  // Dynamic repartitioning at GVT epochs: migrated LPs carry full lane
-  // words in their packages, and migration rollbacks cancel whole events.
-  const circuit::Circuit c = random_circuit(505);
-  framework::DriverConfig cfg = fast_config();
-  cfg.lanes = 64;
-  cfg.partitioner = "Multilevel";
-  cfg.num_nodes = 4;
-  cfg.repartition_interval = 2;
-  cfg.repartition_min_gain = 0.0;
-  cfg.repartition_churn_cost = 0.0;
-  cfg.model.stim_drift_at = 150;  // shift the hot region mid-run
-
-  const auto par = framework::run_parallel(c, cfg);
-  const auto seq = framework::run_sequential(c, cfg);
-  ASSERT_TRUE(logicsim::check_equivalence(par.run, seq).ok());
-  expect_all_lanes_equal(c, cfg, par.run.final_states, "repartition");
-}
-
-TEST(BatchEquivalenceExtras, LiveRepartitionPreserves128WideLanes) {
-  // Live migration with two-word payloads: migration packages serialize
-  // pooled event extensions and wide states across node-local arenas.
-  const circuit::Circuit c = random_circuit(505);
-  framework::DriverConfig cfg = fast_config();
-  cfg.lanes = 128;
-  cfg.partitioner = "Multilevel";
-  cfg.num_nodes = 4;
-  cfg.repartition_interval = 2;
-  cfg.repartition_min_gain = 0.0;
-  cfg.repartition_churn_cost = 0.0;
-  cfg.model.stim_drift_at = 150;  // shift the hot region mid-run
-
-  const auto par = framework::run_parallel(c, cfg);
-  const auto seq = framework::run_sequential(c, cfg);
-  ASSERT_TRUE(logicsim::check_equivalence(par.run, seq).ok());
-  expect_lanes_equal(c, cfg, par.run.final_states, "repartition128",
                      boundary_lanes(cfg.lanes));
 }
 

@@ -8,7 +8,6 @@
 #include "framework/driver.hpp"
 #include "framework/partition_cache.hpp"
 #include "framework/registry.hpp"
-#include "logicsim/activity.hpp"
 #include "multilevel/weights.hpp"
 #include "util/check.hpp"
 
@@ -117,94 +116,6 @@ TEST(Driver, SeedControlsStimulus) {
   cfg.seed = 11;
   const auto d = run_sequential(c, cfg);
   EXPECT_NE(a.events_processed, d.events_processed);
-}
-
-TEST(Driver, RepartitionRequiresWeightConsumingStrategy) {
-  // Mirrors the use_activity validation: dynamic repartitioning warm-starts
-  // an incremental weighted refinement, which only the multilevel pair can
-  // consume.  Any other named strategy must fail fast, not silently run
-  // static.
-  const auto c = small_circuit();
-  DriverConfig cfg;
-  cfg.num_nodes = 2;
-  cfg.end_time = 100;
-  cfg.repartition_interval = 4;
-  for (const char* name : {"Random", "DFS", "Cluster", "Topological",
-                           "ConePartition"}) {
-    cfg.partitioner = name;
-    EXPECT_THROW(partition_only(c, cfg), util::CheckError) << name;
-    EXPECT_THROW(run_parallel(c, cfg), util::CheckError) << name;
-  }
-  cfg.partitioner = "Multilevel";
-  EXPECT_NO_THROW(partition_only(c, cfg));
-  cfg.partitioner = "MultilevelHG";
-  EXPECT_NO_THROW(partition_only(c, cfg));
-}
-
-TEST(Registry, IncrementalRepartitionReachesFixedPoint) {
-  // With unchanged weights the warm-started refinement must converge to a
-  // partition it then returns unchanged: quality_before == quality_after
-  // and the input assignment comes back bit-identical.  Guards against an
-  // incremental path that churns assignments (and thus migrations) without
-  // an actual objective gain.
-  const auto c = small_circuit();
-  const std::vector<std::uint64_t> ones(c.size(), 1);
-  const multilevel::VertexTrafficWeights w = multilevel::weights_from_activity(
-      logicsim::normalize_counts(ones), logicsim::normalize_counts(ones));
-  partition::MultilevelOptions ml;
-  ml.weights = &w;
-  for (const char* name : {"Multilevel", "MultilevelHG"}) {
-    partition::Partition cur = make_partitioner(name, ml)->run(c, 4, 1);
-    bool fixed = false;
-    for (int iter = 0; iter < 5 && !fixed; ++iter) {
-      const IncrementalRepartition inc =
-          repartition_incremental(name, ml, c, 4, 1, cur);
-      if (!inc.changed) {
-        EXPECT_EQ(inc.partition.assign, cur.assign) << name;
-        EXPECT_EQ(inc.quality_before, inc.quality_after) << name;
-        fixed = true;
-      } else {
-        EXPECT_LT(inc.quality_after, inc.quality_before) << name;
-        cur = inc.partition;
-      }
-    }
-    EXPECT_TRUE(fixed) << name << ": no fixed point within 5 refinements";
-  }
-  EXPECT_THROW(repartition_incremental("Random", ml, c, 4, 1,
-                                       make_partitioner("Random")->run(c, 4, 1)),
-               util::CheckError);
-}
-
-TEST(Driver, RepartitioningPreservesCommittedResults) {
-  // End-to-end determinism: the adaptive run must commit exactly the same
-  // final states and event totals as the static run — live migration is
-  // invisible to the simulated model.
-  const auto c = small_circuit();
-  DriverConfig cfg;
-  cfg.partitioner = "Multilevel";
-  cfg.num_nodes = 2;
-  cfg.end_time = 300;
-  cfg.event_cost_ns = 200;
-  cfg.latency_ns = 20000;
-  cfg.gvt_interval_us = 200;
-  const DriverResult ref = run_parallel(c, cfg);
-
-  cfg.repartition_interval = 2;
-  cfg.repartition_min_gain = 0.0;
-  const DriverResult out = run_parallel(c, cfg);
-
-  ASSERT_EQ(out.run.final_states.size(), ref.run.final_states.size());
-  for (std::size_t i = 0; i < ref.run.final_states.size(); ++i) {
-    EXPECT_EQ(out.run.final_states[i], ref.run.final_states[i]) << "LP " << i;
-  }
-  EXPECT_EQ(out.run.totals.events_committed, ref.run.totals.events_committed);
-  EXPECT_EQ(out.lps_migrated, out.run.totals.lps_migrated_in);
-  // Every adopted epoch must have recorded a strict quality gain.
-  for (const auto& ep : out.repartition_epochs) {
-    if (ep.lps_moved > 0) {
-      EXPECT_LT(ep.quality_after, ep.quality_before);
-    }
-  }
 }
 
 TEST(Driver, OomLimitPropagates) {

@@ -96,7 +96,7 @@ void record_fixture(ObsSession& s, std::uint64_t ts_base) {
                  3, 100, n);
     ring->record(TraceKind::kRollback, t0 + ts_base + 30, 0, 2, 1, n);
     ring->record(TraceKind::kThrottle, t0 + ts_base + 40, 0, 64, 123456, 2);
-    ring->record(TraceKind::kMigrateShip, t0 + ts_base + 50, 0, 1, 9, n);
+    ring->record(TraceKind::kFlush, t0 + ts_base + 50, 0, 1, 9);
   }
   s.set_gvt(77);
 }
@@ -123,7 +123,7 @@ TEST(Export, PerfettoTraceIsDeterministicModuloTimestamps) {
   EXPECT_EQ(out[0], out[1]);
   // Sanity: the export really contains the recorded taxonomy.
   for (const char* needle :
-       {"\"exec\"", "\"rollback\"", "\"throttle\"", "\"mig_ship\"",
+       {"\"exec\"", "\"rollback\"", "\"throttle\"", "\"flush\"",
         "\"gvt_join\"", "\"dropped_node0\"", "\"dropped_node1\""}) {
     EXPECT_NE(out[0].find(needle), std::string::npos) << needle;
   }

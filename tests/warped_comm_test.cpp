@@ -8,9 +8,7 @@
 // the property the whole design hangs on — the Mattern GVT accounting
 // must treat a buffered batch of n messages as exactly n transients:
 // counted at add time, blocking round completion until drained, with
-// buffered minima holding the sender's report down.  Finally, live
-// migration through the coalesced channel must commit bit-identical
-// results with coalescing on and off.
+// buffered minima holding the sender's report down.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +23,6 @@
 #include "util/rng.hpp"
 #include "warped/channel.hpp"
 #include "warped/gvt.hpp"
-#include "warped/kernel.hpp"
 
 namespace pls::warped {
 namespace {
@@ -419,116 +416,6 @@ TEST(GvtCoalescing, BatchOfNCountsAsNTransients) {
   }
   EXPECT_EQ(sent, drained);
   EXPECT_TRUE(gvt.whites_drained(1));
-}
-
-// ---- end-to-end: live migration through the coalesced channel --------------
-
-// Same star as the kernel-matrix tests: all cross-LP edges touch the hub.
-class HubLp final : public LogicalProcess {
- public:
-  HubLp(LpId first_spoke, LpId num_spokes, SimTime period)
-      : first_(first_spoke), n_(num_spokes), period_(period) {}
-
-  void init(Context& ctx) override {
-    if (period_ <= ctx.end_time()) ctx.schedule_self(period_);
-  }
-
-  void execute(Context& ctx, EventBatch batch) override {
-    LpState& s = ctx.state();
-    bool tick = false;
-    for (const auto& e : batch) {
-      if (e.port == kTickPort) tick = true;
-      else s.b = s.b * 31 + e.value;
-    }
-    if (!tick) return;
-    s.a += 1;
-    if (ctx.now() + 1 <= ctx.end_time()) {
-      for (LpId i = 0; i < n_; ++i) {
-        ctx.send(first_ + i, ctx.now() + 1, 0, s.a + i);
-      }
-    }
-    if (ctx.now() + period_ <= ctx.end_time()) {
-      ctx.schedule_self(ctx.now() + period_);
-    }
-  }
-
- private:
-  LpId first_;
-  LpId n_;
-  SimTime period_;
-};
-
-class SpokeLp final : public LogicalProcess {
- public:
-  explicit SpokeLp(LpId hub) : hub_(hub) {}
-
-  void init(Context&) override {}
-
-  void execute(Context& ctx, EventBatch batch) override {
-    LpState& s = ctx.state();
-    for (const auto& e : batch) {
-      if (e.port == kTickPort) continue;
-      s.a += e.value;
-      if (ctx.now() + 1 <= ctx.end_time()) {
-        ctx.send(hub_, ctx.now() + 1, 0, s.a ^ (s.a >> 3));
-      }
-    }
-  }
-
- private:
-  LpId hub_;
-};
-
-RunStats run_migrating_star(std::uint32_t nodes, bool coalesce) {
-  constexpr LpId kSpokes = 14;
-  std::vector<std::unique_ptr<LogicalProcess>> owners;
-  owners.push_back(std::make_unique<HubLp>(1, kSpokes, 7));
-  for (LpId i = 0; i < kSpokes; ++i) {
-    owners.push_back(std::make_unique<SpokeLp>(0));
-  }
-  std::vector<LogicalProcess*> lps;
-  for (auto& o : owners) lps.push_back(o.get());
-
-  KernelConfig cfg;
-  cfg.end_time = 400;
-  cfg.num_nodes = nodes;
-  cfg.network.latency_ns = 15000;
-  cfg.network.send_overhead_ns = 500;
-  cfg.gvt_interval_us = 500;
-  cfg.coalesce.enabled = coalesce;
-  // Rotate every LP (hub included) to the next node at every epoch:
-  // migration packages continually ride the coalesced channel.
-  cfg.repartition_interval = 2;
-  cfg.repartition_hook =
-      [nodes](const RepartitionRequest& req) -> std::vector<std::uint32_t> {
-    std::vector<std::uint32_t> next(req.current.size());
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      next[i] = (req.current[i] + 1) % nodes;
-    }
-    return next;
-  };
-  std::vector<std::uint32_t> node_of(kSpokes + 1);
-  for (LpId i = 0; i <= kSpokes; ++i) node_of[i] = i % nodes;
-  Kernel kernel(lps, node_of, cfg);
-  return kernel.run();
-}
-
-TEST(CoalescedMigration, LiveMigrationResultsAreBitIdenticalOnVsOff) {
-  const RunStats off = run_migrating_star(4, /*coalesce=*/false);
-  const RunStats on = run_migrating_star(4, /*coalesce=*/true);
-
-  // Migration actually happened in both runs and nothing got lost.
-  EXPECT_GT(on.totals.lps_migrated_out, 0u);
-  EXPECT_EQ(on.totals.lps_migrated_out, on.totals.lps_migrated_in);
-  EXPECT_GT(off.totals.lps_migrated_out, 0u);
-
-  ASSERT_EQ(on.final_states.size(), off.final_states.size());
-  for (std::size_t i = 0; i < off.final_states.size(); ++i) {
-    EXPECT_EQ(on.final_states[i], off.final_states[i]) << "LP " << i;
-  }
-  EXPECT_EQ(on.totals.events_committed, off.totals.events_committed);
-  EXPECT_EQ(on.final_gvt, kEndOfTime);
-  EXPECT_EQ(off.final_gvt, kEndOfTime);
 }
 
 }  // namespace

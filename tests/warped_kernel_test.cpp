@@ -1,10 +1,15 @@
 // End-to-end tests of the threaded Time Warp kernel on small hand-built LP
 // systems: determinism across node counts, accounting invariants, network
-// model, optimism throttle, periodic state saving and the OOM guard.
+// model, optimism throttle, periodic state saving, the OOM guard and the
+// watchdog.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <regex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "warped/kernel.hpp"
@@ -222,6 +227,67 @@ TEST(Kernel, PerNodeStatsSumToTotals) {
   EXPECT_EQ(sum.events_processed, out.totals.events_processed);
   EXPECT_EQ(sum.inter_node_messages, out.totals.inter_node_messages);
   EXPECT_EQ(sum.primary_rollbacks, out.totals.primary_rollbacks);
+}
+
+/// Self-ticking LP that blocks its node thread for `nap_ms` the first time
+/// it executes the batch at `nap_at` (rollback re-executions do not nap
+/// again): GVT freezes while the thread sleeps.
+class NappingTickLp final : public LogicalProcess {
+ public:
+  NappingTickLp(SimTime nap_at, std::uint64_t nap_ms)
+      : nap_at_(nap_at), nap_ms_(nap_ms) {}
+
+  void init(Context& ctx) override { ctx.schedule_self(1); }
+
+  void execute(Context& ctx, EventBatch) override {
+    ctx.state().a += 1;
+    if (ctx.now() == nap_at_ && !napped_) {
+      napped_ = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(nap_ms_));
+    }
+    if (ctx.now() + 1 <= ctx.end_time()) ctx.schedule_self(ctx.now() + 1);
+  }
+
+ private:
+  SimTime nap_at_;
+  std::uint64_t nap_ms_;
+  bool napped_ = false;
+};
+
+TEST(Kernel, WatchdogStallEndsInDiagnosedStats) {
+  for (std::uint32_t nodes : {1u, 2u}) {
+    std::vector<std::unique_ptr<NappingTickLp>> owners;
+    std::vector<LogicalProcess*> lps;
+    for (LpId i = 0; i < 4; ++i) {
+      // Only LP 1 naps; the others would tick to the horizon.
+      owners.push_back(std::make_unique<NappingTickLp>(
+          i == 1 ? 50 : kEndOfTime, 300));
+      lps.push_back(owners.back().get());
+    }
+    const std::vector<std::uint32_t> map = {0, nodes - 1, 0, nodes - 1};
+    KernelConfig cfg;
+    cfg.num_nodes = nodes;
+    cfg.end_time = 100000;
+    cfg.watchdog_timeout_ms = 50;
+    Kernel kernel(lps, map, cfg);
+    testing::internal::CaptureStderr();
+    const RunStats out = kernel.run();
+    const std::string err = testing::internal::GetCapturedStderr();
+
+    EXPECT_TRUE(out.stalled) << "nodes=" << nodes;
+    EXPECT_FALSE(out.out_of_memory) << "nodes=" << nodes;
+    EXPECT_EQ(out.per_node.size(), nodes);
+    EXPECT_EQ(out.final_states.size(), 4u);
+    EXPECT_EQ(out.per_lp.size(), 4u);
+    EXPECT_NE(err.find("WATCHDOG"), std::string::npos) << err;
+    std::smatch m;
+    const std::regex earliest(
+        R"(earliest pending work: LP (\d+) at t=\d+ \(node (\d+)\))");
+    ASSERT_TRUE(std::regex_search(err, m, earliest)) << err;
+    const auto lp = std::stoul(m[1].str());
+    ASSERT_LT(lp, map.size()) << err;
+    EXPECT_EQ(std::stoul(m[2].str()), map[lp]) << err;
+  }
 }
 
 }  // namespace

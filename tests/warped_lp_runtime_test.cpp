@@ -181,15 +181,14 @@ TEST(LpRuntime, AntiForProcessedCausesSecondaryRollback) {
   EXPECT_EQ(rt.state().a, 0u);  // back to the initial state
 }
 
-TEST(LpRuntime, AntiBeforePositiveIsStashed) {
+TEST(LpRuntime, AntiBeforePositiveIsRejected) {
+  // Routes are FIFO per (sender, target): an anti without its positive
+  // twin is a protocol error, never a message to park.
   NullLp lp;
   LpRuntime rt(0, &lp);
   const Event pos = ev(10, 0, 1, 7);
-  const auto r1 = rt.insert(anti_of(pos));
-  EXPECT_FALSE(r1.rolled_back);
-  const auto r2 = rt.insert(pos);
-  EXPECT_FALSE(r2.rolled_back);
-  EXPECT_TRUE(rt.input_queue().empty());  // mutual annihilation
+  EXPECT_THROW(rt.insert(anti_of(pos)), util::CheckError);
+  EXPECT_TRUE(rt.input_queue().empty());
 }
 
 TEST(LpRuntime, AntiOnlyMatchesSameSenderAndId) {
@@ -197,7 +196,7 @@ TEST(LpRuntime, AntiOnlyMatchesSameSenderAndId) {
   LpRuntime rt(0, &lp);
   rt.insert(ev(10, 0, 1, 7));
   Event other = ev(10, 0, 2, 7);  // same id, different sender
-  rt.insert(anti_of(other));
+  EXPECT_THROW(rt.insert(anti_of(other)), util::CheckError);
   EXPECT_EQ(rt.input_queue().size(), 1u);  // positive survived
 }
 
@@ -330,22 +329,6 @@ TEST(LpRuntime, FossilNotIdleWithUncommittedOutput) {
   EXPECT_EQ(rt.fossil_collect(36).committed_events, 0u);
   EXPECT_EQ(rt.live_entries(), live - 1);  // the output committed
   expect_fossil_noop_from(rt, 36);
-}
-
-TEST(LpRuntime, FossilNotIdleWithParkedAnti) {
-  for (const std::uint32_t period : {1u, 3u}) {
-    SCOPED_TRACE(period);
-    NullLp lp;
-    LpRuntime rt(0, &lp, period);
-    rt.insert(anti_of(ev(20, 0, 1, 7)));  // overtook its positive twin
-    EXPECT_FALSE(rt.fossil_idle());
-    const std::size_t live = rt.live_entries();
-    rt.fossil_collect(20);  // the anti is not below GVT yet
-    EXPECT_FALSE(rt.fossil_idle());
-    rt.fossil_collect(21);
-    EXPECT_EQ(rt.live_entries(), live - 1);
-    expect_fossil_noop_from(rt, 21);
-  }
 }
 
 // ---- periodic state saving & coast-forward replay -------------------------

@@ -44,22 +44,14 @@ def main(argv):
                 for row in csv.DictReader(f)]
 
     # Self-document the sweep dimensions: the distinct throttle / activity
-    # / repartition modes present in the rows are summarized into config,
-    # so a snapshot says whether (and how) it was activity-guided or
-    # dynamically repartitioned without scanning rows.
-    for dim in ("throttle", "activity", "repartition", "lanes"):
+    # / lane modes present in the rows are summarized into config, so a
+    # snapshot says whether (and how) it was activity-guided without
+    # scanning rows.
+    for dim in ("throttle", "activity", "lanes"):
         key = f"{dim}_modes"
         seen = sorted({row[dim] for row in rows if dim in row})
         if seen and key not in config:
             config[key] = ",".join(str(s) for s in seen)
-
-    # Migration totals: how much live LP migration the sweep performed
-    # (0 everywhere for a purely static snapshot).
-    for col in ("lps_migrated", "repartitions"):
-        vals = [row[col] for row in rows
-                if isinstance(row.get(col), (int, float))]
-        if vals:
-            config[f"total_{col}"] = round(sum(vals), 1)
 
     doc = {
         "bench": in_csv.rsplit("/", 1)[-1].removesuffix(".csv"),
