@@ -75,8 +75,8 @@ void add_common_flags(util::Cli& cli) {
   cli.add_flag("gvt-us", "wall-clock microseconds between GVT rounds",
                "2000");
   cli.add_flag("lanes",
-               "bit-parallel stimulus lanes per run (1 = scalar engine, "
-               "up to 256 Monte Carlo scenarios per run)",
+               "bit-parallel stimulus lanes: Monte Carlo scenarios per "
+               "run, 1 to 256",
                "1");
   cli.add_flag("stim-period", "virtual time between input vectors", "50");
   cli.add_flag("clock-period", "flip-flop clock period", "10");

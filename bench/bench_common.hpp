@@ -75,11 +75,11 @@ struct BenchConfig {
   warped::SimTime stim_period = 50;
   warped::SimTime clock_period = 10;
 
-  /// Bit-parallel stimulus lanes (--lanes, 1-256): 1 runs the classic
-  /// scalar engine; N > 1 runs N Monte Carlo scenarios per event through
-  /// the batched word-wise engine (DriverConfig::lanes).  Throughput
-  /// columns then report events/sec alongside committed lane
-  /// transitions/sec, the work metric that scales with N.
+  /// Bit-parallel stimulus lanes (--lanes, 1-256): N Monte Carlo
+  /// scenarios per event through the word-wise logic LPs
+  /// (DriverConfig::lanes; 1 = one scenario).  Throughput columns then
+  /// report events/sec alongside committed lane transitions/sec, the work
+  /// metric that scales with N.
   std::uint32_t lanes = 1;
 
   /// Per-node live-entry cap (0 = unlimited); emulates the paper's 128 MB

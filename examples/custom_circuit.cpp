@@ -68,9 +68,8 @@ int main(int argc, char** argv) {
 
   std::printf("final counter bits (q3..q0): ");
   for (int i = 3; i >= 0; --i) {
-    std::printf("%d", logicsim::DffLp::q_of(par.run.final_states[bits[i]])
-                          ? 1
-                          : 0);
+    std::printf("%d",
+                logicsim::output_bit(par.run.final_states[bits[i]]) ? 1 : 0);
   }
   std::printf("\n");
   return eq.ok() ? 0 : 2;

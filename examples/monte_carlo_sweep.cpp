@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <numeric>
+#include <set>
 
 #include "circuit/generator.hpp"
 #include "framework/driver.hpp"
@@ -81,8 +82,7 @@ int main(int argc, char** argv) {
   std::uint64_t scalar_transitions_sampled = 0;
   double scalar_seconds = 0.0;
   unsigned lanes_checked = 0;
-  for (unsigned lane : {0u, lanes / 2, lanes - 1}) {
-    if (lane >= lanes) continue;
+  for (unsigned lane : std::set<unsigned>{0u, lanes / 2, lanes - 1}) {
     framework::DriverConfig scalar = cfg;
     scalar.lanes = 1;
     scalar.seed = logicsim::lane_seed(cfg.seed, lane);

@@ -30,11 +30,6 @@ int main(int argc, char** argv) {
   cli.add_flag("window",
                "optimism window (fixed mode) / initial window (adaptive)",
                "0");
-  cli.add_flag("partition-cache",
-               "directory for the on-disk partition cache (empty = off); "
-               "repeat runs with identical circuit/strategy/seed replay "
-               "the cached assignment",
-               "");
   cli.add_flag("trace",
                "write a Perfetto trace of the Multilevel row here (plus "
                "metrics CSV at <path>.metrics.csv; empty = off)",
@@ -79,7 +74,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   cfg.optimism_window = static_cast<warped::SimTime>(window);
-  cfg.partition_cache_dir = cli.get("partition-cache");
   const std::string trace_path = cli.get("trace");
   const std::int64_t metrics_ms = cli.get_int("metrics-interval");
   if (metrics_ms < 0) {

@@ -1,6 +1,5 @@
 #include "framework/driver.hpp"
 
-#include "framework/partition_cache.hpp"
 #include "framework/registry.hpp"
 #include "logicsim/activity.hpp"
 #include "multilevel/metrics.hpp"
@@ -76,22 +75,8 @@ DriverResult partition_circuit(const circuit::Circuit& c,
   }
 
   util::WallTimer timer;
-  std::uint64_t cache_key = 0;
-  if (!cfg.partition_cache_dir.empty()) {
-    cache_key = partition_cache_key(c, cfg.num_nodes, cfg.partitioner,
-                                    cfg.seed, ml, ml.weights);
-    res.partition_cache_hit =
-        partition_cache_load(cfg.partition_cache_dir, cache_key,
-                             cfg.num_nodes, c.size(), &res.partition);
-  }
-  if (!res.partition_cache_hit) {
-    const auto strategy = make_partitioner(cfg.partitioner, ml);
-    res.partition = strategy->run(c, cfg.num_nodes, cfg.seed);
-    if (!cfg.partition_cache_dir.empty()) {
-      partition_cache_store(cfg.partition_cache_dir, cache_key,
-                            res.partition);
-    }
-  }
+  res.partition = make_partitioner(cfg.partitioner, ml)->run(c, cfg.num_nodes,
+                                                             cfg.seed);
   res.partition_seconds = timer.elapsed_seconds();
 
   res.partition.validate(c.size());

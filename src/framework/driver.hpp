@@ -31,13 +31,12 @@ struct DriverConfig {
   warped::SimTime end_time = 2000;    ///< virtual-time horizon
 
   /// Bit-parallel stimulus lanes in [1, 256] (authoritative; copied over
-  /// model.lanes).  1 = classic scalar run; counts above 64 span multiple
-  /// value words per signal (logicsim::lane_words), carried through the
-  /// arena-pooled event/state extensions — N <= 64 stays bit-identical to
-  /// the single-word engine.  Lane j of a batched run is bit-identical to
-  /// a scalar run with seed lane_seed(seed, j) — see logicsim/lanes.hpp;
-  /// fault-simulation runs set model.faults and model.uniform_stimulus on
-  /// top.
+  /// model.lanes).  Every count runs the same word-wise LPs; counts above
+  /// 64 span multiple value words per signal (logicsim::lane_words),
+  /// carried through the arena-pooled event/state extensions.  Lane j of a
+  /// run is bit-identical to a one-lane run with seed lane_seed(seed, j) —
+  /// see logicsim/lanes.hpp; fault-simulation runs set model.faults and
+  /// model.uniform_stimulus on top.
   std::uint32_t lanes = 1;
 
   logicsim::ModelOptions model;
@@ -94,14 +93,6 @@ struct DriverConfig {
   static constexpr warped::SimTime kActivityHorizonDivisor = 4;
   partition::MultilevelOptions multilevel;
 
-  /// On-disk partition cache directory (`--partition-cache <dir>` in the
-  /// examples; empty = off).  Computed assignments are stored keyed on the
-  /// circuit's structural hash, node count, strategy, seed, multilevel
-  /// options and (for activity-guided runs) the exact weight vectors — a
-  /// repeat run with an identical key replays the assignment from disk
-  /// instead of re-partitioning.  See framework/partition_cache.hpp.
-  std::string partition_cache_dir;
-
   /// Observability (src/obs/): kernel tracing and/or background metrics
   /// sampling for the measured run.  Off by default; when enabled the
   /// finished session is handed back in DriverResult::obs for export.
@@ -112,9 +103,6 @@ struct DriverConfig {
 struct DriverResult {
   partition::Partition partition;
   double partition_seconds = 0.0;  ///< time spent partitioning
-  /// True when the assignment was replayed from the partition cache
-  /// (partition_seconds then measures the load, not a partitioner run).
-  bool partition_cache_hit = false;
   /// Activity-guided mode actually applied: "off", "profile" or "warmup".
   std::string activity_mode = "off";
   double activity_seconds = 0.0;  ///< pre-run + reweighting time
@@ -139,8 +127,9 @@ struct DriverResult {
   warped::RunStats run;
 
   /// Per-lane result extraction: the committed final states of one lane,
-  /// projected onto the scalar state layout (logicsim::extract_lane_states
-  /// over run.final_states).  Requires a batched run (lanes >= 2) of `c`.
+  /// projected onto the one-lane state layout
+  /// (logicsim::extract_lane_states over run.final_states; the identity
+  /// for a one-lane run of `c`).
   std::vector<warped::LpState> lane_states(const circuit::Circuit& c,
                                            unsigned lane) const {
     return logicsim::extract_lane_states(c, run.final_states, lane, lanes);

@@ -32,13 +32,13 @@ struct EquivalenceReport {
 EquivalenceReport check_equivalence(const warped::RunStats& parallel,
                                     const SeqStats& sequential);
 
-/// Lane-equivalence (the batched-engine contract, lanes.hpp): lane `lane`
-/// of a `lanes`-wide batched run's final states, projected onto the scalar
-/// layout, must equal the final states of an independent scalar run — one
-/// whose seed is lane_seed(base, lane).  Event counts are *not* compared
-/// (a batched run coalesces up to kMaxLanes scalar events into one);
-/// counts_equal is reported true so ok() reduces to the per-lane state
-/// check.
+/// Lane-equivalence (the lane contract, lanes.hpp): lane `lane` of a
+/// `lanes`-wide run's final states, projected onto the one-lane layout,
+/// must equal the final states of an independent one-lane run — one whose
+/// seed is lane_seed(base, lane).  Any lane count works; at one lane the
+/// projection is the identity.  Event counts are *not* compared (a wide
+/// run coalesces up to kMaxLanes one-lane events into one); counts_equal
+/// is reported true so ok() reduces to the per-lane state check.
 EquivalenceReport check_lane_equivalence(
     const circuit::Circuit& c,
     const std::vector<warped::LpState>& batched_finals, unsigned lane,

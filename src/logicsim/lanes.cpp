@@ -27,7 +27,7 @@ std::vector<StuckAtFault> sample_faults(const circuit::Circuit& c,
   return out;
 }
 
-// The batched state layouts (netlist_lps.hpp), K = lane_words(lanes):
+// The state layouts (netlist_lps.hpp), K = lane_words(lanes):
 //   BatchGateLp  w[wd*arity + p] = fanin p, word wd;  b = out word 0,
 //                w[arity*K + wd-1] = out words 1..K-1;  a = divergence
 //                word 0, w[arity*K + K-1 + wd-1] = words 1..K-1 (observe).
@@ -36,7 +36,9 @@ std::vector<StuckAtFault> sample_faults(const circuit::Circuit& c,
 //                w[3K-2 + wd] = divergence words 0..K-1 (observe).
 //   BatchInputLp b = stimulus word 0; w[wd-1] = words 1..K-1; a =
 //                divergence word 0, w[K-1 + wd-1] = words 1..K-1 (observe).
-// K = 1 collapses every extension to the legacy single-word layout.
+// K = 1 collapses every extension to the single-word layout, and one lane
+// also drops the gate's fanin words (packed into a) and the DFF's armed
+// word: one-lane states are the projected layout itself.
 
 namespace {
 
@@ -55,6 +57,7 @@ std::vector<LpState> extract_lane_states(const circuit::Circuit& c,
                 "final-state vector does not match the circuit");
   PLS_CHECK_MSG(lanes >= 1 && lanes <= kMaxLanes, "lane count out of range");
   PLS_CHECK_MSG(lane < lanes, "lane out of range");
+  if (lanes == 1) return wide;
   const unsigned K = lane_words(lanes);
   const unsigned wd = lane / 64;
   const unsigned bit = lane % 64;
@@ -64,20 +67,21 @@ std::vector<LpState> extract_lane_states(const circuit::Circuit& c,
     LpState& s = out[g];
     switch (c.type(g)) {
       case circuit::GateType::kInput:
-        // Scalar InputLp: b bit 0 = current stimulus value, a unused.
+        // One lane: b bit 0 = current stimulus value, a unused.
         s.b = state_bit(w.b, w.w, 0, wd, bit) ? 1 : 0;
         break;
       case circuit::GateType::kDff:
-        // Scalar DffLp: a = latched D, b = Q.
+        // One lane: a = latched D, b = Q.
         s.a = state_bit(w.a, w.w, K, wd, bit) ? 1 : 0;
         s.b = state_bit(w.b, w.w, 2 * K - 1, wd, bit) ? 1 : 0;
         break;
       default: {
-        // Scalar GateLp packs fanin bits into a (bit p = input p); the
-        // batched gate keeps one lane word per (fanin, word), word-major.
+        // One lane packs fanin bits into a (bit p = input p); wider runs
+        // keep one lane word per (fanin, word), word-major.
         const auto arity = c.fanins(g).size();
         PLS_CHECK_MSG(w.w.size() >= arity * K,
-                      "gate " << g << " state is not batched (lanes < 2?)");
+                      "gate " << g << " state does not hold " << lanes
+                              << " lanes");
         for (std::size_t p = 0; p < arity; ++p) {
           s.a |= ((w.w[wd * arity + p] >> bit) & 1) << p;
         }

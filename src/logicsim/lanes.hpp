@@ -1,26 +1,24 @@
 #pragma once
-// Batched-stimulus lane utilities: seeds, masks, per-lane state extraction
-// and stuck-at fault bookkeeping for the bit-parallel engine.
+// Bit-parallel lane utilities: seeds, masks, per-lane state extraction
+// and stuck-at fault bookkeeping for the word-wise logic engine.
 //
-// A batched run packs up to kMaxLanes independent stimulus scenarios into
-// the bit lanes of each net's value words (see gate_eval.hpp
-// eval_gate_word and the Batch* LPs in netlist_lps.hpp).  Lane counts up
-// to 64 fit one `uint64_t` per signal; wider runs carry
-// K = lane_words(lanes) words per signal, with lane j living in bit
-// j % 64 of word j / 64.  Word 0 stays in the legacy Event/LpState slots,
-// words 1..K-1 ride in the arena-pooled extensions (mem/words.hpp), so
-// N <= 64 runs are bit-identical to the single-word engine.
+// A run packs up to kMaxLanes independent stimulus scenarios into the bit
+// lanes of each net's value words (see gate_eval.hpp eval_gate_word and
+// the behaviours in netlist_lps.hpp).  Lane counts up to 64 fit one
+// `uint64_t` per signal; wider runs carry K = lane_words(lanes) words per
+// signal, with lane j living in bit j % 64 of word j / 64.  Word 0 stays
+// in the inline Event/LpState slots, words 1..K-1 ride in the
+// arena-pooled extensions (mem/words.hpp).
 //
 // The correctness contract is the *lane-equivalence* property this module
 // makes checkable:
 //
-//   lane j of a batched run with base seed S is bit-identical to an
-//   independent scalar (lanes = 1) run with seed lane_seed(S, j),
-//   and lane_seed(S, 0) == S.
+//   lane j of a run with base seed S is bit-identical to an independent
+//   one-lane run with seed lane_seed(S, j), and lane_seed(S, 0) == S.
 //
-// extract_lane_states() projects a batched run's final LP states onto the
-// scalar state layout for one lane, so the existing state-vector compare
-// closes the loop against a real scalar run — on either backend, under
+// extract_lane_states() projects a run's final LP states onto the one-lane
+// state layout for one lane, so the existing state-vector compare closes
+// the loop against a real one-lane run — on either backend, under
 // rollback storms and coast-forward alike (the kernel never interprets
 // the payload, so nothing lane-specific exists to get wrong there; the
 // test exists to prove that).
@@ -62,8 +60,8 @@ constexpr std::uint64_t lane_mask(unsigned lanes) noexcept {
   return lane_mask_word(lanes, 0);
 }
 
-/// Stimulus seed lane j of a batched run draws its vectors from.  Lane 0
-/// reproduces the base seed exactly, so a 1-lane batched run is the scalar
+/// Stimulus seed lane j of a run draws its vectors from.  Lane 0
+/// reproduces the base seed exactly, so lane 0 of any run is the one-lane
 /// run; other lanes decorrelate through an odd multiplicative constant
 /// (every lane keeps a distinct seed for any base).
 constexpr std::uint64_t lane_seed(std::uint64_t base, unsigned lane) noexcept {
@@ -88,13 +86,13 @@ std::vector<StuckAtFault> sample_faults(const circuit::Circuit& c,
                                         std::size_t count,
                                         std::uint64_t seed);
 
-/// Project the final LP states of a batched run onto the scalar state
-/// layout for one lane: the result compares equal (operator==) to the
-/// final_states of an independent scalar run of the same circuit with
-/// seed lane_seed(base, lane).  `wide` must come from a model built for
-/// this circuit with `lanes` stimulus lanes (lanes >= 2 for the batched
-/// state layouts); fault-detection accumulators are excluded from the
-/// projection (they have no scalar counterpart).
+/// Project the final LP states of a `lanes`-wide run onto the one-lane
+/// state layout for one lane: the result compares equal (operator==) to
+/// the final_states of an independent one-lane run of the same circuit
+/// with seed lane_seed(base, lane).  `wide` must come from a model built
+/// for this circuit with `lanes` stimulus lanes; at one lane the
+/// projection is the identity.  Fault-detection accumulators are excluded
+/// from the projection (they have no one-lane counterpart).
 std::vector<warped::LpState> extract_lane_states(
     const circuit::Circuit& c, const std::vector<warped::LpState>& wide,
     unsigned lane, unsigned lanes);

@@ -3,15 +3,16 @@
 //
 // Every gate of the circuit becomes exactly one Time Warp LP whose id
 // equals its GateId, so a Partition maps 1:1 onto the kernel's LP→node
-// map.  Three behaviours exist:
+// map.  Three behaviours exist, each evaluating up to kMaxLanes
+// bit-parallel stimulus lanes at once (one value bit per lane; lanes.hpp):
 //
-//   * GateLp   — combinational gates: input events update packed input
-//     bits; when the evaluated output changes, a transition is sent to
-//     every fanout port after the gate delay.
-//   * DffLp    — D flip-flops, self-clocked with a configurable period
-//     (src/logicsim/README.md, "Scalar engine"): each tick samples D and
+//   * BatchGateLp  — combinational gates: input events update the fanin
+//     lanes; when the evaluated output changes on any lane, a transition
+//     is sent to every fanout port after the gate delay.
+//   * BatchDffLp   — D flip-flops, self-clocked with a configurable period
+//     (src/logicsim/README.md, "Clock suppression"): a tick samples D and
 //     emits Q on change.
-//   * InputLp  — primary inputs: self-scheduled stimulus that applies a
+//   * BatchInputLp — primary inputs: self-scheduled stimulus that applies a
 //     new random vector every `stim_period`.  Vector values are a
 //     counter-based hash of (seed, input, vector index), which makes the
 //     stimulus history-independent — a rollback replays identical values.
@@ -48,15 +49,13 @@ struct ModelOptions {
   /// history-independent (rollback- and node-count-invariant).  0 = off.
   warped::SimTime stim_drift_at = 0;
 
-  /// Batched stimulus: number of bit-parallel lanes in [1, kMaxLanes].
-  /// 1 keeps the classic scalar behaviours (bit-identical to before the
-  /// batched engine existed); >= 2 elaborates the Batch* behaviours, where
-  /// every net carries one value bit per lane and lane j replays the
-  /// scalar run with seed lane_seed(stim_seed, j) — see lanes.hpp for the
-  /// contract.  Counts above 64 span lane_words(lanes) value words per
-  /// signal; word 0 stays in the legacy Event/LpState slots and the tail
-  /// words ride the arena-pooled extensions, so N <= 64 runs are
-  /// bit-identical to the single-word engine.
+  /// Bit-parallel stimulus lanes in [1, kMaxLanes]: every net carries one
+  /// value bit per lane, and lane j replays the one-lane run with seed
+  /// lane_seed(stim_seed, j) — see lanes.hpp for the contract.  Counts
+  /// above 64 span lane_words(lanes) value words per signal; word 0 stays
+  /// in the inline Event/LpState slots and the tail words ride the
+  /// arena-pooled extensions.  One lane keeps every state inline (the
+  /// one-lane layouts below), so it never touches the pool.
   std::uint32_t lanes = 1;
 
   /// Fault simulation (lanes >= 2 only): fault i is injected on lane
@@ -94,101 +93,29 @@ struct SimModel {
 /// paper's framework).
 SimModel build_model(const circuit::Circuit& c, const ModelOptions& opt = {});
 
-// ---- concrete behaviours (exposed for unit tests) -------------------------
-
-class GateLp final : public warped::LogicalProcess {
- public:
-  GateLp(circuit::GateType type, std::uint32_t arity,
-         std::vector<FanoutPort> fanouts, warped::SimTime delay);
-
-  warped::LpState initial_state() const override { return {}; }
-  void init(warped::Context& ctx) override;
-  void execute(warped::Context& ctx, warped::EventBatch batch) override;
-
-  /// Current output value encoded in a state (bit 0 of word b).
-  static bool output_of(const warped::LpState& s) noexcept {
-    return (s.b & 1) != 0;
-  }
-
- private:
-  circuit::GateType type_;
-  std::uint32_t arity_;
-  std::vector<FanoutPort> fanouts_;
-  warped::SimTime delay_;
-};
-
-class DffLp final : public warped::LogicalProcess {
- public:
-  DffLp(std::vector<FanoutPort> fanouts, warped::SimTime period,
-        warped::SimTime phase, warped::SimTime delay);
-
-  warped::LpState initial_state() const override { return {}; }
-  void init(warped::Context& ctx) override;
-  void execute(warped::Context& ctx, warped::EventBatch batch) override;
-
-  static bool q_of(const warped::LpState& s) noexcept {
-    return (s.b & 1) != 0;
-  }
-
-  /// First clock edge at or after t (edges at phase + n·period).
-  warped::SimTime next_edge_at_or_after(warped::SimTime t) const;
-
- private:
-  std::vector<FanoutPort> fanouts_;
-  warped::SimTime period_;
-  warped::SimTime phase_;
-  warped::SimTime delay_;
-};
-
-class InputLp final : public warped::LogicalProcess {
- public:
-  /// `drift_at` / `hot_first` implement ModelOptions::stim_drift_at: with
-  /// drift_at != 0 the input applies fresh vectors only during its hot
-  /// phase (before drift_at when hot_first, after it otherwise) and holds
-  /// a frozen vector index during the cold phase.
-  InputLp(std::vector<FanoutPort> fanouts, warped::SimTime period,
-          warped::SimTime delay, std::uint64_t seed,
-          warped::SimTime drift_at = 0, bool hot_first = true);
-
-  warped::LpState initial_state() const override { return {}; }
-  void init(warped::Context& ctx) override;
-  void execute(warped::Context& ctx, warped::EventBatch batch) override;
-
-  /// The stimulus bit this input applies for vector index `n` — pure
-  /// counter-based hash, identical across rollbacks and node counts.
-  static bool vector_bit(std::uint64_t seed, warped::LpId lp,
-                         std::uint64_t n) noexcept;
-
-  static bool output_of(const warped::LpState& s) noexcept {
-    return (s.b & 1) != 0;
-  }
-
- private:
-  std::vector<FanoutPort> fanouts_;
-  warped::SimTime period_;
-  warped::SimTime delay_;
-  std::uint64_t seed_;
-  warped::SimTime drift_at_ = 0;
-  bool hot_first_ = true;
-};
-
-// ---- batched (bit-parallel, up to kMaxLanes-wide) behaviours ---------------
+// ---- behaviours (exposed for unit tests) ----------------------------------
 //
-// Lane-for-lane the same automata as GateLp/DffLp/InputLp, evaluated over
-// whole value words: state keeps K = lane_words(lanes) lane words per
-// signal, events carry K value words plus K change-mask words, and an
-// event fires only when at least one lane changed.  Unchanged lanes are
-// never perturbed (masked application), so lane j's committed trajectory
-// is exactly the scalar run's — the lane-equivalence contract lanes.hpp
-// documents and tests/batch_equivalence_property_test.cpp enforces.
-// Word 0 of every signal lives in the legacy LpState slot its 64-lane
-// predecessor used; words 1..K-1 extend into LpState::w (layouts below),
-// so K = 1 states are byte-identical to the single-word engine's.
+// State keeps K = lane_words(lanes) lane words per signal, events carry K
+// value words plus K change-mask words, and an event fires only when at
+// least one lane changed.  Unchanged lanes are never perturbed (masked
+// application), so lane j's committed trajectory is exactly its one-lane
+// twin's — the lane-equivalence contract lanes.hpp documents and
+// tests/batch_equivalence_property_test.cpp enforces.  Word 0 of every
+// signal lives in an inline LpState slot; words 1..K-1 extend into
+// LpState::w (layouts below).  A one-lane run keeps `w` empty: its gates
+// pack fanin p into bit p of `a`, and its flip-flops keep no armed-lanes
+// word.
 //
 // All three support stuck-at injection at their output (sa_mask / sa_value
-// lane words, one entry per value word) and, on observing gates (primary
-// outputs in fault mode), a monotone divergence accumulator against
-// fault-free lane 0.
+// lane words, one entry per value word, stored only on faulted LPs) and,
+// on observing gates (primary outputs in fault mode, lanes >= 2), a
+// monotone divergence accumulator against fault-free lane 0.
+
+/// Lane 0 of a state's output: the gate output, Q or the stimulus value,
+/// which every layout keeps in bit 0 of `b`.
+inline bool output_bit(const warped::LpState& s) noexcept {
+  return (s.b & 1) != 0;
+}
 
 class BatchGateLp final : public warped::LogicalProcess {
  public:
@@ -196,7 +123,8 @@ class BatchGateLp final : public warped::LogicalProcess {
   /// fanin p (word-major, so eval_gate_word reads one contiguous run per
   /// word); b = output word 0, w[arity*K + wd-1] = output words 1..K-1;
   /// a = divergence word 0, w[arity*K + K-1 + wd-1] = divergence words
-  /// 1..K-1 (observing gates only).
+  /// 1..K-1 (observing gates only).  One lane: a = fanin p in bit p,
+  /// evaluated with eval_gate; b = output; w empty.
   BatchGateLp(circuit::GateType type, std::uint32_t arity,
               std::vector<FanoutPort> fanouts, warped::SimTime delay,
               std::uint32_t lanes,
@@ -207,21 +135,15 @@ class BatchGateLp final : public warped::LogicalProcess {
   void init(warped::Context& ctx) override;
   void execute(warped::Context& ctx, warped::EventBatch batch) override;
 
-  /// Current output lane word 0 of a state.
-  static std::uint64_t output_word_of(const warped::LpState& s) noexcept {
-    return s.b;
-  }
-
  private:
-  circuit::GateType type_;
-  std::uint32_t arity_;
+  // 56 bytes: the most numerous LP fits one 64-byte heap chunk.
   std::vector<FanoutPort> fanouts_;
   warped::SimTime delay_;
-  std::uint32_t words_;
-  std::uint64_t active_[kMaxLaneWords];
-  std::uint64_t sa_mask_[kMaxLaneWords];
-  std::uint64_t sa_value_[kMaxLaneWords];
+  circuit::GateType type_;
   bool observe_;
+  std::uint16_t lanes_;
+  std::uint32_t arity_;
+  std::unique_ptr<std::uint64_t[]> stuck_;  ///< null unless faulted
 };
 
 class BatchDffLp final : public warped::LogicalProcess {
@@ -230,7 +152,9 @@ class BatchDffLp final : public warped::LogicalProcess {
   /// word 0; w[0..K) = lanes armed for the next sampling edge (per-lane
   /// clock suppression); w[K + wd-1] = D words 1..K-1; w[2K-1 + wd-1] =
   /// Q words 1..K-1; w[3K-2 + wd] = divergence words 0..K-1 (observing
-  /// DFFs only).
+  /// DFFs only).  One lane: a = D, b = Q, w empty — a single lane is only
+  /// ever ticked at the init edge or at an edge it armed itself, so every
+  /// tick samples it.
   BatchDffLp(std::vector<FanoutPort> fanouts, warped::SimTime period,
              warped::SimTime phase, warped::SimTime delay,
              std::uint32_t lanes,
@@ -249,11 +173,9 @@ class BatchDffLp final : public warped::LogicalProcess {
   warped::SimTime period_;
   warped::SimTime phase_;
   warped::SimTime delay_;
-  std::uint32_t words_;
-  std::uint64_t active_[kMaxLaneWords];
-  std::uint64_t sa_mask_[kMaxLaneWords];
-  std::uint64_t sa_value_[kMaxLaneWords];
+  std::uint32_t lanes_;
   bool observe_;
+  std::unique_ptr<std::uint64_t[]> stuck_;  ///< null unless faulted
 };
 
 class BatchInputLp final : public warped::LogicalProcess {
@@ -262,7 +184,11 @@ class BatchInputLp final : public warped::LogicalProcess {
   /// w[wd-1] = words 1..K-1; a = divergence word 0, w[K-1 + wd-1] =
   /// divergence words 1..K-1 (observing inputs only).  With
   /// `uniform_stimulus` every lane draws from the base seed (fault-sim
-  /// mode); otherwise lane j draws from lane_seed(seed, j).
+  /// mode); otherwise lane j draws from lane_seed(seed, j).  `drift_at` /
+  /// `hot_first` implement ModelOptions::stim_drift_at: with drift_at != 0
+  /// the input applies fresh vectors only during its hot phase (before
+  /// drift_at when hot_first, after it otherwise) and holds a frozen
+  /// vector index during the cold phase.
   BatchInputLp(std::vector<FanoutPort> fanouts, warped::SimTime period,
                warped::SimTime delay, std::uint64_t seed,
                std::uint32_t lanes, bool uniform_stimulus = false,
@@ -274,9 +200,13 @@ class BatchInputLp final : public warped::LogicalProcess {
   void init(warped::Context& ctx) override;
   void execute(warped::Context& ctx, warped::EventBatch batch) override;
 
+  /// The stimulus bit input `lp` applies for vector index `n` under `seed`
+  /// — pure counter-based hash, identical across rollbacks and node counts.
+  static bool vector_bit(std::uint64_t seed, warped::LpId lp,
+                         std::uint64_t n) noexcept;
+
   /// Packed stimulus word `word` (lanes [64·word, 64·word+64)) for vector
-  /// index `n` — per-lane counter hashes, identical across rollbacks and
-  /// node counts.
+  /// index `n` — per-lane vector_bit hashes.
   static std::uint64_t vector_word(std::uint64_t seed, warped::LpId lp,
                                    std::uint64_t n, std::uint32_t lanes,
                                    bool uniform,
@@ -287,15 +217,12 @@ class BatchInputLp final : public warped::LogicalProcess {
   warped::SimTime period_;
   warped::SimTime delay_;
   std::uint64_t seed_;
+  warped::SimTime drift_at_;
   std::uint32_t lanes_;
-  std::uint32_t words_;
-  std::uint64_t active_[kMaxLaneWords];
   bool uniform_;
-  warped::SimTime drift_at_ = 0;
-  bool hot_first_ = true;
-  std::uint64_t sa_mask_[kMaxLaneWords];
-  std::uint64_t sa_value_[kMaxLaneWords];
+  bool hot_first_;
   bool observe_;
+  std::unique_ptr<std::uint64_t[]> stuck_;  ///< null unless faulted
 };
 
 }  // namespace pls::logicsim

@@ -48,13 +48,12 @@ enum class Sign : std::uint8_t { kPositive, kNegative };
 /// words 1..K-1 ride in `xt`, a width-parameterized extension drawn from
 /// the node-local arena (mem/pool.hpp), laid out as
 /// [value_1..value_{K-1}, mask_1..mask_{K-1}].  K = 1 leaves `xt` empty —
-/// the scalar and 64-lane paths never allocate.  Senders emit an event
-/// only when some mask word is non-zero.  The kernel itself never
-/// interprets the payload: an anti-message cancels the whole event (all
-/// lanes at once), state saving snapshots full words, and
-/// rollback/annihilation match on (sender, id) exactly as in the scalar
-/// model.  Scalar LPs use value bit 0 and the default mask = 1, so a
-/// single-bit transition still weighs one lane-transition in the
+/// runs of up to 64 lanes never allocate.  Senders emit an event only
+/// when some mask word is non-zero.  The kernel itself never interprets
+/// the payload: an anti-message cancels the whole event (all lanes at
+/// once), state saving snapshots full words, and rollback/annihilation
+/// match on (sender, id) whatever the width.  A one-lane event carries
+/// value bit 0 and mask = 1, so it weighs one lane-transition in the
 /// committed-send accounting.
 struct Event {
   SimTime recv_time = 0;
@@ -64,7 +63,7 @@ struct Event {
   std::uint32_t port = 0;     ///< receiver input port (kTickPort = tick)
   Sign sign = Sign::kPositive;
   std::uint64_t value = 0;    ///< payload word 0 (one signal bit per lane)
-  std::uint64_t mask = 1;     ///< changed lanes, word 0 (scalar: bit 0)
+  std::uint64_t mask = 1;     ///< changed lanes, word 0 (one lane: bit 0)
   std::uint64_t id = 0;       ///< unique per sender; survives rollbacks
   mem::Words xt;              ///< words 1..K-1 of value, then of mask
 
@@ -117,22 +116,22 @@ struct Event {
   }
 };
 
-/// LP state: two fixed words plus an optional wide extension.  Scalar gate
-/// LPs pack input bits into `a` and the output value into `b` and leave `w`
-/// empty, so copy state saving stays a trivial 32-byte copy — the classic
-/// Time Warp copy-state discipline at negligible cost.  Batched gate LPs
-/// need one full value word per (fanin, lane word), which cannot fit the
-/// packed-bit scheme; they keep those lane words in `w` (see
-/// src/logicsim/netlist_lps.hpp for the per-behaviour layouts) with the
-/// word-0 output lane word in `b`.  `w` is arena-pooled (mem/words.hpp):
-/// snapshot copies recycle fixed-size blocks from the node-local pool
-/// instead of hitting the heap, and fossil collection reclaims whole runs
-/// of them per sweep.  Snapshots copy the whole struct either way, so
-/// rollback restores full words per lane.
+/// LP state: two fixed words plus an optional wide extension.  One-lane
+/// logic LPs pack their input bits into `a` and the output value into `b`
+/// and leave `w` empty, so copy state saving stays a trivial 32-byte copy
+/// — the classic Time Warp copy-state discipline at negligible cost.
+/// Wider runs need one full value word per (fanin, lane word), which
+/// cannot fit the packed-bit scheme; they keep those lane words in `w`
+/// (see src/logicsim/netlist_lps.hpp for the per-behaviour layouts) with
+/// the word-0 output lane word in `b`.  `w` is arena-pooled
+/// (mem/words.hpp): snapshot copies recycle fixed-size blocks from the
+/// node-local pool instead of hitting the heap, and fossil collection
+/// reclaims whole runs of them per sweep.  Snapshots copy the whole struct
+/// either way, so rollback restores full words per lane.
 struct LpState {
   std::uint64_t a = 0;
   std::uint64_t b = 0;
-  mem::Words w;  ///< wide lane words (batched LPs), arena-pooled
+  mem::Words w;  ///< wide lane words (runs of 2+ lanes), arena-pooled
 
   friend bool operator==(const LpState&, const LpState&) noexcept = default;
 };

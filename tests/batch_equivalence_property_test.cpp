@@ -290,8 +290,7 @@ TEST(BatchEquivalenceExtras, WideFaultSimulationDetectsAcrossWords) {
 }
 
 TEST(BatchEquivalenceExtras, SingleLaneBatchedRunMatchesScalarEngine) {
-  // lanes = 1 must elaborate the classic scalar behaviours — the batched
-  // engine's existence is invisible to single-lane users.
+  // Lane 0 of a two-lane run is the one-lane run, state for state.
   const circuit::Circuit c = random_circuit(707);
   framework::DriverConfig cfg = fast_config();
   cfg.lanes = 1;
@@ -303,6 +302,20 @@ TEST(BatchEquivalenceExtras, SingleLaneBatchedRunMatchesScalarEngine) {
   const auto rep =
       logicsim::check_lane_equivalence(c, seq2.final_states, 0, wide.lanes,
                                        seq1.final_states);
+  EXPECT_TRUE(rep.ok()) << rep.describe();
+}
+
+TEST(BatchEquivalenceExtras, OneLaneProjectionIsTheIdentity) {
+  // One-lane states already have the projected layout, so lane_states and
+  // check_lane_equivalence serve every lane count.
+  const circuit::Circuit c = random_circuit(708);
+  framework::DriverConfig cfg = fast_config();
+  cfg.lanes = 1;
+  const auto par = framework::run_parallel(c, cfg);
+  const auto seq = framework::run_sequential(c, cfg);
+  EXPECT_EQ(par.lane_states(c, 0), par.run.final_states);
+  const auto rep = logicsim::check_lane_equivalence(c, par.run.final_states,
+                                                    0, 1, seq.final_states);
   EXPECT_TRUE(rep.ok()) << rep.describe();
 }
 

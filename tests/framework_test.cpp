@@ -2,13 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "circuit/generator.hpp"
 #include "framework/driver.hpp"
-#include "framework/partition_cache.hpp"
 #include "framework/registry.hpp"
-#include "multilevel/weights.hpp"
 #include "util/check.hpp"
 
 namespace pls::framework {
@@ -130,63 +126,6 @@ TEST(Driver, OomLimitPropagates) {
   cfg.gvt_interval_us = 200;
   const DriverResult res = run_parallel(c, cfg);
   EXPECT_TRUE(res.run.out_of_memory);
-}
-
-TEST(PartitionCache, RoundTripAndKeySensitivity) {
-  const auto c = small_circuit();
-  const partition::MultilevelOptions ml;
-  const std::uint64_t key =
-      partition_cache_key(c, 4, "Multilevel", 7, ml, nullptr);
-  // The key is a pure function of its inputs and moves with each of them.
-  EXPECT_EQ(key, partition_cache_key(c, 4, "Multilevel", 7, ml, nullptr));
-  EXPECT_NE(key, partition_cache_key(c, 8, "Multilevel", 7, ml, nullptr));
-  EXPECT_NE(key, partition_cache_key(c, 4, "Random", 7, ml, nullptr));
-  EXPECT_NE(key, partition_cache_key(c, 4, "Multilevel", 8, ml, nullptr));
-  multilevel::VertexTrafficWeights w = multilevel::uniform_weights(c.size());
-  EXPECT_EQ(key, partition_cache_key(c, 4, "Multilevel", 7, ml, &w))
-      << "uniform weights cannot change the outcome, so they share the key";
-  w.vertex[3] = 5;
-  EXPECT_NE(key, partition_cache_key(c, 4, "Multilevel", 7, ml, &w));
-
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "pls_pcache_test").string();
-  std::filesystem::remove_all(dir);
-  const partition::Partition p = make_partitioner("Multilevel")->run(c, 4, 7);
-  partition::Partition loaded;
-  EXPECT_FALSE(partition_cache_load(dir, key, 4, c.size(), &loaded));
-  partition_cache_store(dir, key, p);
-  ASSERT_TRUE(partition_cache_load(dir, key, 4, c.size(), &loaded));
-  EXPECT_EQ(loaded.k, p.k);
-  EXPECT_EQ(loaded.assign, p.assign);
-  // Mismatched shape degrades to a miss, never a bad partition.
-  EXPECT_FALSE(partition_cache_load(dir, key, 8, c.size(), &loaded));
-  EXPECT_FALSE(partition_cache_load(dir, key, 4, c.size() + 1, &loaded));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(PartitionCache, DriverReplaysIdenticalAssignment) {
-  const auto c = small_circuit();
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "pls_pcache_driver").string();
-  std::filesystem::remove_all(dir);
-
-  DriverConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.partitioner = "Multilevel";
-  cfg.partition_cache_dir = dir;
-  const DriverResult cold = partition_only(c, cfg);
-  EXPECT_FALSE(cold.partition_cache_hit);
-  const DriverResult warm = partition_only(c, cfg);
-  EXPECT_TRUE(warm.partition_cache_hit);
-  EXPECT_EQ(warm.partition.assign, cold.partition.assign);
-  EXPECT_EQ(warm.edge_cut, cold.edge_cut);
-
-  // A different seed must not be served the cached plan.
-  DriverConfig other = cfg;
-  other.seed = cfg.seed + 1;
-  const DriverResult miss = partition_only(c, other);
-  EXPECT_FALSE(miss.partition_cache_hit);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

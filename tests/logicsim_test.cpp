@@ -1,6 +1,7 @@
 // Tests for the gate-level LP layer: exhaustive truth tables for
-// eval_gate, behaviour of GateLp / DffLp / InputLp against a mock context,
-// and the elaboration (build_model) port wiring.
+// eval_gate, behaviour of the one-lane and wide BatchGateLp / BatchDffLp /
+// BatchInputLp against a mock context, and the elaboration (build_model)
+// port wiring.
 
 #include <gtest/gtest.h>
 
@@ -134,8 +135,8 @@ Event port_event(std::uint32_t port, std::uint64_t value, SimTime t) {
 
 Event tick_event(SimTime t) { return port_event(kTickPort, 0, t); }
 
-TEST(GateLp, EmitsOnOutputChangeOnly) {
-  GateLp g(GateType::kAnd, 2, {{7, 0}, {8, 1}}, /*delay=*/2);
+TEST(OneLaneGateLp, EmitsOnOutputChangeOnly) {
+  BatchGateLp g(GateType::kAnd, 2, {{7, 0}, {8, 1}}, /*delay=*/2, /*lanes=*/1);
   MockContext ctx;
   ctx.state_v = g.initial_state();
 
@@ -144,7 +145,7 @@ TEST(GateLp, EmitsOnOutputChangeOnly) {
   std::vector<Event> batch{port_event(0, 1, 10)};
   g.execute(ctx, batch);
   EXPECT_TRUE(ctx.sent.empty());
-  EXPECT_FALSE(GateLp::output_of(ctx.state_v));
+  EXPECT_FALSE(output_bit(ctx.state_v));
 
   // 11 -> output rises: one event per fanout port at t+delay.
   ctx.now_v = 20;
@@ -157,11 +158,11 @@ TEST(GateLp, EmitsOnOutputChangeOnly) {
   EXPECT_EQ(ctx.sent[0].value, 1u);
   EXPECT_EQ(ctx.sent[1].target, 8u);
   EXPECT_EQ(ctx.sent[1].port, 1u);
-  EXPECT_TRUE(GateLp::output_of(ctx.state_v));
+  EXPECT_TRUE(output_bit(ctx.state_v));
 }
 
-TEST(GateLp, BatchAppliesAllPortsAtOnce) {
-  GateLp g(GateType::kAnd, 2, {{7, 0}}, 1);
+TEST(OneLaneGateLp, BatchAppliesAllPortsAtOnce) {
+  BatchGateLp g(GateType::kAnd, 2, {{7, 0}}, 1, /*lanes=*/1);
   MockContext ctx;
   ctx.now_v = 5;
   std::vector<Event> batch{port_event(0, 1, 5), port_event(1, 1, 5)};
@@ -170,9 +171,9 @@ TEST(GateLp, BatchAppliesAllPortsAtOnce) {
   EXPECT_EQ(ctx.sent[0].value, 1u);
 }
 
-TEST(GateLp, PowerOnTickAnnouncesRisenOutput) {
+TEST(OneLaneGateLp, PowerOnTickAnnouncesRisenOutput) {
   // NAND with all-zero inputs evaluates to 1 at power-on.
-  GateLp g(GateType::kNand, 2, {{3, 0}}, 1);
+  BatchGateLp g(GateType::kNand, 2, {{3, 0}}, 1, /*lanes=*/1);
   MockContext ctx;
   g.init(ctx);  // schedules the power-on tick
   ASSERT_EQ(ctx.sent.size(), 1u);
@@ -187,8 +188,8 @@ TEST(GateLp, PowerOnTickAnnouncesRisenOutput) {
   EXPECT_EQ(ctx.sent[0].value, 1u);
 }
 
-TEST(GateLp, SuppressesSendsBeyondEndTime) {
-  GateLp g(GateType::kNot, 1, {{3, 0}}, 5);
+TEST(OneLaneGateLp, SuppressesSendsBeyondEndTime) {
+  BatchGateLp g(GateType::kNot, 1, {{3, 0}}, 5, /*lanes=*/1);
   MockContext ctx;
   ctx.now_v = 998;
   ctx.end_v = 1000;
@@ -197,25 +198,27 @@ TEST(GateLp, SuppressesSendsBeyondEndTime) {
   EXPECT_TRUE(ctx.sent.empty());
 }
 
-TEST(GateLp, RejectsIllegalArity) {
-  EXPECT_THROW(GateLp(GateType::kAnd, 0, {}, 1), pls::util::CheckError);
-  EXPECT_THROW(GateLp(GateType::kAnd, 65, {}, 1), pls::util::CheckError);
-  EXPECT_THROW(GateLp(GateType::kAnd, 2, {}, 0), pls::util::CheckError);
+TEST(OneLaneGateLp, RejectsIllegalArity) {
+  using pls::util::CheckError;
+  EXPECT_THROW(BatchGateLp(GateType::kAnd, 0, {}, 1, 1), CheckError);
+  EXPECT_THROW(BatchGateLp(GateType::kAnd, 65, {}, 1, 1), CheckError);
+  EXPECT_THROW(BatchGateLp(GateType::kAnd, 2, {}, 0, 1), CheckError);
 }
 
-TEST(DffLp, SamplesAtFirstEdgeAfterDataChange) {
-  DffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*delay=*/1);
+TEST(OneLaneDffLp, SamplesAtFirstEdgeAfterDataChange) {
+  BatchDffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*delay=*/1,
+                /*lanes=*/1);
   MockContext ctx;
 
   // D rises at t=3: no output yet, but a sampling tick is armed for the
-  // next clock edge (clock suppression — see DffLp::init).
+  // next clock edge (clock suppression — see BatchDffLp::init).
   ctx.now_v = 3;
   std::vector<Event> batch{port_event(0, 1, 3)};
   ff.execute(ctx, batch);
   ASSERT_EQ(ctx.sent.size(), 1u);
   EXPECT_EQ(ctx.sent[0].port, kTickPort);
   EXPECT_EQ(ctx.sent[0].recv_time, 10u);
-  EXPECT_FALSE(DffLp::q_of(ctx.state_v));
+  EXPECT_FALSE(output_bit(ctx.state_v));
   ctx.sent.clear();
 
   // Clock edge at t=10: Q rises; no further tick until D changes again.
@@ -226,11 +229,11 @@ TEST(DffLp, SamplesAtFirstEdgeAfterDataChange) {
   EXPECT_EQ(ctx.sent[0].target, 5u);
   EXPECT_EQ(ctx.sent[0].recv_time, 11u);
   EXPECT_EQ(ctx.sent[0].value, 1u);
-  EXPECT_TRUE(DffLp::q_of(ctx.state_v));
+  EXPECT_TRUE(output_bit(ctx.state_v));
 }
 
-TEST(DffLp, EdgeComputationIsAligned) {
-  DffLp ff({}, /*period=*/10, /*phase=*/5, /*delay=*/1);
+TEST(OneLaneDffLp, EdgeComputationIsAligned) {
+  BatchDffLp ff({}, /*period=*/10, /*phase=*/5, /*delay=*/1, /*lanes=*/1);
   EXPECT_EQ(ff.next_edge_at_or_after(0), 5u);
   EXPECT_EQ(ff.next_edge_at_or_after(5), 5u);
   EXPECT_EQ(ff.next_edge_at_or_after(6), 15u);
@@ -238,18 +241,18 @@ TEST(DffLp, EdgeComputationIsAligned) {
   EXPECT_EQ(ff.next_edge_at_or_after(16), 25u);
 }
 
-TEST(DffLp, DataOnClockEdgeIsCaptured) {
-  DffLp ff({{5, 0}}, 10, 10, 1);
+TEST(OneLaneDffLp, DataOnClockEdgeIsCaptured) {
+  BatchDffLp ff({{5, 0}}, 10, 10, 1, /*lanes=*/1);
   MockContext ctx;
   ctx.now_v = 10;
   // D event and tick in the same batch: data-first rule captures the 1.
   std::vector<Event> batch{tick_event(10), port_event(0, 1, 10)};
   ff.execute(ctx, batch);
-  EXPECT_TRUE(DffLp::q_of(ctx.state_v));
+  EXPECT_TRUE(output_bit(ctx.state_v));
 }
 
-TEST(DffLp, NoEmissionWhenQUnchanged) {
-  DffLp ff({{5, 0}}, 10, 10, 1);
+TEST(OneLaneDffLp, NoEmissionWhenQUnchanged) {
+  BatchDffLp ff({{5, 0}}, 10, 10, 1, /*lanes=*/1);
   MockContext ctx;
   ctx.now_v = 10;
   std::vector<Event> batch{tick_event(10)};  // D=0, Q=0
@@ -257,26 +260,81 @@ TEST(DffLp, NoEmissionWhenQUnchanged) {
   EXPECT_TRUE(ctx.sent.empty());  // no Q change, no tick re-armed
 }
 
-TEST(InputLp, VectorBitIsPureFunction) {
+TEST(OneLaneLayout, StatesStayInlineWithFaninsPackedIntoA) {
+  // One lane keeps every state word inline, so snapshots never copy pooled
+  // words: the gate packs fanin p into bit p of `a`, and the flip-flop
+  // keeps no armed-lanes word.
+  BatchGateLp g(GateType::kXor, 3, {{7, 0}}, 1, /*lanes=*/1);
+  MockContext ctx;
+  ctx.state_v = g.initial_state();
+  EXPECT_TRUE(ctx.state_v.w.empty());
+  ctx.now_v = 4;
+  std::vector<Event> batch{port_event(2, 1, 4)};
+  g.execute(ctx, batch);
+  EXPECT_EQ(ctx.state_v.a, 0b100u);
+  EXPECT_EQ(ctx.state_v.b, 1u);
+  ctx.now_v = 5;
+  batch = {port_event(0, 1, 5), port_event(1, 1, 5)};
+  g.execute(ctx, batch);
+  EXPECT_EQ(ctx.state_v.a, 0b111u);
+  ctx.now_v = 6;
+  batch = {port_event(2, 0, 6)};
+  g.execute(ctx, batch);
+  EXPECT_EQ(ctx.state_v.a, 0b011u);
+  EXPECT_EQ(ctx.state_v.b, 0u);
+  EXPECT_TRUE(ctx.state_v.w.empty());
+  ASSERT_EQ(ctx.sent.size(), 2u);  // rose at t=4, fell at t=6
+
+  BatchDffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*delay=*/1,
+                /*lanes=*/1);
+  MockContext fctx;
+  fctx.state_v = ff.initial_state();
+  EXPECT_TRUE(fctx.state_v.w.empty());
+  // D rises at t=13 and arms the t=20 edge, where it falls again and the
+  // edge captures the 0; D rises at t=25, arms t=30, and Q follows.
+  fctx.now_v = 13;
+  batch = {port_event(0, 1, 13)};
+  ff.execute(fctx, batch);
+  EXPECT_TRUE(fctx.state_v.w.empty());
+  fctx.now_v = 20;
+  batch = {tick_event(20), port_event(0, 0, 20)};
+  ff.execute(fctx, batch);
+  fctx.now_v = 25;
+  batch = {port_event(0, 1, 25)};
+  ff.execute(fctx, batch);
+  fctx.now_v = 30;
+  batch = {tick_event(30)};
+  ff.execute(fctx, batch);
+  EXPECT_TRUE(fctx.state_v.w.empty());
+  EXPECT_EQ(fctx.state_v.a, 1u);
+  EXPECT_EQ(fctx.state_v.b, 1u);
+  ASSERT_EQ(fctx.sent.size(), 3u);  // ticks armed at t=13 and t=25, then Q
+  EXPECT_EQ(fctx.sent[2].recv_time, 31u);
+}
+
+TEST(OneLaneInputLp, VectorBitIsPureFunction) {
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(InputLp::vector_bit(7, 3, i), InputLp::vector_bit(7, 3, i));
+    EXPECT_EQ(BatchInputLp::vector_bit(7, 3, i),
+              BatchInputLp::vector_bit(7, 3, i));
   }
   // Different inputs / indices decorrelate.
   int diff = 0;
   for (int i = 0; i < 64; ++i) {
-    diff += InputLp::vector_bit(7, 3, i) != InputLp::vector_bit(7, 4, i);
+    diff += BatchInputLp::vector_bit(7, 3, i) !=
+            BatchInputLp::vector_bit(7, 4, i);
   }
   EXPECT_GT(diff, 10);
 }
 
-TEST(InputLp, AppliesVectorAndReschedules) {
-  InputLp in({{2, 0}}, /*period=*/20, /*delay=*/1, /*seed=*/7);
+TEST(OneLaneInputLp, AppliesVectorAndReschedules) {
+  BatchInputLp in({{2, 0}}, /*period=*/20, /*delay=*/1, /*seed=*/7,
+                  /*lanes=*/1);
   MockContext ctx;
   ctx.self_v = 9;
   ctx.now_v = 40;  // vector index 2
   std::vector<Event> batch{tick_event(40)};
   in.execute(ctx, batch);
-  const bool expected = InputLp::vector_bit(7, 9, 2);
+  const bool expected = BatchInputLp::vector_bit(7, 9, 2);
   // Sends the new value only if it changed from 0.
   if (expected) {
     ASSERT_EQ(ctx.sent.size(), 2u);
@@ -461,13 +519,13 @@ TEST(BatchInputLp, VectorWordPacksPerLaneSeeds) {
     EXPECT_LT(w, 1u << 8);  // lanes above the count stay clear
     for (unsigned j = 0; j < 8; ++j) {
       EXPECT_EQ((w >> j) & 1,
-                std::uint64_t{InputLp::vector_bit(lane_seed(7, j), 3, n)})
+                std::uint64_t{BatchInputLp::vector_bit(lane_seed(7, j), 3, n)})
           << "vector " << n << " lane " << j;
     }
     // Uniform mode broadcasts the base-seed bit to every lane.
     const std::uint64_t u =
         BatchInputLp::vector_word(7, 3, n, 8, /*uniform=*/true);
-    EXPECT_EQ(u, InputLp::vector_bit(7, 3, n) ? lane_mask(8)
+    EXPECT_EQ(u, BatchInputLp::vector_bit(7, 3, n) ? lane_mask(8)
                                               : std::uint64_t{0});
   }
 }
@@ -485,20 +543,25 @@ TEST(Lanes, SampleFaultsPicksDistinctSites) {
 // ---- elaboration -----------------------------------------------------------
 
 TEST(BuildModel, OneLpPerGateWithCorrectKinds) {
+  // Every lane count elaborates the same three word-wise behaviours.
   const auto c = circuit::make_iscas_like("s5378", 3);
-  const SimModel model = build_model(c);
-  ASSERT_EQ(model.lps.size(), c.size());
-  for (circuit::GateId g = 0; g < c.size(); ++g) {
-    auto* lp = model.lps[g].get();
-    switch (c.type(g)) {
-      case GateType::kInput:
-        EXPECT_NE(dynamic_cast<InputLp*>(lp), nullptr);
-        break;
-      case GateType::kDff:
-        EXPECT_NE(dynamic_cast<DffLp*>(lp), nullptr);
-        break;
-      default:
-        EXPECT_NE(dynamic_cast<GateLp*>(lp), nullptr);
+  for (const std::uint32_t lanes : {1u, 4u, 64u}) {
+    ModelOptions opt;
+    opt.lanes = lanes;
+    const SimModel model = build_model(c, opt);
+    ASSERT_EQ(model.lps.size(), c.size());
+    for (circuit::GateId g = 0; g < c.size(); ++g) {
+      auto* lp = model.lps[g].get();
+      switch (c.type(g)) {
+        case GateType::kInput:
+          EXPECT_NE(dynamic_cast<BatchInputLp*>(lp), nullptr);
+          break;
+        case GateType::kDff:
+          EXPECT_NE(dynamic_cast<BatchDffLp*>(lp), nullptr);
+          break;
+        default:
+          EXPECT_NE(dynamic_cast<BatchGateLp*>(lp), nullptr);
+      }
     }
   }
 }
@@ -537,26 +600,6 @@ TEST(BuildModel, RequiresFrozenCircuit) {
   circuit::Circuit c;
   c.add_input("a");
   EXPECT_THROW(build_model(c), pls::util::CheckError);
-}
-
-TEST(BuildModel, LanesElaborateBatchedBehaviours) {
-  const auto c = circuit::make_iscas_like("s5378", 3);
-  ModelOptions opt;
-  opt.lanes = 4;
-  const SimModel model = build_model(c, opt);
-  for (circuit::GateId g = 0; g < c.size(); ++g) {
-    auto* lp = model.lps[g].get();
-    switch (c.type(g)) {
-      case GateType::kInput:
-        EXPECT_NE(dynamic_cast<BatchInputLp*>(lp), nullptr);
-        break;
-      case GateType::kDff:
-        EXPECT_NE(dynamic_cast<BatchDffLp*>(lp), nullptr);
-        break;
-      default:
-        EXPECT_NE(dynamic_cast<BatchGateLp*>(lp), nullptr);
-    }
-  }
 }
 
 TEST(BuildModel, ValidatesLaneAndFaultConfiguration) {

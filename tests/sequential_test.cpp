@@ -36,10 +36,10 @@ TEST(Sequential, InverterChainTracksStimulus) {
   // (a's transition reaches n1 by t=83).
   const SeqStats out = simulate_sequential(model.behaviours(), 90);
 
-  const bool a_final = InputLp::vector_bit(7, a, 80 / 20);
-  EXPECT_EQ(InputLp::output_of(out.final_states[a]), a_final);
-  EXPECT_EQ(GateLp::output_of(out.final_states[n0]), !a_final);
-  EXPECT_EQ(GateLp::output_of(out.final_states[n1]), a_final);
+  const bool a_final = BatchInputLp::vector_bit(7, a, 80 / 20);
+  EXPECT_EQ(output_bit(out.final_states[a]), a_final);
+  EXPECT_EQ(output_bit(out.final_states[n0]), !a_final);
+  EXPECT_EQ(output_bit(out.final_states[n1]), a_final);
 }
 
 TEST(Sequential, PowerOnSettlesInvertedGates) {
@@ -56,9 +56,9 @@ TEST(Sequential, PowerOnSettlesInvertedGates) {
   SimModel model = build_model(c, opt);
   const SeqStats out = simulate_sequential(model.behaviours(), 50);
 
-  const bool av = InputLp::output_of(out.final_states[a]);
-  const bool bv = InputLp::output_of(out.final_states[b]);
-  EXPECT_EQ(GateLp::output_of(out.final_states[g]), !(av && bv));
+  const bool av = output_bit(out.final_states[a]);
+  const bool bv = output_bit(out.final_states[b]);
+  EXPECT_EQ(output_bit(out.final_states[g]), !(av && bv));
 }
 
 TEST(Sequential, DffDelaysDataByOneClock) {
@@ -79,8 +79,8 @@ TEST(Sequential, DffDelaysDataByOneClock) {
 
   // Q must equal the input value at the last clock edge (t=195), which is
   // the vector applied at t=160 (index 4).
-  const bool expected = InputLp::vector_bit(3, a, 4);
-  EXPECT_EQ(DffLp::q_of(out.final_states[ff]), expected);
+  const bool expected = BatchInputLp::vector_bit(3, a, 4);
+  EXPECT_EQ(output_bit(out.final_states[ff]), expected);
 }
 
 TEST(Sequential, EventCountScalesWithHorizon) {
@@ -136,9 +136,11 @@ OUTPUT(g3)
 // ----- golden hashes ---------------------------------------------------
 //
 // FNV-1a hashes of every SeqStats field except the wall time, on generated
-// circuits across the scalar, single-word and multi-word lane engines.  A
-// speed-up of the sequential reference must keep every committed count and
-// every final state word, so a changed hash is a behaviour change.
+// circuits at one lane and at single- and multi-word lane counts.  The
+// one-lane rows were recorded on a separate scalar engine that the
+// word-wise LPs replaced.  A speed-up of the sequential reference must keep
+// every committed count and every final state word, so a changed hash is a
+// behaviour change.
 
 class Fnv1a {
  public:
@@ -172,12 +174,20 @@ class Fnv1a {
 };
 
 TEST(SeqGolden, GeneratedCircuitsAcrossLaneCounts) {
+  // Odd clock edges plus a stimulus drift that freezes half the inputs
+  // at t=1000 and thaws the other half.
+  ModelOptions odd_clock_drift;
+  odd_clock_drift.clock_period = 7;
+  odd_clock_drift.clock_phase = 3;
+  odd_clock_drift.stim_period = 50;
+  odd_clock_drift.stim_drift_at = 1000;
   struct Case {
     const char* circuit;
     std::uint32_t lanes;
     std::uint64_t stim_seed;
     warped::SimTime horizon;
     std::uint64_t hash;
+    ModelOptions timing = {};  ///< clock and stimulus timing
   };
   // The s15850 rows are the pipeline benchmark's circuit at its scalar and
   // 256-lane horizons.
@@ -192,13 +202,17 @@ TEST(SeqGolden, GeneratedCircuitsAcrossLaneCounts) {
       {"s5378", 256, 29, 300, 0x2fa1a0846b70c39bULL},
       {"s15850", 1, 4242, 6000, 0x262d9fc321f6d8f4ULL},
       {"s15850", 256, 4242, 1200, 0x991282cb5f4d2d9eULL},
+      {"s9234", 1, 11, 2000, 0x6175480bd08481acULL},
+      {"s5378", 1, 11, 2000, 0x86074dbca6d8c06fULL, odd_clock_drift},
   };
   const circuit::Circuit s5378 = circuit::make_iscas_like("s5378", 2000);
+  const circuit::Circuit s9234 = circuit::make_iscas_like("s9234", 2000);
   const circuit::Circuit s15850 = circuit::make_iscas_like("s15850", 2000);
   for (const Case& k : cases) {
+    const std::string name = k.circuit;
     const circuit::Circuit& c =
-        std::string(k.circuit) == "s5378" ? s5378 : s15850;
-    ModelOptions opt;
+        name == "s5378" ? s5378 : name == "s9234" ? s9234 : s15850;
+    ModelOptions opt = k.timing;
     opt.lanes = k.lanes;
     opt.stim_seed = k.stim_seed;
     SimModel model = build_model(c, opt);
@@ -208,7 +222,7 @@ TEST(SeqGolden, GeneratedCircuitsAcrossLaneCounts) {
     EXPECT_EQ(h.value(), k.hash)
         << std::hex << "hash 0x" << h.value() << std::dec << " for "
         << k.circuit << ", lanes " << k.lanes << ", stim_seed "
-        << k.stim_seed;
+        << k.stim_seed << ", clock_period " << opt.clock_period;
   }
 }
 
