@@ -89,6 +89,57 @@ void BM_BatchCommitWithSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchCommitWithSnapshot);
 
+/// Steady-state fossil collection over a node's worth of LPs: each of
+/// 4096 runtimes executes one batch per round in round-robin order (as an
+/// LTSF scheduler spreads work over a node's LPs), sending one event and
+/// keeping two inputs queued ahead of its frontier, and a fossil_collect
+/// pass over all of them follows each round with GVT one tick behind.
+/// Every round commits one event per LP; the `per_event` counter is the
+/// whole round's time (insert, execute, record, fossil) per committed
+/// event, in seconds, which is what the queues' memory footprint shows
+/// up in.
+void BM_FossilSteadyState(benchmark::State& state) {
+  constexpr warped::LpId kLps = 4096;
+  NullLp lp;
+  std::vector<warped::LpRuntime> rts;
+  rts.reserve(kLps);
+  std::uint64_t id = 1;
+  for (warped::LpId i = 0; i < kLps; ++i) {
+    rts.emplace_back(i, &lp);
+    for (warped::SimTime t = 1; t <= 2; ++t) {
+      warped::Event e = make_event(t, id++);
+      e.target = i;
+      rts.back().insert(e);
+    }
+  }
+  warped::SimTime round = 1;
+  std::uint64_t committed = 0;
+  for (auto _ : state) {
+    for (warped::LpRuntime& rt : rts) {
+      warped::Event in = make_event(round + 2, id++);
+      in.target = rt.id();
+      rt.insert(std::move(in));
+      warped::SimTime bt = 0;
+      const warped::EventBatch batch = rt.begin_batch(bt);
+      warped::Event out = make_event(bt + 1, rt.alloc_event_id());
+      out.send_time = bt;
+      out.sender = rt.id();
+      out.target = (rt.id() + 1) % kLps;
+      rt.record_output(out);
+      rt.commit_batch(bt, batch.size());
+    }
+    for (warped::LpRuntime& rt : rts) {
+      committed += rt.fossil_collect(round).committed_events;
+    }
+    ++round;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(committed));
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(committed),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FossilSteadyState);
+
 void BM_RollbackDepth(benchmark::State& state) {
   const auto depth = static_cast<std::uint64_t>(state.range(0));
   NullLp lp;

@@ -32,7 +32,9 @@ namespace pls::hypergraph {
 struct HgCoarsenOptions {
   /// Stop once the vertex count is <= threshold. 0 = caller default (64).
   std::size_t threshold = 64;
-  std::size_t max_levels = 64;
+  /// Hierarchy depth cap: a guard, the threshold normally stops
+  /// coarsening first.
+  static constexpr std::size_t max_levels = 64;
   std::uint64_t seed = 1;
   /// Largest weight a single globule may reach (0 = unlimited); same role
   /// as CoarsenOptions::max_globule_weight.

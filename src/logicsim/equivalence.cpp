@@ -1,5 +1,6 @@
 #include "logicsim/equivalence.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace pls::logicsim {
@@ -20,6 +21,32 @@ EquivalenceReport check_equivalence(const warped::RunStats& parallel,
         rep.first_mismatch_lp = i;
         break;
       }
+    }
+  }
+
+  // Per-LP committed counters against the sequential profile (whose three
+  // vectors are sized alike).
+  const auto differs = [&](std::size_t lp, const char* counter,
+                           std::uint64_t par, std::uint64_t seq) {
+    if (par == seq) return false;
+    std::ostringstream os;
+    os << "LP " << lp << ": " << counter << " " << par << " != sequential "
+       << seq;
+    rep.counter_mismatch = os.str();
+    return true;
+  };
+  const std::size_t n = parallel.per_lp.size();
+  const std::size_t m = sequential.per_lp_events.size();
+  if (differs(std::min(n, m), "LP count", n, m)) return rep;
+  for (std::size_t lp = 0; lp < n; ++lp) {
+    const warped::LpStats& s = parallel.per_lp[lp];
+    if (differs(lp, "events_committed", s.events_committed,
+                sequential.per_lp_events[lp]) ||
+        differs(lp, "lane_work_committed", s.lane_work_committed,
+                sequential.per_lp_lane_work[lp]) ||
+        differs(lp, "sends_committed", s.sends_committed,
+                sequential.per_lp_sends[lp])) {
+      break;
     }
   }
   return rep;
@@ -58,7 +85,9 @@ std::string EquivalenceReport::describe() const {
   if (!counts_equal) {
     os << "committed " << parallel_committed << " != sequential "
        << sequential_processed;
+    if (!counter_mismatch.empty()) os << "; ";
   }
+  os << counter_mismatch;
   return os.str();
 }
 

@@ -5,7 +5,10 @@
 // run must be exactly those of a sequential execution of the same model.
 // The integration and property tests enforce this for every partitioner and
 // node count on real circuits, which exercises the entire rollback /
-// cancellation / GVT machinery end to end.
+// cancellation / GVT machinery end to end.  Besides final states and the
+// total event count, every LP's committed counters (events, lane work,
+// sends) must equal the sequential run's: they feed the activity-guided
+// partitioner, so a rollback that miscounts them would skew its weights.
 
 #include <cstdint>
 #include <string>
@@ -24,8 +27,14 @@ struct EquivalenceReport {
   std::size_t first_mismatch_lp = 0;   ///< valid when !states_equal
   std::uint64_t parallel_committed = 0;
   std::uint64_t sequential_processed = 0;
+  /// The first per-LP committed counter that differs, in LP order, as
+  /// "LP <i>: <counter> <parallel> != sequential <sequential>"; empty
+  /// when every LP matches.
+  std::string counter_mismatch;
 
-  bool ok() const noexcept { return states_equal && counts_equal; }
+  bool ok() const noexcept {
+    return states_equal && counts_equal && counter_mismatch.empty();
+  }
   std::string describe() const;
 };
 

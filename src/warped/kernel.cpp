@@ -222,7 +222,7 @@ class ClusterContext final : public Context {
     ev.sign = Sign::kPositive;
     ev.id = rt_->alloc_event_id();
     rt_->record_output(ev);
-    out_->push_back(ev);
+    out_->push_back(std::move(ev));
   }
 
   void send_wide(LpId target, SimTime recv_time, std::uint32_t port,
@@ -252,7 +252,7 @@ class ClusterContext final : public Context {
     }
     ev.id = rt_->alloc_event_id();
     rt_->record_output(ev);
-    out_->push_back(ev);
+    out_->push_back(std::move(ev));
   }
 
  private:
@@ -334,9 +334,10 @@ void Kernel::init_all_lps() {
                        /*suppress=*/false, /*init_mode=*/true);
     lps_[i]->init(ctx);
     while (!out.empty()) {
-      const Event ev = out.front();
+      Event ev = std::move(out.front());
       out.pop_front();
-      const auto res = runtimes_[ev.target].insert(ev);
+      const LpId target = ev.target;
+      const auto res = runtimes_[target].insert(std::move(ev));
       PLS_CHECK_MSG(!res.rolled_back, "rollback during init phase");
     }
   }
@@ -365,41 +366,44 @@ void Kernel::node_main(std::uint32_t node) {
   // in the per-destination send coalescer, epoch-tagged and counted for
   // the GVT transient-message accounting *at add time* (the batch they
   // later flush in is invisible to GVT — n buffered messages are n
-  // transients).
+  // transients).  Events move from the send path through here into an LP
+  // queue or an InFlight without a copy.
   auto route_pending = [&] {
     while (!cl.pending.empty()) {
-      const Event ev = cl.pending.front();
+      Event ev = std::move(cl.pending.front());
       cl.pending.pop_front();
-      const std::uint32_t target_node = node_of_[ev.target];
+      const LpId target = ev.target;
+      const bool positive = ev.sign == Sign::kPositive;
+      const std::uint32_t target_node = node_of_[target];
       if (target_node == node) {
-        auto res = runtimes_[ev.target].insert(ev);
-        if (ev.sign == Sign::kPositive) ++cl.stats.intra_node_events;
+        auto res = runtimes_[target].insert(std::move(ev));
+        if (positive) ++cl.stats.intra_node_events;
         if (res.rolled_back) {
           if (res.secondary) ++cl.stats.secondary_rollbacks;
           else ++cl.stats.primary_rollbacks;
           cl.stats.events_rolled_back += res.unprocessed_events;
           cl.throttle.note_rollback(res.unprocessed_events);
           for (Event& anti : res.antis) {
-            cl.pending.push_back(anti);
+            cl.pending.push_back(std::move(anti));
           }
           if (cl.trace != nullptr) {
             cl.trace->record(obs::TraceKind::kRollback, steady_now_ns(), 0,
                              res.unprocessed_events, res.secondary ? 1 : 0,
-                             ev.target);
+                             target);
           }
         }
-        cl.push_sched(runtimes_[ev.target].next_time(), ev.target);
-        cl.note_touched(runtimes_, ev.target);
+        cl.push_sched(runtimes_[target].next_time(), target);
+        cl.note_touched(runtimes_, target);
       } else {
         if (cfg_.network.send_overhead_ns > 0) {
           util::busy_spin_ns(cfg_.network.send_overhead_ns);
         }
-        if (ev.sign == Sign::kPositive) ++cl.stats.inter_node_messages;
+        if (positive) ++cl.stats.inter_node_messages;
         else ++cl.stats.anti_messages_sent;
         InFlight f;
         f.seq = cl.net_seq++;
         f.epoch = cl.my_round;
-        f.event = ev;
+        f.event = std::move(ev);
         // Count before buffering: the receive counter must never
         // overtake, and a buffered white must already be on the books so
         // its GVT round cannot conclude until the flush drains.

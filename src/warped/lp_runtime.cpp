@@ -33,9 +33,10 @@ std::size_t LpRuntime::first_at_or_after(SimTime t) const {
 }
 
 void LpRuntime::maybe_compact() {
-  // Amortized O(1): compaction moves the live range once per >= equal
-  // run of retired events.
-  if (head_ >= 64 && head_ * 2 >= queue_.size()) {
+  // Amortized O(1): compaction moves the live range once the retired
+  // prefix is at least as long, so every moved event pays for a dropped
+  // one, and retired entries never outnumber live ones afterwards.
+  if (head_ != 0 && head_ * 2 >= queue_.size()) {
     queue_.erase(queue_.begin(),
                  queue_.begin() + static_cast<std::ptrdiff_t>(head_));
     head_ = 0;
@@ -48,8 +49,7 @@ void LpRuntime::rollback(SimTime to_time, InsertResult& res) {
   res.rolled_back = true;
   res.rollback_time = to_time;
 
-  // Discarded snapshots and cancelled outputs release their pooled words
-  // as one batched run.
+  // Discarded snapshots release their pooled words as one batched run.
   mem::ReclaimScope reclaim;
 
   // 1. Restore the latest snapshot strictly before to_time.  With periodic
@@ -84,9 +84,14 @@ void LpRuntime::rollback(SimTime to_time, InsertResult& res) {
   snapshots_.erase(snap, snapshots_.end());
   batches_since_snapshot_ = 0;
 
-  // 2. Un-process everything after the restored snapshot.
+  // 2. Un-process everything after the restored snapshot, taking its
+  // lane transitions back out of the work count (a replay adds them
+  // again).
   PLS_CHECK(new_processed <= processed_count_);
   const std::uint64_t undone = processed_count_ - new_processed;
+  for (std::size_t i = new_processed; i < processed_count_; ++i) {
+    lane_work_committed_ -= queue_[head_ + i].mask_popcount();
+  }
   res.unprocessed_events += undone;
   events_rolled_back_ += undone;
   ++rollbacks_;
@@ -98,18 +103,24 @@ void LpRuntime::rollback(SimTime to_time, InsertResult& res) {
   // exactly why their batches replay muted.
   auto out = std::lower_bound(
       output_queue_.begin(), output_queue_.end(), to_time,
-      [](const Event& e, SimTime time) { return e.send_time < time; });
+      [](const OutputRecord& o, SimTime time) { return o.send_time < time; });
   for (auto it = out; it != output_queue_.end(); ++it) {
-    Event anti = *it;
+    Event anti;
+    anti.recv_time = it->recv_time;
+    anti.send_time = it->send_time;
+    anti.target = it->target;
+    anti.sender = id_;
+    anti.id = it->id;
     anti.sign = Sign::kNegative;
     res.antis.push_back(std::move(anti));
+    sends_committed_ -= it->transitions;
   }
   output_queue_.erase(out, output_queue_.end());
 
   replay_until_ = to_time;
 }
 
-LpRuntime::InsertResult LpRuntime::insert(const Event& ev) {
+LpRuntime::InsertResult LpRuntime::insert(Event ev) {
   PLS_CHECK(ev.target == id_);
   InsertResult res;
 
@@ -160,7 +171,7 @@ LpRuntime::InsertResult LpRuntime::insert(const Event& ev) {
   // the steady state of the committed path (a gate's inputs arrive in
   // time order), and it skips the lower_bound entirely.
   if (queue_.empty() || queue_.back() < ev) {
-    queue_.push_back(ev);
+    queue_.push_back(std::move(ev));
     return res;
   }
   const std::size_t at = head_ + [&] {
@@ -170,7 +181,8 @@ LpRuntime::InsertResult LpRuntime::insert(const Event& ev) {
   }();
   PLS_CHECK_MSG(at - head_ >= processed_count_,
                 "event insertion inside the processed prefix after rollback");
-  queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(at), ev);
+  queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(at),
+                std::move(ev));
   return res;
 }
 
@@ -191,6 +203,12 @@ void LpRuntime::commit_batch(SimTime batch_time, std::size_t batch_size) {
   PLS_CHECK(head_ + processed_count_ + batch_size <= queue_.size());
   PLS_CHECK_MSG(!processed_any_ || batch_time > last_processed_,
                 "batches must commit in increasing time order");
+  // Lane-aware work signal: the batch's incoming lane transitions (a
+  // rollback that un-processes the batch takes them back).
+  const std::size_t first = head_ + processed_count_;
+  for (std::size_t i = first; i < first + batch_size; ++i) {
+    lane_work_committed_ += queue_[i].mask_popcount();
+  }
   processed_count_ += batch_size;
   last_processed_ = batch_time;
   processed_any_ = true;
@@ -206,37 +224,40 @@ void LpRuntime::record_output(const Event& ev) {
   PLS_CHECK_MSG(output_queue_.empty() ||
                     output_queue_.back().send_time <= ev.send_time,
                 "output queue must grow in send-time order");
-  output_queue_.push_back(ev);
+  // Transition-weighted traffic signal: a batched event carries popcount
+  // lane transitions over its mask words; scalar events keep mask = 1.
+  // Self-sends are scheduling ticks and weigh nothing (mirroring
+  // SeqStats::per_lp_sends).
+  const auto transitions = static_cast<std::uint32_t>(
+      ev.target != ev.sender ? ev.mask_popcount() : 0);
+  sends_committed_ += transitions;
+  output_queue_.push_back(
+      OutputRecord{ev.send_time, ev.recv_time, ev.id, ev.target, transitions});
 }
 
 LpRuntime::FossilResult LpRuntime::fossil_collect(SimTime gvt) {
   FossilResult res;
   if (gvt == 0) return res;
 
-  // Everything this sweep discards — retired event payloads, cancelled
-  // snapshots, committed outputs — flows back to its owner pool as one
-  // batched reclaim run.
-  mem::ReclaimScope reclaim;
-
   // The newest snapshot strictly below GVT is the restore base for every
   // reachable rollback (targets are always >= GVT).  Events at or below
   // the base's time can never be replayed again: commit and discard them.
   // Without any snapshot below GVT the base is the initial state and
-  // nothing can be discarded yet.
+  // nothing can be discarded yet.  Their work was counted when they
+  // executed, so this only moves cursors and frees memory.
   auto snap = std::lower_bound(
       snapshots_.begin(), snapshots_.end(), gvt,
       [](const Snapshot& s, SimTime time) { return s.time < time; });
   if (snap != snapshots_.begin()) {
+    // Retired event payloads and dropped snapshots flow back to their
+    // owner pool as one batched reclaim run.
+    mem::ReclaimScope reclaim;
     const Snapshot& base = *std::prev(snap);
     const std::size_t cut = first_at_or_after(base.time + 1);
     PLS_CHECK_MSG(cut <= processed_count_,
                   "fossil cut crosses unprocessed events (GVT too high)");
     res.committed_events = cut;
     events_committed_ += cut;
-    // Lane-aware work signal: committed incoming lane transitions.
-    for (std::size_t i = 0; i < cut; ++i) {
-      lane_work_committed_ += queue_[head_ + i].mask_popcount();
-    }
     // Retire (don't erase): the head cursor advances in O(1); compaction
     // is amortized against the events retired.
     head_ += cut;
@@ -246,17 +267,10 @@ LpRuntime::FossilResult LpRuntime::fossil_collect(SimTime gvt) {
   }
 
   // Outputs below GVT can never be cancelled (cancellation boundaries are
-  // >= GVT); the non-self ones are this LP's committed sends (self-sends
-  // are scheduling ticks, mirroring SeqStats::per_lp_sends).
+  // >= GVT); their transitions already count as sent.
   auto out = std::lower_bound(
       output_queue_.begin(), output_queue_.end(), gvt,
-      [](const Event& e, SimTime time) { return e.send_time < time; });
-  for (auto it = output_queue_.begin(); it != out; ++it) {
-    // Transition-weighted: a batched event carries popcount lane
-    // transitions per mask word; scalar events keep mask = 1 and count as
-    // before.
-    if (it->target != it->sender) sends_committed_ += it->mask_popcount();
-  }
+      [](const OutputRecord& o, SimTime time) { return o.send_time < time; });
   output_queue_.erase(output_queue_.begin(), out);
   return res;
 }
@@ -265,14 +279,8 @@ std::uint64_t LpRuntime::finalize() {
   mem::ReclaimScope reclaim;
   const auto committed = static_cast<std::uint64_t>(processed_count_);
   events_committed_ += committed;
-  for (std::size_t i = 0; i < processed_count_; ++i) {
-    lane_work_committed_ += queue_[head_ + i].mask_popcount();
-  }
-  // Nothing can be cancelled after termination: the outputs that survived
-  // the last fossil pass are committed sends too (non-self, as above).
-  for (const Event& ev : output_queue_) {
-    if (ev.target != ev.sender) sends_committed_ += ev.mask_popcount();
-  }
+  // Nothing can be cancelled after termination: the surviving outputs'
+  // transitions stay counted.
   output_queue_.clear();
   queue_.erase(queue_.begin(),
                queue_.begin() +

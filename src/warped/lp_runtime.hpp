@@ -7,15 +7,21 @@
 // calls it from exactly one thread, and the whole rollback protocol can be
 // unit-tested deterministically (tests/warped_lp_runtime_test.cpp).
 //
-// Queue discipline (classic Jefferson Time Warp, WARPED flavour):
+// Queue discipline (classic Jefferson Time Warp, WARPED flavour).  Each
+// queue holds only what a rollback or a cancellation can still reach, so a
+// node's working set follows its live work, not the run length:
 //  * input queue = one sorted vector with a retired-prefix head cursor;
 //    of the live range a prefix of `processed_count` events has been
 //    executed, the suffix is pending.  In-order arrivals append in O(1)
 //    (the common case on the committed path); fossil collection *retires*
 //    the committed prefix by advancing the head cursor in O(1) and
-//    compacts only when the retired range outgrows the live one, so the
-//    amortized fossil cost per event is constant instead of a memmove of
-//    the whole queue per sweep.
+//    compacts as soon as the retired prefix reaches the size of the live
+//    range.  Retired entries therefore never outnumber live ones after a
+//    fossil pass, and each compaction moves at most as many live events as
+//    it drops retired ones (amortized O(1) per committed event).
+//  * output queue = one 32-byte cancel record per send (OutputRecord):
+//    the anti-message's identity and route plus the lane transitions the
+//    send counted, never a copy of the event or its payload words.
 //  * copy state saving after every `state_period`-th executed batch (all
 //    events sharing one receive time execute as one batch); period 1 is
 //    the classic copy-state-every-event discipline.
@@ -33,6 +39,12 @@
 //    mark [snapshot, T) for *coast-forward replay*: those batches
 //    re-execute with sends suppressed, because their original outputs were
 //    not cancelled and remain valid.
+//  * commit accounting happens at execute and rollback time: commit_batch
+//    adds a batch's input lane transitions, record_output a send's, and
+//    rollback subtracts what it un-processes or cancels (a coast-forward
+//    replay adds its batches back; muted, it records no outputs).  Fossil
+//    collection and finalize only advance cursors and free memory; once
+//    the run is over the counters hold exactly the committed work.
 //  * memory: wide event payloads and state words are arena-pooled
 //    (mem/pool.hpp); fossil sweeps, rollbacks and finalization run under
 //    a mem::ReclaimScope, so each run of discarded payloads goes back to
@@ -49,6 +61,18 @@ namespace pls::warped {
 
 class LpRuntime {
  public:
+  /// What cancelling one send needs: the anti-message's routing and
+  /// identity (Event::matches compares sender and id; the sender is this
+  /// LP) and the lane transitions the send added to sends_committed().
+  struct OutputRecord {
+    SimTime send_time = 0;
+    SimTime recv_time = 0;
+    std::uint64_t id = 0;
+    LpId target = kInvalidLp;
+    std::uint32_t transitions = 0;  ///< mask popcount; 0 for self-sends
+  };
+  static_assert(sizeof(OutputRecord) == 32);
+
   LpRuntime() = default;
   LpRuntime(LpId id, LogicalProcess* behavior, std::uint32_t state_period = 1);
 
@@ -66,9 +90,10 @@ class LpRuntime {
     std::vector<Event> antis;
   };
 
-  /// Insert a positive or negative event.  May trigger a rollback whose
-  /// side effects (anti-messages to send) are returned to the caller.
-  InsertResult insert(const Event& ev);
+  /// Insert a positive or negative event (a positive one moves into the
+  /// queue).  May trigger a rollback whose side effects (anti-messages to
+  /// send) are returned to the caller.
+  InsertResult insert(Event ev);
 
   // ---- scheduling --------------------------------------------------------
 
@@ -98,8 +123,8 @@ class LpRuntime {
   /// `batch_time` receives the batch's receive time.
   EventBatch begin_batch(SimTime& batch_time) const;
 
-  /// Advance past the batch begin_batch() returned; snapshot the state per
-  /// the state-saving period.
+  /// Advance past the batch begin_batch() returned, count its input lane
+  /// transitions, and snapshot the state per the state-saving period.
   void commit_batch(SimTime batch_time, std::size_t batch_size);
 
   // ---- state -------------------------------------------------------------
@@ -108,8 +133,9 @@ class LpRuntime {
   const LpState& state() const noexcept { return state_; }
   void install_initial_state(const LpState& s);
 
-  /// Record a positive output event (called by the kernel's send path
-  /// before routing, so it can be cancelled later).
+  /// Record a positive output event's cancel record and count its lane
+  /// transitions (called by the kernel's send path before routing, so it
+  /// can be cancelled later).
   void record_output(const Event& ev);
 
   // ---- GVT / fossil collection -------------------------------------------
@@ -138,20 +164,23 @@ class LpRuntime {
   /// or rolled back again).
   FossilResult fossil_collect(SimTime gvt);
 
-  /// True when fossil_collect at any higher GVT, kEndOfTime included,
-  /// would commit nothing and leave live_entries() unchanged: no processed
-  /// event awaits commitment, at most the base snapshot is kept, and no
-  /// output awaits pruning.  Only execution or insertion (rollback
-  /// included) can make it false again, so the kernel's fossil pass skips
-  /// idle LPs until one of those.
+  /// True when no higher GVT, kEndOfTime included, can commit or free
+  /// anything before this LP executes or receives again: no output awaits
+  /// pruning, at most one snapshot is kept, and no live event lies at or
+  /// below it.  Processed events past the only snapshot (periodic state
+  /// saving) wait for the next snapshot, which only execution takes.  Only
+  /// execution or insertion (rollback included) can make it false again,
+  /// so the kernel's fossil pass skips idle LPs until one of those.
   bool fossil_idle() const noexcept {
-    return processed_count_ == 0 && snapshots_.size() <= 1 &&
-           output_queue_.empty();
+    return output_queue_.empty() && snapshots_.size() <= 1 &&
+           (snapshots_.empty() || head_ == queue_.size() ||
+            queue_[head_].recv_time > snapshots_.front().time);
   }
 
   /// End-of-run commit: counts and discards every processed event still in
   /// the queue (with periodic state saving a few trailing batches survive
-  /// fossil_collect(kEndOfTime)).  Call only when the simulation is over.
+  /// fossil_collect(kEndOfTime)) and drops the output records.  Call only
+  /// when the simulation is over.
   std::uint64_t finalize();
 
   /// Monotonic event-id source for this LP's sends.  Deliberately *not*
@@ -167,20 +196,24 @@ class LpRuntime {
   }
   /// Number of rollbacks (primary + secondary) this LP suffered.
   std::uint64_t rollbacks() const noexcept { return rollbacks_; }
-  /// Events irrevocably committed (fossil-collected + finalized) — the
-  /// per-LP useful-work count the activity-guided partitioner feeds back.
+  /// Events irrevocably committed (cut by fossil collection, plus what
+  /// finalize() commits) — the per-LP useful-work count the
+  /// activity-guided partitioner feeds back.
   std::uint64_t events_committed() const noexcept {
     return events_committed_;
   }
-  /// Committed non-self lane transitions: each uncancellable send counts
-  /// popcount over all its mask words — the per-LP traffic count the
-  /// activity-guided partitioner feeds back (≈ transitions × fanout;
-  /// self-sends are scheduling ticks and excluded).  Scalar events have
-  /// mask = 1, so this is exactly the old committed-send count in
-  /// single-lane runs.
+  /// Non-self lane transitions sent and not cancelled: each send counts
+  /// popcount over all its mask words when recorded, and a rollback takes
+  /// back the ones it cancels, so once the run is over this is the
+  /// committed per-LP traffic count the activity-guided partitioner feeds
+  /// back (≈ transitions × fanout; self-sends are scheduling ticks and
+  /// excluded).  Scalar events have mask = 1, so this is exactly the
+  /// committed-send count in single-lane runs.
   std::uint64_t sends_committed() const noexcept { return sends_committed_; }
-  /// Committed *incoming* lane transitions: popcount over the mask words
-  /// of every committed input event.  This is the lane-aware work signal
+  /// *Incoming* lane transitions of the processed, not rolled-back events:
+  /// popcount over the mask words of each event, added when its batch
+  /// executes and taken back when a rollback un-processes it.  Once the
+  /// run is over (finalize()) this is the committed lane-aware work signal
   /// — a gate hot in one lane of 256 no longer weighs like one hot in all
   /// of them.  Scalar events carry mask = 1, so in single-lane runs this
   /// equals events_committed() exactly and lane-aware weights degenerate
@@ -201,12 +234,14 @@ class LpRuntime {
     return (queue_.size() - head_) + output_queue_.size() + snapshots_.size();
   }
 
-  /// Test hooks: inspect internals (live queue range only).
+  /// Test hooks: inspect internals (live queue range only, plus the
+  /// count of retired entries awaiting compaction).
   std::size_t processed_count() const noexcept { return processed_count_; }
   std::span<const Event> input_queue() const noexcept {
     return {queue_.data() + head_, queue_.size() - head_};
   }
-  const std::vector<Event>& output_queue() const noexcept {
+  std::size_t retired_entries() const noexcept { return head_; }
+  const std::vector<OutputRecord>& output_queue() const noexcept {
     return output_queue_;
   }
   const std::vector<Snapshot>& snapshots() const noexcept {
@@ -220,8 +255,8 @@ class LpRuntime {
   /// with recv_time >= t.
   std::size_t first_at_or_after(SimTime t) const;
 
-  /// Compact the retired prefix out of the queue when it outgrows the
-  /// live range (amortized O(1) per retired event).
+  /// Compact the retired prefix out of the queue once it reaches the size
+  /// of the live range (amortized O(1) per retired event).
   void maybe_compact();
 
   LpId id_ = kInvalidLp;
@@ -242,7 +277,7 @@ class LpRuntime {
   LpState initial_state_;
   std::vector<Snapshot> snapshots_;  ///< ascending in time
 
-  std::vector<Event> output_queue_;  ///< ascending in send_time
+  std::vector<OutputRecord> output_queue_;  ///< ascending in send_time
 
   std::uint64_t events_processed_ = 0;
   std::uint64_t events_rolled_back_ = 0;

@@ -14,7 +14,7 @@ namespace pls::warped {
 
 struct NodeStats {
   std::uint64_t events_processed = 0;   ///< executions incl. repeated ones
-  std::uint64_t events_committed = 0;   ///< fossil-collected below GVT
+  std::uint64_t events_committed = 0;   ///< committed below GVT (+ finalize)
   std::uint64_t events_rolled_back = 0;
 
   std::uint64_t primary_rollbacks = 0;    ///< straggler-induced
@@ -55,11 +55,13 @@ struct NodeStats {
 struct LpStats {
   std::uint64_t events_processed = 0;
   std::uint64_t events_rolled_back = 0;
-  std::uint64_t events_committed = 0;    ///< fossil-collected useful work —
-                                         ///< the warm-up *work* signal
-  std::uint64_t sends_committed = 0;     ///< uncancellable lane transitions
-                                         ///< (popcount of each send's mask)
-                                         ///< — the warm-up *traffic* signal
+  std::uint64_t events_committed = 0;    ///< committed useful work (fossil
+                                         ///< cut + finalize) — the warm-up
+                                         ///< *work* signal
+  std::uint64_t sends_committed = 0;     ///< lane transitions sent and
+                                         ///< never cancelled (popcount of
+                                         ///< each non-self send's mask) —
+                                         ///< the warm-up *traffic* signal
   std::uint64_t lane_work_committed = 0; ///< committed incoming lane
                                          ///< transitions (input-mask
                                          ///< popcounts): the lane-aware

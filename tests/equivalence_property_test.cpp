@@ -4,13 +4,16 @@
 // the results of the sequential reference run — same final state for every
 // LP and the same number of committed events.  This exercises rollback,
 // anti-message cancellation, coast-forward replay, GVT and fossil
-// collection end to end on a real circuit.
+// collection end to end on a real circuit.  check_equivalence also pins
+// every LP's committed events, lane work and sends to the sequential
+// profile.
 
 #include <gtest/gtest.h>
 
 #include "circuit/generator.hpp"
 #include "framework/driver.hpp"
 #include "logicsim/equivalence.hpp"
+#include "warped/stats.hpp"
 
 namespace pls {
 namespace {
@@ -144,6 +147,55 @@ TEST(EquivalenceExtras, ActivityWeightedMultilevelStaysCorrect) {
   const auto par = framework::run_parallel(c, cfg);
   const auto seq = framework::run_sequential(c, cfg);
   EXPECT_TRUE(logicsim::check_equivalence(par.run, seq).ok());
+}
+
+/// A three-LP parallel run and the sequential run it must match.
+struct TinyRuns {
+  warped::RunStats par;
+  logicsim::SeqStats seq;
+};
+
+TinyRuns tiny_equivalent_runs() {
+  TinyRuns r;
+  r.seq.final_states.resize(3);
+  r.seq.final_states[1].a = 5;
+  r.seq.per_lp_events = {4, 7, 1};
+  r.seq.per_lp_lane_work = {4, 90, 1};
+  r.seq.per_lp_sends = {2, 30, 0};
+  r.seq.events_processed = 12;
+  r.par.final_states = r.seq.final_states;
+  r.par.totals.events_committed = 12;
+  r.par.per_lp.resize(3);
+  for (std::size_t lp = 0; lp < 3; ++lp) {
+    r.par.per_lp[lp].events_committed = r.seq.per_lp_events[lp];
+    r.par.per_lp[lp].lane_work_committed = r.seq.per_lp_lane_work[lp];
+    r.par.per_lp[lp].sends_committed = r.seq.per_lp_sends[lp];
+  }
+  return r;
+}
+
+TEST(EquivalenceReport, OneLpsSendsMismatchIsNotEquivalent) {
+  TinyRuns r = tiny_equivalent_runs();
+  ASSERT_TRUE(logicsim::check_equivalence(r.par, r.seq).ok());
+  // Same states, same total: only LP 1's committed sends differ.
+  r.par.per_lp[1].sends_committed = 29;
+  const auto rep = logicsim::check_equivalence(r.par, r.seq);
+  EXPECT_FALSE(rep.ok());
+  const std::string text = rep.describe();
+  EXPECT_NE(text.find("LP 1"), std::string::npos) << text;
+  EXPECT_NE(text.find("sends_committed"), std::string::npos) << text;
+}
+
+TEST(EquivalenceReport, NamesTheFirstDifferingLpAndCounter) {
+  TinyRuns r = tiny_equivalent_runs();
+  r.par.per_lp[2].events_committed = 2;
+  r.par.per_lp[1].lane_work_committed = 91;
+  const auto rep = logicsim::check_equivalence(r.par, r.seq);
+  EXPECT_FALSE(rep.ok());
+  EXPECT_EQ(rep.describe(), "LP 1: lane_work_committed 91 != sequential 90");
+  r.par.per_lp.pop_back();
+  EXPECT_EQ(logicsim::check_equivalence(r.par, r.seq).describe(),
+            "LP 2: LP count 2 != sequential 3");
 }
 
 }  // namespace

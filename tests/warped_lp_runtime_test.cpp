@@ -1,9 +1,14 @@
 // Deterministic unit tests for the Time Warp rollback protocol in
 // LpRuntime: queue discipline, batching, straggler rollback, anti-message
 // annihilation, secondary rollback, output cancellation, coast-forward
-// replay under periodic state saving, fossil collection and finalize.
+// replay under periodic state saving, fossil collection and finalize,
+// commit accounting and the input queue's footprint rule.
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <map>
+#include <utility>
 
 #include "util/check.hpp"
 #include "warped/lp_runtime.hpp"
@@ -261,7 +266,8 @@ TEST(LpRuntime, FinalizeCommitsTrailingBatches) {
 void expect_fossil_noop_from(LpRuntime& rt, SimTime gvt) {
   ASSERT_TRUE(rt.fossil_idle());
   const std::size_t live = rt.live_entries();
-  for (const SimTime g : {gvt, gvt + 1, gvt + 1000, kEndOfTime}) {
+  for (const SimTime g : {gvt, saturating_add(gvt, 1),
+                          saturating_add(gvt, 1000), kEndOfTime}) {
     EXPECT_EQ(rt.fossil_collect(g).committed_events, 0u) << "gvt " << g;
     EXPECT_EQ(rt.live_entries(), live) << "gvt " << g;
     EXPECT_TRUE(rt.fossil_idle()) << "gvt " << g;
@@ -287,7 +293,7 @@ TEST(LpRuntime, FossilIdleAfterEverythingCommits) {
   }
 }
 
-TEST(LpRuntime, FossilNotIdleWithProcessedEventsPastTheBase) {
+TEST(LpRuntime, FossilIdleUnlessANewerSnapshotCoversProcessedEvents) {
   for (const std::uint32_t period : {1u, 3u}) {
     SCOPED_TRACE(period);
     NullLp lp;
@@ -295,15 +301,22 @@ TEST(LpRuntime, FossilNotIdleWithProcessedEventsPastTheBase) {
     for (std::uint64_t i = 1; i <= 4; ++i) rt.insert(ev(i * 10, 0, 1, i));
     for (int i = 0; i < 4; ++i) process_next(rt);
     // Period 1: GVT 35 keeps base t=30 plus the t=40 snapshot (a second
-    // snapshot) and the processed t=40 event.  Period 3: the only snapshot
-    // is t=30, so even GVT end-of-time leaves t=40 processed past it.
+    // snapshot) and the processed t=40 event, which GVT 41 commits.
+    // Period 3: the only snapshot is t=30, so even GVT end-of-time leaves
+    // t=40 processed past it, and no GVT can commit it before the LP
+    // executes again and takes a newer snapshot: the LP is idle.
     rt.fossil_collect(period == 1 ? 35 : kEndOfTime);
     EXPECT_EQ(rt.processed_count(), 1u);
-    EXPECT_FALSE(rt.fossil_idle());
     if (period == 1) {
+      EXPECT_FALSE(rt.fossil_idle());
       EXPECT_EQ(rt.snapshots().size(), 2u);
       EXPECT_EQ(rt.fossil_collect(41).committed_events, 1u);
       expect_fossil_noop_from(rt, 41);
+    } else {
+      EXPECT_TRUE(rt.fossil_idle());
+      ASSERT_EQ(rt.snapshots().size(), 1u);
+      expect_fossil_noop_from(rt, rt.snapshots()[0].time + 1);
+      EXPECT_EQ(rt.processed_count(), 1u);
     }
   }
 }
@@ -419,6 +432,175 @@ TEST(LpRuntime, InsertForWrongTargetRejected) {
   NullLp lp;
   LpRuntime rt(3, &lp);
   EXPECT_THROW(rt.insert(ev(5, /*target=*/4, 1, 1)), util::CheckError);
+}
+
+// ---- commit accounting & input-queue footprint ----------------------------
+
+/// A 3-word (192-lane) event whose mask word w is `mask` rotated left by
+/// w, so it carries 3 × popcount(mask) lane transitions.
+Event wide_ev(SimTime recv, LpId target, LpId sender, std::uint64_t id,
+              std::uint64_t mask, SimTime send = 0) {
+  Event e = ev(recv, target, sender, id, send);
+  e.widen(3);
+  for (std::uint32_t w = 0; w < 3; ++w) {
+    e.set_value_word(w, ~std::uint64_t{0});
+    e.set_mask_word(w, std::rotl(mask, static_cast<int>(w)));
+  }
+  return e;
+}
+
+/// Drives LP 0 the way the kernel does and keeps the reference books:
+/// every executed batch that is not a muted replay sends a 3-word event
+/// to LP 9 and a tick to itself; `inputs` holds the lane transitions of
+/// every positive not annihilated, `sent` the (send time, transitions) of
+/// every output not cancelled.
+class AccountingHarness {
+ public:
+  explicit AccountingHarness(std::uint32_t period) : rt_(0, &lp_, period) {}
+
+  LpRuntime& rt() { return rt_; }
+
+  void insert(const Event& e) {
+    const auto res = rt_.insert(e);
+    const std::pair<LpId, std::uint64_t> key{e.sender, e.id};
+    if (e.sign == Sign::kNegative) {
+      inputs_.erase(key);
+    } else {
+      inputs_[key] = e.mask_popcount();
+    }
+    if (!res.rolled_back) return;
+    // Aggressive cancellation: every output sent at or after the
+    // rollback time, each with one anti-message.
+    const std::size_t before = sent_.size();
+    std::erase_if(sent_, [&](const std::pair<SimTime, std::uint64_t>& o) {
+      return o.first >= res.rollback_time;
+    });
+    EXPECT_EQ(res.antis.size(), before - sent_.size());
+    for (const Event& anti : res.antis) {
+      EXPECT_EQ(anti.sender, 0u);
+      EXPECT_EQ(anti.sign, Sign::kNegative);
+    }
+    check_running_totals();
+  }
+
+  /// Execute every pending batch.
+  void run() {
+    while (rt_.has_unprocessed()) {
+      SimTime t = 0;
+      const EventBatch batch = rt_.begin_batch(t);
+      if (!rt_.in_replay(t)) {
+        const Event out = wide_ev(t + 1, 9, 0, rt_.alloc_event_id(), 0xf0f, t);
+        rt_.record_output(out);
+        sent_.emplace_back(t, out.mask_popcount());
+        rt_.record_output(ev(t + 5, 0, 0, rt_.alloc_event_id(), t));
+        sent_.emplace_back(t, 0);  // self-sends weigh nothing
+      }
+      rt_.commit_batch(t, batch.size());
+      check_running_totals();
+    }
+  }
+
+  void fossil(SimTime gvt) {
+    // Work leaving the live range is committed work.
+    const std::uint64_t live_before = live_work(rt_.input_queue().size());
+    rt_.fossil_collect(gvt);
+    committed_work_ += live_before - live_work(rt_.input_queue().size());
+    check_running_totals();
+  }
+
+  /// Sums over the committed inputs and the uncancelled outputs alone.
+  std::uint64_t expected_lane_work() const {
+    std::uint64_t n = 0;
+    for (const auto& [key, work] : inputs_) n += work;
+    return n;
+  }
+  std::uint64_t expected_sends() const {
+    std::uint64_t n = 0;
+    for (const auto& [send, transitions] : sent_) n += transitions;
+    return n;
+  }
+  std::size_t expected_events() const { return inputs_.size(); }
+
+ private:
+  std::uint64_t live_work(std::size_t n) const {
+    std::uint64_t w = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      w += rt_.input_queue()[i].mask_popcount();
+    }
+    return w;
+  }
+
+  /// Mid-run, the counters cover exactly the executed, not undone events
+  /// and the recorded, not cancelled sends.
+  void check_running_totals() const {
+    EXPECT_EQ(rt_.lane_work_committed(),
+              committed_work_ + live_work(rt_.processed_count()));
+    EXPECT_EQ(rt_.sends_committed(), expected_sends());
+  }
+
+  NullLp lp_;
+  LpRuntime rt_;
+  std::map<std::pair<LpId, std::uint64_t>, std::uint64_t> inputs_;
+  std::vector<std::pair<SimTime, std::uint64_t>> sent_;
+  std::uint64_t committed_work_ = 0;
+};
+
+TEST(LpRuntime, CommitCountsSurviveRollbackCancellationAndReplay) {
+  for (const std::uint32_t period : {1u, 3u}) {
+    SCOPED_TRACE(period);
+    AccountingHarness h(period);
+    const Event b = wide_ev(20, 0, 1, 2, 0x7);
+    h.insert(wide_ev(10, 0, 1, 1, 0x3));
+    h.insert(b);
+    h.insert(wide_ev(30, 0, 2, 3, 0x1));
+    h.insert(wide_ev(40, 0, 1, 4, 0xf));
+    h.insert(wide_ev(50, 0, 2, 5, 0x5));
+    h.run();
+    // Primary rollback to 45: period 1 restores t=40; period 3 restores
+    // t=30 and coast-forwards t=40 muted.  The t=50 sends are cancelled.
+    h.insert(wide_ev(45, 0, 2, 6, 0x3f));
+    EXPECT_EQ(h.rt().next_time(), period == 3 ? 40u : 45u);
+    EXPECT_TRUE(h.rt().in_replay(40));
+    h.run();
+    h.fossil(12);  // period 1 commits t=10; outputs sent at 10 retire
+    // Secondary rollback: the anti for t=20 un-processes everything past
+    // the base (period 1: t=10; period 3: the initial state, so t=10
+    // replays muted) and cancels every send from t=20 on.
+    Event anti = b;
+    anti.sign = Sign::kNegative;
+    h.insert(anti);
+    EXPECT_EQ(h.rt().next_time(), period == 3 ? 10u : 30u);
+    EXPECT_TRUE(h.rt().in_replay(10));
+    h.run();
+    h.fossil(kEndOfTime);
+    h.rt().finalize();
+
+    EXPECT_EQ(h.rt().events_committed(), h.expected_events());
+    EXPECT_EQ(h.rt().lane_work_committed(), h.expected_lane_work());
+    EXPECT_EQ(h.rt().sends_committed(), h.expected_sends());
+    EXPECT_EQ(h.expected_events(), 5u);
+    EXPECT_GT(h.expected_lane_work(), 3 * h.expected_events());
+  }
+}
+
+TEST(LpRuntime, RetiredInputEntriesNeverOutnumberLiveOnes) {
+  for (const std::uint32_t period : {1u, 3u}) {
+    SCOPED_TRACE(period);
+    NullLp lp;
+    LpRuntime rt(0, &lp, period);
+    // Four events stay queued ahead of the executed frontier, and GVT
+    // trails the LP by one batch.
+    for (std::uint64_t t = 1; t <= 4; ++t) rt.insert(ev(t, 0, 1, t));
+    for (std::uint64_t b = 1; b <= 10000; ++b) {
+      process_next(rt);
+      rt.insert(ev(b + 4, 0, 1, b + 4));
+      rt.fossil_collect(b);
+      ASSERT_LE(rt.retired_entries(), rt.input_queue().size()) << "batch "
+                                                                << b;
+    }
+    EXPECT_EQ(rt.events_processed(), 10000u);
+    EXPECT_GE(rt.events_committed(), 10000u - 3);
+  }
 }
 
 }  // namespace
