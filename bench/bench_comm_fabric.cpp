@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
   const bench::BenchConfig cfg = bench::config_from_cli(cli);
   const auto max_nodes =
-      static_cast<std::uint32_t>(bench::get_flag_u64(cli, "max-nodes", 2, 64));
+      static_cast<std::uint32_t>(cli.get_u64("max-nodes", 2, 64));
   const std::string circuit_name = cli.get("circuit");
   const std::string strategy = cli.get("strategy");
   bench::require_activity_off(cfg, "bench_comm_fabric");

@@ -57,8 +57,8 @@ void add_common_flags(util::Cli& cli) {
                "unlimited, comma-separated for mode columns",
                "auto");
   cli.add_flag("activity",
-               "activity-guided partitioning mode(s): off | profile | "
-               "warmup, comma-separated for unweighted-vs-activity columns",
+               "activity-guided partitioning mode(s): off | profile, "
+               "comma-separated for unweighted-vs-activity columns",
                "off");
   cli.add_flag("drift",
                "shift the hot input cone at half the horizon (drifting "
@@ -90,18 +90,6 @@ void add_common_flags(util::Cli& cli) {
                "0");
 }
 
-std::uint64_t get_flag_u64(const util::Cli& cli, const std::string& name,
-                           std::uint64_t lo, std::uint64_t hi) {
-  const std::int64_t raw = cli.get_int(name);
-  PLS_CHECK_MSG(raw >= 0, "--" << name << " must be non-negative, got "
-                                << raw);
-  const auto v = static_cast<std::uint64_t>(raw);
-  PLS_CHECK_MSG(v >= lo && v <= hi, "--" << name << " must be in ["
-                                          << lo << ", " << hi << "], got "
-                                          << v);
-  return v;
-}
-
 namespace {
 
 /// config_from_cli's reads and checks; a bad flag throws.
@@ -110,34 +98,30 @@ BenchConfig read_config(const util::Cli& cli) {
   cfg.scale = cli.get_double("scale");
   // Checked reads: every one of these lands in an unsigned config field, so
   // a negative (or absurdly large) value would otherwise wrap silently.
-  cfg.end_time = get_flag_u64(cli, "end", 1, std::uint64_t{1} << 60);
-  cfg.repeats =
-      static_cast<std::uint32_t>(get_flag_u64(cli, "repeats", 1, 100000));
-  cfg.seed = get_flag_u64(cli, "seed", 0, ~std::uint64_t{0} >> 1);
+  cfg.end_time = cli.get_u64("end", 1, std::uint64_t{1} << 60);
+  cfg.repeats = static_cast<std::uint32_t>(cli.get_u64("repeats", 1, 100000));
+  cfg.seed = cli.get_u64("seed", 0, ~std::uint64_t{0} >> 1);
   cfg.csv_dir = cli.get("csv");
-  cfg.event_cost_ns =
-      get_flag_u64(cli, "event-cost-ns", 0, 1'000'000'000);
-  cfg.send_overhead_ns =
-      get_flag_u64(cli, "send-overhead-ns", 0, 1'000'000'000);
-  cfg.latency_ns = get_flag_u64(cli, "latency-ns", 0, 10'000'000'000ull);
-  cfg.optimism_window =
-      get_flag_u64(cli, "window", 0, std::uint64_t{1} << 60);
+  cfg.event_cost_ns = cli.get_u64("event-cost-ns", 0, 1'000'000'000);
+  cfg.send_overhead_ns = cli.get_u64("send-overhead-ns", 0, 1'000'000'000);
+  cfg.latency_ns = cli.get_u64("latency-ns", 0, 10'000'000'000ull);
+  cfg.optimism_window = cli.get_u64("window", 0, std::uint64_t{1} << 60);
   cfg.throttle = cli.get("throttle");
   cfg.activity = cli.get("activity");
   cfg.drift = cli.get_bool("drift");
   cfg.rollback_budget = cli.get_double("rollback-budget");
   cfg.max_batches_per_poll =
-      static_cast<std::uint32_t>(get_flag_u64(cli, "batch", 1, 1 << 20));
+      static_cast<std::uint32_t>(cli.get_u64("batch", 1, 1 << 20));
   cfg.coalesce = cli.get_bool("coalesce");
   // Capped well below the kernel's 30 s deadlock watchdog: a GVT interval
   // longer than the watchdog window guarantees a false stall abort.
-  cfg.gvt_interval_us = get_flag_u64(cli, "gvt-us", 1, 10'000'000);
-  cfg.lanes = static_cast<std::uint32_t>(
-      get_flag_u64(cli, "lanes", 1, logicsim::kMaxLanes));
-  cfg.stim_period = get_flag_u64(cli, "stim-period", 1, 1u << 30);
-  cfg.clock_period = get_flag_u64(cli, "clock-period", 1, 1u << 30);
+  cfg.gvt_interval_us = cli.get_u64("gvt-us", 1, 10'000'000);
+  cfg.lanes =
+      static_cast<std::uint32_t>(cli.get_u64("lanes", 1, logicsim::kMaxLanes));
+  cfg.stim_period = cli.get_u64("stim-period", 1, 1u << 30);
+  cfg.clock_period = cli.get_u64("clock-period", 1, 1u << 30);
   cfg.trace_path = cli.get("trace");
-  cfg.metrics_interval_ms = get_flag_u64(cli, "metrics-interval", 0, 60'000);
+  cfg.metrics_interval_ms = cli.get_u64("metrics-interval", 0, 60'000);
   PLS_CHECK_MSG(cfg.scale > 0.0 && cfg.scale <= 4.0,
                 "--scale must be in (0, 4]");
   PLS_CHECK_MSG(cfg.rollback_budget > 0.0 && cfg.rollback_budget < 1.0,
@@ -170,9 +154,9 @@ BenchConfig config_from_cli(const util::Cli& cli) {
 
 std::vector<std::string> activity_modes(const BenchConfig& cfg) {
   return split_modes("activity", cfg.activity, [](const std::string& tok) {
-    PLS_CHECK_MSG(tok == "off" || tok == "profile" || tok == "warmup",
-                  "--activity: unknown mode '"
-                      << tok << "' (want off|profile|warmup)");
+    PLS_CHECK_MSG(tok == "off" || tok == "profile",
+                  "--activity: unknown mode '" << tok
+                                               << "' (want off|profile)");
     return tok;
   });
 }
@@ -187,14 +171,7 @@ void require_activity_off(const BenchConfig& cfg, const char* bench_name) {
 }
 
 void apply_activity(framework::DriverConfig& dc, const std::string& mode) {
-  if (mode == "off") {
-    dc.use_activity = false;
-    return;
-  }
-  dc.use_activity = true;
-  dc.activity_source = mode == "warmup"
-                           ? framework::DriverConfig::ActivitySource::kWarmup
-                           : framework::DriverConfig::ActivitySource::kProfile;
+  dc.use_activity = mode != "off";
 }
 
 std::vector<SweepCell> sweep_cells(const BenchConfig& cfg) {

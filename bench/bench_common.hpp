@@ -49,9 +49,9 @@ struct BenchConfig {
   /// throttle-mode columns sweep the list.
   std::string throttle = "auto";
   /// Activity-guided partitioning spec from --activity: comma-separated
-  /// list of off|profile|warmup (see DriverConfig::use_activity /
-  /// activity_source).  Benches with activity column groups sweep the
-  /// list; non-"off" modes only apply to the multilevel strategies.
+  /// list of off|profile (see DriverConfig::use_activity).  Benches with
+  /// activity column groups sweep the list; "profile" only applies to the
+  /// multilevel strategies.
   std::string activity = "off";
   /// Drifting stimulus (--drift): shift the hot input cone at half the
   /// horizon (ModelOptions::stim_drift_at = end_time / 2), the workload
@@ -104,18 +104,12 @@ void add_common_flags(util::Cli& cli);
 /// stderr and exits with status 2.
 BenchConfig config_from_cli(const util::Cli& cli);
 
-/// Checked integer flag read: rejects values outside [lo, hi] with a clear
-/// message instead of letting negatives / overlarge values silently wrap
-/// through the unsigned config casts.
-std::uint64_t get_flag_u64(const util::Cli& cli, const std::string& name,
-                           std::uint64_t lo, std::uint64_t hi);
-
 /// Resolve cfg.throttle into concrete kernel modes ("auto" expands using
 /// cfg.optimism_window; a comma-separated list expands in order, deduped).
 std::vector<warped::ThrottleMode> throttle_modes(const BenchConfig& cfg);
 
-/// Resolve cfg.activity into concrete driver modes ("off" / "profile" /
-/// "warmup"), deduped, order-preserving; rejects unknown tokens.
+/// Resolve cfg.activity into concrete driver modes ("off" / "profile"),
+/// deduped, order-preserving; rejects unknown tokens.
 std::vector<std::string> activity_modes(const BenchConfig& cfg);
 
 /// Fail fast unless --activity is plain "off" — for benches that build

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
   const bench::BenchConfig cfg = bench::config_from_cli(cli);
   const auto max_nodes =
-      static_cast<std::uint32_t>(bench::get_flag_u64(cli, "max-nodes", 1, 64));
+      static_cast<std::uint32_t>(cli.get_u64("max-nodes", 1, 64));
   const std::string circuit_name = cli.get("circuit");
 
   const circuit::Circuit c = bench::make_benchmark(circuit_name, cfg);

@@ -7,9 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <map>
 #include <memory>
-#include <mutex>
 
 #include "circuit/generator.hpp"
 #include "graph/weighted_graph.hpp"
@@ -168,74 +166,7 @@ void BM_RollbackDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_RollbackDepth)->Arg(8)->Arg(64)->Arg(512);
 
-// ---- comm fabric: before/after comparators ---------------------------------
-//
-// LegacyMutexMailbox and LegacyHoldingHeap are verbatim replicas of the
-// pre-coalescing comm path (mutex per message push; counted std::map
-// mirror per held message).  They live here permanently as the "before"
-// side of BENCH_kernel_micro.json's comm rows: both variants are measured
-// by the same binary in the same run, so the before/after comparison
-// never rots when the toolchain or hardware shifts.
-
-class LegacyMutexMailbox {
- public:
-  void push(warped::InFlight msg) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    box_.push_back(std::move(msg));
-    approx_size_.fetch_add(1, std::memory_order_release);
-  }
-
-  std::size_t drain(std::vector<warped::InFlight>& out) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t n = box_.size();
-    if (n != 0) {
-      out.reserve(out.size() + n);
-      out.insert(out.end(), std::make_move_iterator(box_.begin()),
-                 std::make_move_iterator(box_.end()));
-      box_.clear();
-      approx_size_.fetch_sub(n, std::memory_order_relaxed);
-    }
-    return n;
-  }
-
-  bool probably_empty() const noexcept {
-    return approx_size_.load(std::memory_order_acquire) == 0;
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<warped::InFlight> box_;
-  std::atomic<std::size_t> approx_size_{0};
-};
-
-class LegacyHoldingHeap {
- public:
-  void push(warped::InFlight msg) {
-    ++recv_times_[msg.event.recv_time];
-    heap_.push_back(std::move(msg));
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  }
-
-  bool empty() const noexcept { return heap_.empty(); }
-
-  warped::InFlight pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    warped::InFlight msg = std::move(heap_.back());
-    heap_.pop_back();
-    const auto it = recv_times_.find(msg.event.recv_time);
-    if (--it->second == 0) recv_times_.erase(it);
-    return msg;
-  }
-
-  warped::SimTime min_recv_time() const noexcept {
-    return recv_times_.empty() ? warped::kEndOfTime
-                               : recv_times_.begin()->first;
-  }
-
- private:
-  std::vector<warped::InFlight> heap_;
-  std::map<warped::SimTime, std::uint32_t> recv_times_;
-};
+// ---- comm fabric ----------------------------------------------------------
 
 warped::InFlight make_inflight(std::uint64_t seq) {
   warped::InFlight f;
@@ -245,23 +176,9 @@ warped::InFlight make_inflight(std::uint64_t seq) {
   return f;
 }
 
-/// Uncontended 16-push + drain round trip, legacy mutex path ("before").
-void BM_MailboxTransferLegacy(benchmark::State& state) {
-  LegacyMutexMailbox box;
-  std::vector<warped::InFlight> buf;
-  std::uint64_t seq = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < 16; ++i) box.push(make_inflight(seq++));
-    buf.clear();
-    box.drain(buf);
-    benchmark::DoNotOptimize(buf.size());
-  }
-}
-BENCHMARK(BM_MailboxTransferLegacy);
-
-/// The same round trip through the coalescing fabric ("after"): 16 adds
-/// into the SendCoalescer (flushed as one batch at the size-16 mark of a
-/// burst-end flush), one lock-free batch push, one chain drain.
+/// Uncontended 16-message round trip through the coalescing fabric: 16
+/// adds into the SendCoalescer (flushed as one batch by a burst-end
+/// flush), one lock-free batch push, one chain drain.
 void BM_MailboxTransferCoalesced(benchmark::State& state) {
   warped::InProcChannel ch(1);
   warped::SendCoalescer co;
@@ -280,39 +197,12 @@ void BM_MailboxTransferCoalesced(benchmark::State& state) {
 }
 BENCHMARK(BM_MailboxTransferCoalesced);
 
-// Contended mailbox push/drain at 1/2/4/8 producers (the ISSUE's
-// headline micro).  All threads produce into one mailbox; thread 0
-// additionally drains on a fixed cadence, like a receiver polling its
-// endpoint between LTSF bursts.  Reported rate = messages transferred
-// per second across all producers.
+// Contended mailbox push/drain at 1/2/4/8 producers.  All threads produce
+// into one mailbox; thread 0 additionally drains on a fixed cadence, like
+// a receiver polling its endpoint between LTSF bursts.  Reported rate =
+// messages transferred per second across all producers.
 
 constexpr int kDrainEvery = 256;
-
-void BM_MailboxContendedLegacy(benchmark::State& state) {
-  // Magic static: thread-safe construction, shared by all producer
-  // threads; content carried across trial runs is bounded by the drain
-  // cadence and irrelevant to the measured push/drain cost.
-  static LegacyMutexMailbox box;
-  std::vector<warped::InFlight> buf;
-  std::uint64_t seq = 0;
-  int since_drain = 0;
-  for (auto _ : state) {
-    box.push(make_inflight(seq++));
-    if (state.thread_index() == 0 && ++since_drain == kDrainEvery) {
-      since_drain = 0;
-      buf.clear();
-      box.drain(buf);
-      benchmark::DoNotOptimize(buf.size());
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MailboxContendedLegacy)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
 
 void BM_MailboxContendedCoalesced(benchmark::State& state) {
   static warped::InProcChannel ch(1);
@@ -343,14 +233,11 @@ BENCHMARK(BM_MailboxContendedCoalesced)
     ->Threads(8)
     ->UseRealTime();
 
-// Holding-heap churn with a GVT report (min_recv_time) per poll: the
-// pattern the map mirror was built for and the lazy-deletion flat mirror
-// replaces.  Keeps ~512 messages live, pushes/pops in 16-message waves
-// with randomized receive times.
-
-template <typename Heap>
-void holding_churn(benchmark::State& state) {
-  Heap heap;
+// Holding-heap churn with a GVT report (min_recv_time) per poll.  Keeps
+// ~512 messages live, pushes/pops in 16-message waves with randomized
+// receive times.
+void BM_HoldingHeapChurn(benchmark::State& state) {
+  warped::HoldingHeap heap;
   util::Rng rng(7);
   std::uint64_t seq = 0;
   for (int i = 0; i < 512; ++i) {
@@ -370,15 +257,6 @@ void holding_churn(benchmark::State& state) {
     benchmark::DoNotOptimize(heap.min_recv_time());
   }
   state.SetItemsProcessed(state.iterations() * 32);
-}
-
-void BM_HoldingHeapChurnLegacy(benchmark::State& state) {
-  holding_churn<LegacyHoldingHeap>(state);
-}
-BENCHMARK(BM_HoldingHeapChurnLegacy);
-
-void BM_HoldingHeapChurn(benchmark::State& state) {
-  holding_churn<warped::HoldingHeap>(state);
 }
 BENCHMARK(BM_HoldingHeapChurn);
 

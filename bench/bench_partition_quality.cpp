@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   cli.add_flag("k", "number of parts", "8");
   if (!cli.parse(argc, argv)) return 1;
   const bench::BenchConfig cfg = bench::config_from_cli(cli);
-  const auto k = static_cast<std::uint32_t>(bench::get_flag_u64(cli, "k", 1, 1024));
+  const auto k = static_cast<std::uint32_t>(cli.get_u64("k", 1, 1024));
 
   const auto amodes = bench::activity_modes(cfg);
   util::AsciiTable table({"Circuit", "Strategy", "Activity", "EdgeCut",

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
   const bench::BenchConfig cfg = bench::config_from_cli(cli);
   bench::require_activity_off(cfg, "bench_refinement_ablation");
-  const auto k = static_cast<std::uint32_t>(bench::get_flag_u64(cli, "k", 1, 1024));
+  const auto k = static_cast<std::uint32_t>(cli.get_u64("k", 1, 1024));
 
   struct Variant {
     const char* label;

@@ -15,7 +15,7 @@
 #include "circuit/generator.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace pls;
 
   util::Cli cli("bench_tool: emit or inspect ISCAS'89 .bench netlists");
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
 
   if (cli.get("emit") != "none") {
     const circuit::Circuit c = circuit::make_iscas_like(
-        cli.get("emit"), static_cast<std::uint64_t>(cli.get_int("seed")));
+        cli.get("emit"), cli.get_u64("seed", 0, ~std::uint64_t{0} >> 1));
     circuit::write_bench_file(cli.get("out"), c);
     std::ostringstream os;
     os << circuit::compute_stats(c);
@@ -52,4 +52,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const pls::util::FlagError& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

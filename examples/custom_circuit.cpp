@@ -15,7 +15,7 @@
 #include "logicsim/netlist_lps.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace pls;
   using circuit::GateType;
 
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   framework::DriverConfig cfg;
   cfg.num_nodes = 2;
   cfg.partitioner = "Multilevel";
-  cfg.end_time = static_cast<warped::SimTime>(cli.get_int("end"));
+  cfg.end_time = cli.get_u64("end", 1, std::uint64_t{1} << 60);
   cfg.model.stim_period = 40;
   const auto par = framework::run_parallel(c, cfg);
   const auto seq = framework::run_sequential(c, cfg);
@@ -73,4 +73,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
   return eq.ok() ? 0 : 2;
+} catch (const pls::util::FlagError& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -21,7 +21,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace pls;
 
   util::Cli cli("fault_simulation: 63 stuck-at faults per batched run");
@@ -33,20 +33,9 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "stimulus seed (uniform across lanes)", "2000");
   cli.add_flag("fault-seed", "fault-site sampling seed", "9");
   if (!cli.parse(argc, argv)) return 1;
-  const std::int64_t faults_raw = cli.get_int("faults");
-  if (faults_raw < 1 || faults_raw > 255) {
-    std::fprintf(stderr, "--faults must be in [1,255], got %lld\n",
-                 static_cast<long long>(faults_raw));
-    return 1;
-  }
-  const std::int64_t end = cli.get_int("end");
-  if (end <= 0) {
-    std::fprintf(stderr, "--end must be positive\n");
-    return 1;
-  }
 
   circuit::GeneratorSpec spec = circuit::iscas_spec(
-      cli.get("circuit"), static_cast<std::uint64_t>(cli.get_int("seed")));
+      cli.get("circuit"), cli.get_u64("seed", 0, ~std::uint64_t{0} >> 1));
   const double scale = cli.get_double("scale");
   spec.num_comb_gates = std::max<std::size_t>(
       4, static_cast<std::size_t>(
@@ -56,13 +45,14 @@ int main(int argc, char** argv) {
   const circuit::Circuit c = circuit::generate(spec);
 
   framework::DriverConfig cfg;
-  cfg.num_nodes = static_cast<std::uint32_t>(cli.get_int("nodes"));
-  cfg.end_time = static_cast<warped::SimTime>(end);
+  cfg.num_nodes =
+      static_cast<std::uint32_t>(cli.get_u64("nodes", 1, c.size()));
+  cfg.end_time = cli.get_u64("end", 1, std::uint64_t{1} << 60);
   cfg.seed = spec.seed;
   cfg.model.uniform_stimulus = true;  // lanes differ only via their faults
   cfg.model.faults = logicsim::sample_faults(
-      c, static_cast<std::size_t>(faults_raw),
-      static_cast<std::uint64_t>(cli.get_int("fault-seed")));
+      c, cli.get_u64("faults", 1, 255),
+      cli.get_u64("fault-seed", 0, ~std::uint64_t{0} >> 1));
   cfg.lanes =
       static_cast<std::uint32_t>(cfg.model.faults.size()) + 1;
 
@@ -103,4 +93,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   par.run.totals.events_committed));
   return 0;
+} catch (const pls::util::FlagError& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -20,7 +20,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace pls;
 
   util::Cli cli("monte_carlo_sweep: N stimulus scenarios per run, verified");
@@ -32,21 +32,11 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "base stimulus seed (lane j uses lane_seed(seed,j))",
                "2000");
   if (!cli.parse(argc, argv)) return 1;
-  const std::int64_t lanes_raw = cli.get_int("lanes");
-  if (lanes_raw < 1 || lanes_raw > logicsim::kMaxLanes) {
-    std::fprintf(stderr, "--lanes must be in [1,%u], got %lld\n",
-                 logicsim::kMaxLanes, static_cast<long long>(lanes_raw));
-    return 1;
-  }
-  const auto lanes = static_cast<std::uint32_t>(lanes_raw);
-  const std::int64_t end = cli.get_int("end");
-  if (end <= 0) {
-    std::fprintf(stderr, "--end must be positive\n");
-    return 1;
-  }
+  const auto lanes = static_cast<std::uint32_t>(
+      cli.get_u64("lanes", 1, logicsim::kMaxLanes));
 
   circuit::GeneratorSpec spec = circuit::iscas_spec(
-      cli.get("circuit"), static_cast<std::uint64_t>(cli.get_int("seed")));
+      cli.get("circuit"), cli.get_u64("seed", 0, ~std::uint64_t{0} >> 1));
   const double scale = cli.get_double("scale");
   spec.num_comb_gates = std::max<std::size_t>(
       4, static_cast<std::size_t>(
@@ -56,8 +46,9 @@ int main(int argc, char** argv) {
   const circuit::Circuit c = circuit::generate(spec);
 
   framework::DriverConfig cfg;
-  cfg.num_nodes = static_cast<std::uint32_t>(cli.get_int("nodes"));
-  cfg.end_time = static_cast<warped::SimTime>(end);
+  cfg.num_nodes =
+      static_cast<std::uint32_t>(cli.get_u64("nodes", 1, c.size()));
+  cfg.end_time = cli.get_u64("end", 1, std::uint64_t{1} << 60);
   cfg.seed = spec.seed;
   cfg.lanes = lanes;
   cfg.model.stim_period = 50;
@@ -141,4 +132,7 @@ int main(int argc, char** argv) {
               seq.wall_seconds > 0 ? scalar_total_est / seq.wall_seconds
                                    : 0.0);
   return 0;
+} catch (const pls::util::FlagError& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

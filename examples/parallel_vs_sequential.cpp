@@ -16,7 +16,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace pls;
 
   util::Cli cli("parallel_vs_sequential: one Table 2 row, verified");
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   }
 
   circuit::GeneratorSpec spec = circuit::iscas_spec(
-      cli.get("circuit"), static_cast<std::uint64_t>(cli.get_int("seed")));
+      cli.get("circuit"), cli.get_u64("seed", 0, ~std::uint64_t{0} >> 1));
   const double scale = cli.get_double("scale");
   spec.num_comb_gates = static_cast<std::size_t>(
       static_cast<double>(spec.num_comb_gates) * scale);
@@ -56,30 +56,15 @@ int main(int argc, char** argv) {
   const circuit::Circuit c = circuit::generate(spec);
 
   framework::DriverConfig cfg;
-  cfg.num_nodes = static_cast<std::uint32_t>(cli.get_int("nodes"));
-  const std::int64_t end = cli.get_int("end");
-  if (end <= 0) {
-    std::fprintf(stderr, "--end must be positive, got %lld\n",
-                 static_cast<long long>(end));
-    return 1;
-  }
-  cfg.end_time = static_cast<warped::SimTime>(end);
+  cfg.num_nodes =
+      static_cast<std::uint32_t>(cli.get_u64("nodes", 1, c.size()));
+  cfg.end_time = cli.get_u64("end", 1, std::uint64_t{1} << 60);
   cfg.seed = spec.seed;
   cfg.model.stim_period = 50;
   cfg.throttle.mode = throttle_mode;
-  const std::int64_t window = cli.get_int("window");
-  if (window < 0) {
-    std::fprintf(stderr, "--window must be non-negative, got %lld\n",
-                 static_cast<long long>(window));
-    return 1;
-  }
-  cfg.optimism_window = static_cast<warped::SimTime>(window);
+  cfg.optimism_window = cli.get_u64("window", 0, std::uint64_t{1} << 60);
   const std::string trace_path = cli.get("trace");
-  const std::int64_t metrics_ms = cli.get_int("metrics-interval");
-  if (metrics_ms < 0) {
-    std::fprintf(stderr, "--metrics-interval must be non-negative\n");
-    return 1;
-  }
+  const std::uint64_t metrics_ms = cli.get_u64("metrics-interval", 0, 60'000);
 
   const auto seq = framework::run_sequential(c, cfg);
   std::printf(
@@ -99,8 +84,7 @@ int main(int argc, char** argv) {
     cfg.obs = obs::ObsConfig{};
     if (traced) {
       cfg.obs.trace = true;
-      cfg.obs.metrics_interval_us =
-          static_cast<std::uint64_t>(metrics_ms) * 1000;
+      cfg.obs.metrics_interval_us = metrics_ms * 1000;
     }
     const auto res = framework::run_parallel(c, cfg);
     if (traced && res.obs != nullptr) {
@@ -123,4 +107,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.render().c_str());
   return 0;
+} catch (const pls::util::FlagError& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -23,20 +23,20 @@
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace pls;
 
   util::Cli cli("partition_compare: static quality of every strategy");
   cli.add_flag("k", "number of parts", "8");
   cli.add_flag("seed", "partitioning seed", "7");
   if (!cli.parse(argc, argv)) return 1;
-  const auto k = static_cast<std::uint32_t>(cli.get_int("k"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const std::uint64_t seed = cli.get_u64("seed", 0, ~std::uint64_t{0} >> 1);
 
   const circuit::Circuit c =
       cli.positional().empty()
           ? circuit::make_iscas_like("s9234", seed)
           : circuit::parse_bench_file(cli.positional().front());
+  const auto k = static_cast<std::uint32_t>(cli.get_u64("k", 1, c.size()));
   {
     std::ostringstream os;
     os << circuit::compute_stats(c);
@@ -85,4 +85,7 @@ int main(int argc, char** argv) {
   }
   std::printf(" (refined per level, coarsest to original)\n");
   return 0;
+} catch (const pls::util::FlagError& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

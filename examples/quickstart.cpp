@@ -16,7 +16,7 @@
 #include "logicsim/equivalence.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace pls;
 
   util::Cli cli("quickstart: partition a synthetic circuit and simulate it");
@@ -33,11 +33,11 @@ int main(int argc, char** argv) {
   // 1. A circuit (swap in circuit::parse_bench_file() for a real netlist).
   circuit::GeneratorSpec spec;
   spec.name = "quickstart";
-  spec.num_comb_gates = static_cast<std::size_t>(cli.get_int("gates"));
   spec.num_inputs = 24;
   spec.num_outputs = 12;
+  spec.num_comb_gates = cli.get_u64("gates", spec.num_outputs, 1u << 20);
   spec.num_dffs = spec.num_comb_gates / 16;
-  spec.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  spec.seed = cli.get_u64("seed", 0, ~std::uint64_t{0} >> 1);
   const circuit::Circuit c = circuit::generate(spec);
   std::printf("circuit: %s\n",
               [&] {
@@ -50,8 +50,9 @@ int main(int argc, char** argv) {
   // 2. Partition + parallel simulation.
   framework::DriverConfig cfg;
   cfg.partitioner = cli.get("partitioner");
-  cfg.num_nodes = static_cast<std::uint32_t>(cli.get_int("nodes"));
-  cfg.end_time = static_cast<warped::SimTime>(cli.get_int("end"));
+  cfg.num_nodes =
+      static_cast<std::uint32_t>(cli.get_u64("nodes", 1, c.size()));
+  cfg.end_time = cli.get_u64("end", 1, std::uint64_t{1} << 60);
   cfg.seed = spec.seed;
   const framework::DriverResult res = framework::run_parallel(c, cfg);
 
@@ -76,4 +77,7 @@ int main(int argc, char** argv) {
   const auto eq = logicsim::check_equivalence(res.run, seq);
   std::printf("equivalence: %s\n", eq.describe().c_str());
   return eq.ok() ? 0 : 2;
+} catch (const pls::util::FlagError& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

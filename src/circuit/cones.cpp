@@ -3,11 +3,9 @@
 #include "util/check.hpp"
 
 namespace pls::circuit {
-namespace {
 
-template <typename NeighborFn>
-std::vector<GateId> reachable(const Circuit& c, GateId root, bool through_dff,
-                              NeighborFn&& neighbors) {
+std::vector<GateId> fanout_cone(const Circuit& c, GateId root,
+                                bool through_dff) {
   PLS_CHECK(c.frozen());
   PLS_CHECK(root < c.size());
   std::vector<std::uint8_t> seen(c.size(), 0);
@@ -21,7 +19,7 @@ std::vector<GateId> reachable(const Circuit& c, GateId root, bool through_dff,
     // Stop expanding past a DFF unless through_dff is set (the root itself
     // always expands so a DFF root has a non-trivial cone).
     if (!through_dff && g != root && c.type(g) == GateType::kDff) continue;
-    for (GateId n : neighbors(g)) {
+    for (GateId n : c.fanouts(g)) {
       if (!seen[n]) {
         seen[n] = 1;
         stack.push_back(n);
@@ -29,29 +27,6 @@ std::vector<GateId> reachable(const Circuit& c, GateId root, bool through_dff,
     }
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<GateId> fanout_cone(const Circuit& c, GateId root,
-                                bool through_dff) {
-  return reachable(c, root, through_dff,
-                   [&](GateId g) { return c.fanouts(g); });
-}
-
-std::vector<GateId> fanin_cone(const Circuit& c, GateId root,
-                               bool through_dff) {
-  return reachable(c, root, through_dff,
-                   [&](GateId g) { return c.fanins(g); });
-}
-
-std::vector<std::size_t> input_cone_sizes(const Circuit& c, bool through_dff) {
-  std::vector<std::size_t> sizes;
-  sizes.reserve(c.primary_inputs().size());
-  for (GateId pi : c.primary_inputs()) {
-    sizes.push_back(fanout_cone(c, pi, through_dff).size());
-  }
-  return sizes;
 }
 
 }  // namespace pls::circuit

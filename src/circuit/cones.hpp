@@ -1,11 +1,9 @@
 #pragma once
-// Fanout / fanin cone analysis.
+// Fanout cone analysis.
 //
 // The Cone partitioner of the study ("a partitioning scheme based on
 // fanout/fanin cone clustering starting from the input gates", Smith [19])
-// clusters each primary input's forward-reachable set.  These helpers
-// compute reachability cones and are also used by tests and the activity
-// analyzer.
+// clusters each primary input's forward-reachable set.
 
 #include <vector>
 
@@ -19,14 +17,5 @@ namespace pls::circuit {
 /// its combinational-cone definition).
 std::vector<GateId> fanout_cone(const Circuit& c, GateId root,
                                 bool through_dff = false);
-
-/// All gates reaching `root` by following fanin edges (including `root`).
-std::vector<GateId> fanin_cone(const Circuit& c, GateId root,
-                               bool through_dff = false);
-
-/// Number of gates in each primary input's fanout cone; index parallels
-/// c.primary_inputs().
-std::vector<std::size_t> input_cone_sizes(const Circuit& c,
-                                          bool through_dff = false);
 
 }  // namespace pls::circuit

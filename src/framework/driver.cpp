@@ -11,36 +11,6 @@
 namespace pls::framework {
 namespace {
 
-/// Short unweighted parallel pre-run with the same strategy and stimulus;
-/// each LP's committed event/send counts are its measured useful work and
-/// traffic — the same two signals the sequential profile derives, but
-/// observed under the real optimistic execution.
-logicsim::ActivityProfile warmup_activity(const circuit::Circuit& c,
-                                          const DriverConfig& cfg,
-                                          warped::SimTime horizon) {
-  DriverConfig warm = cfg;
-  warm.use_activity = false;
-  warm.end_time = horizon;
-  warm.obs = obs::ObsConfig{};  // never trace/sample the pre-run
-  const DriverResult wres = run_parallel(c, warm);
-  std::vector<std::uint64_t> events(wres.run.per_lp.size(), 0);
-  std::vector<std::uint64_t> transitions(wres.run.per_lp.size(), 0);
-  for (std::size_t lp = 0; lp < events.size(); ++lp) {
-    // Lane-aware work signal: committed lane transitions (mask popcounts),
-    // not raw event counts — on batched runs a gate whose inputs toggle
-    // across many lanes costs proportionally more CPU per event.  Equal
-    // to events_committed on scalar runs.
-    events[lp] = wres.run.per_lp[lp].lane_work_committed;
-    const std::size_t fanout = c.fanouts(lp).size();
-    const std::uint64_t sends = wres.run.per_lp[lp].sends_committed;
-    transitions[lp] = fanout > 0 ? sends / fanout : sends;
-  }
-  logicsim::ActivityProfile profile;
-  profile.work = logicsim::normalize_counts(events);
-  profile.traffic = logicsim::normalize_counts(transitions);
-  return profile;
-}
-
 DriverResult partition_circuit(const circuit::Circuit& c,
                                const DriverConfig& cfg) {
   DriverResult res;
@@ -55,20 +25,12 @@ DriverResult partition_circuit(const circuit::Circuit& c,
         "ignored by '"
             << cfg.partitioner << "'");
     util::WallTimer atimer;
-    const warped::SimTime horizon =
-        cfg.end_time / DriverConfig::kActivityHorizonDivisor;
-    logicsim::ActivityProfile profile;
-    if (cfg.activity_source == DriverConfig::ActivitySource::kProfile) {
-      // Profile the exact stimulus the measured run will see.
-      logicsim::ModelOptions mo = cfg.model;
-      mo.stim_seed = cfg.seed;
-      mo.lanes = cfg.lanes;
-      profile = logicsim::profile_activity(c, mo, horizon);
-      res.activity_mode = "profile";
-    } else {
-      profile = warmup_activity(c, cfg, horizon);
-      res.activity_mode = "warmup";
-    }
+    // Profile the exact stimulus the measured run will see.
+    logicsim::ModelOptions mo = cfg.model;
+    mo.stim_seed = cfg.seed;
+    mo.lanes = cfg.lanes;
+    const logicsim::ActivityProfile profile = logicsim::profile_activity(
+        c, mo, cfg.end_time / DriverConfig::kActivityHorizonDivisor);
     weights = multilevel::weights_from_activity(profile.work, profile.traffic);
     ml.weights = &weights;
     res.activity_seconds = atimer.elapsed_seconds();

@@ -72,20 +72,15 @@ struct DriverConfig {
   std::size_t max_live_entries_per_node = 0;
   std::uint64_t watchdog_timeout_ms = 30000;  ///< 0 disables the watchdog
 
-  /// Activity-guided partitioning (paper §6 extension + D'Angelo-style
-  /// runtime feedback): a short pre-run derives per-gate activity, the
-  /// (hyper)graph is re-weighted (multilevel::weights_from_activity) and
-  /// repartitioned with real work/traffic weights before the measured run.
-  /// Only the multilevel strategies consume weights — enabling this with
-  /// any other strategy is a configuration error (PLS_CHECK_MSG names the
-  /// offending strategy rather than silently ignoring the flag).
+  /// Activity-guided partitioning (paper §6 extension): a short sequential
+  /// pre-run of the measured run's stimulus (logicsim::profile_activity)
+  /// derives per-gate activity, and the (hyper)graph is re-weighted
+  /// (multilevel::weights_from_activity) and partitioned with real
+  /// work/traffic weights before the measured run.  Only the multilevel
+  /// strategies consume weights — enabling this with any other strategy is
+  /// a configuration error (PLS_CHECK_MSG names the offending strategy
+  /// rather than silently ignoring the flag).
   bool use_activity = false;
-  enum class ActivitySource {
-    kProfile,  ///< sequential pre-simulation (logicsim::profile_activity)
-    kWarmup,   ///< short unweighted parallel run; per-LP committed-event
-               ///< counts (RunStats::per_lp) are the activity signal
-  };
-  ActivitySource activity_source = ActivitySource::kProfile;
   /// The pre-run covers end_time / kActivityHorizonDivisor of virtual
   /// time: long enough for steady-state switching rates, short next to
   /// the real run.  Activity maps to weights through the fixed caps in
@@ -96,15 +91,12 @@ struct DriverConfig {
   /// Observability (src/obs/): kernel tracing and/or background metrics
   /// sampling for the measured run.  Off by default; when enabled the
   /// finished session is handed back in DriverResult::obs for export.
-  /// Activity pre-runs (warmup mode) are never traced.
   obs::ObsConfig obs;
 };
 
 struct DriverResult {
   partition::Partition partition;
   double partition_seconds = 0.0;  ///< time spent partitioning
-  /// Activity-guided mode actually applied: "off", "profile" or "warmup".
-  std::string activity_mode = "off";
   double activity_seconds = 0.0;  ///< pre-run + reweighting time
 
   // Static quality metrics of the chosen partition.

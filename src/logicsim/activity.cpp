@@ -3,7 +3,10 @@
 #include "logicsim/sequential.hpp"
 
 namespace pls::logicsim {
+namespace {
 
+/// Mean-normalize raw per-gate counts (1.0 = average gate; all-zero counts
+/// normalize to all-zero).
 std::vector<double> normalize_counts(
     const std::vector<std::uint64_t>& counts) {
   double total = 0.0;
@@ -18,6 +21,8 @@ std::vector<double> normalize_counts(
   }
   return activity;
 }
+
+}  // namespace
 
 ActivityProfile profile_activity(const circuit::Circuit& c,
                                  const ModelOptions& opt,

@@ -7,7 +7,6 @@
 // (partition::CoarsenOptions::activity), which then prefers to keep busy
 // signals inside globules.
 
-#include <cstdint>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -40,12 +39,5 @@ struct ActivityProfile {
 ActivityProfile profile_activity(const circuit::Circuit& c,
                                  const ModelOptions& opt,
                                  warped::SimTime profile_end);
-
-/// Mean-normalize raw per-gate event counts into an activity profile
-/// (1.0 = average gate; all-zero counts normalize to all-zero).  Shared by
-/// profile_activity and the driver's warm-up feedback path, which feeds
-/// per-LP committed-event counts from a parallel run through the same
-/// normalization.
-std::vector<double> normalize_counts(const std::vector<std::uint64_t>& counts);
 
 }  // namespace pls::logicsim

@@ -37,10 +37,8 @@ BlockHeader* heap_block(std::uint32_t n) {
 
 }  // namespace
 
-Pool::Pool(PoolConfig cfg) : cfg_(cfg) {
-  PLS_CHECK_MSG(cfg_.slab_bytes >= 2 * slot_bytes(kNumClasses - 1),
-                "slab too small for the largest size class");
-}
+static_assert(Pool::kSlabBytes >= 2 * slot_bytes(Pool::kNumClasses - 1),
+              "slab too small for the largest size class");
 
 Pool::~Pool() {
   for (void* s : slabs_) ::operator delete(s, std::align_val_t{kLine});
@@ -49,15 +47,12 @@ Pool::~Pool() {
 BlockHeader* Pool::carve(std::uint32_t cls) {
   const std::size_t stride = slot_bytes(cls);
   if (static_cast<std::size_t>(bump_end_ - bump_) < stride) {
-    if (cfg_.max_slabs != 0 && slabs_.size() >= cfg_.max_slabs) {
-      return nullptr;  // budget exhausted: caller degrades to the heap
-    }
-    void* slab = ::operator new(cfg_.slab_bytes, std::align_val_t{kLine});
+    void* slab = ::operator new(kSlabBytes, std::align_val_t{kLine});
     slabs_.push_back(slab);
     ++stats_.slabs;
-    stats_.slab_bytes += cfg_.slab_bytes;
+    stats_.slab_bytes += kSlabBytes;
     bump_ = static_cast<std::byte*>(slab);
-    bump_end_ = bump_ + cfg_.slab_bytes;
+    bump_end_ = bump_ + kSlabBytes;
   }
   auto* h = reinterpret_cast<BlockHeader*>(bump_);
   bump_ += stride;
@@ -84,9 +79,7 @@ BlockHeader* Pool::alloc(std::uint32_t n) {
     ++stats_.recycled;
     return h;
   }
-  if (BlockHeader* h = carve(cls)) return h;
-  ++stats_.heap_fallbacks;
-  return heap_block(n);
+  return carve(cls);
 }
 
 void Pool::free_local(BlockHeader* h) noexcept {

@@ -60,14 +60,6 @@ inline BlockHeader* header_of(std::uint64_t* payload) noexcept {
   return reinterpret_cast<BlockHeader*>(payload) - 1;
 }
 
-struct PoolConfig {
-  std::size_t slab_bytes = 64 * 1024;  ///< per-slab carve size
-  /// Slab budget: 0 = unlimited.  When the budget is exhausted the pool
-  /// degrades to heap-fallback blocks instead of failing — exhaustion is
-  /// a performance event, never a correctness event.
-  std::size_t max_slabs = 0;
-};
-
 /// Counters for tests and the kernel's per-node memory stats.  The two
 /// remote-side counters are written by foreign threads and kept in
 /// atomics; snapshot() flattens everything for reporting.
@@ -77,7 +69,7 @@ struct PoolStats {
   std::uint64_t carved = 0;          ///< blocks carved fresh from a slab
   std::uint64_t recycled = 0;        ///< allocs served from a free list
   std::uint64_t local_frees = 0;     ///< frees routed straight to a list
-  std::uint64_t heap_fallbacks = 0;  ///< oversize or budget-exhausted
+  std::uint64_t heap_fallbacks = 0;  ///< oversize requests
   std::uint64_t remote_blocks = 0;   ///< foreign frees drained back home
   std::uint64_t remote_splices = 0;  ///< CAS pushes (a whole chain = 1)
 };
@@ -93,8 +85,10 @@ class Pool {
   static constexpr int kNumClasses = 5;
   static constexpr std::uint32_t kHeapClass = ~std::uint32_t{0};
   static constexpr std::uint32_t kMaxPooledWords = 126;
+  /// Per-slab carve size.
+  static constexpr std::size_t kSlabBytes = 64 * 1024;
 
-  explicit Pool(PoolConfig cfg = {});
+  Pool() = default;
   ~Pool();
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
@@ -134,7 +128,6 @@ class Pool {
  private:
   BlockHeader* carve(std::uint32_t cls);
 
-  PoolConfig cfg_;
   BlockHeader* free_[kNumClasses] = {};
   std::atomic<BlockHeader*> remote_{nullptr};
   std::byte* bump_ = nullptr;

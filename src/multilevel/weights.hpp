@@ -4,8 +4,7 @@
 // The simulator's cost model is not topological: a gate that switches ten
 // times per clock costs ten times the work to host and ten times the
 // messages to cut, regardless of its fanin count.  This module turns a
-// per-gate activity profile (logicsim::profile_activity, or per-LP
-// committed-event counts fed back from a warm-up Time Warp run) into the
+// per-gate activity profile (logicsim::profile_activity) into the
 // two weight vectors the partitioners consume identically ("Multilevel"
 // via the symmetrized graph, "MultilevelHG" via the hypergraph):
 //
@@ -19,7 +18,7 @@
 // On batched (multi-lane) runs both signals are lane-aware: the work
 // profile counts committed lane *transitions* (the popcount of each
 // event's change mask, summed over all value words — see
-// logicsim::ActivityProfile and RunStats::lane_work_committed), not raw
+// logicsim::ActivityProfile and SeqStats::per_lp_lane_work), not raw
 // event counts.  A gate whose inputs toggle across 128 lanes costs
 // proportionally more CPU per event than one toggling a single lane, and
 // the weights price that; on scalar runs every mask popcount is 1, so the

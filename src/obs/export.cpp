@@ -1,12 +1,12 @@
 #include "obs/export.hpp"
 
+#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <string>
 
 #include "obs/session.hpp"
 #include "util/json.hpp"
-#include "util/log.hpp"
 #include "warped/types.hpp"
 
 namespace pls::obs {
@@ -112,7 +112,8 @@ bool open_or_warn(std::ofstream& f, const std::string& path,
                   const char* what) {
   f.open(path);
   if (!f.is_open()) {
-    PLS_WARN("obs: cannot open " << what << " output file '" << path << "'");
+    std::fprintf(stderr, "[obs] cannot open %s output file '%s'\n", what,
+                 path.c_str());
     return false;
   }
   return true;
@@ -217,43 +218,6 @@ void write_metrics_csv(std::ostream& os, const ObsSession& session) {
   }
 }
 
-void write_metrics_json(std::ostream& os, const ObsSession& session) {
-  util::JsonWriter j(os);
-  j.begin_object();
-  j.kv("interval_us", session.config().metrics_interval_us);
-  j.kv("num_nodes", session.num_nodes());
-  j.kv("samples_truncated", session.samples_truncated());
-  j.key("samples");
-  j.begin_array();
-  for (const MetricsSample& s : session.samples()) {
-    j.begin_object();
-    j.key("wall_ms");
-    j.value(static_cast<double>(s.wall_ns) / 1e6, 3);
-    time_kv(j, "gvt", s.gvt);
-    j.key("nodes");
-    j.begin_array();
-    for (const MetricsSample::Node& g : s.nodes) {
-      j.begin_object();
-      j.kv("processed", g.events_processed);
-      j.kv("committed", g.events_committed);
-      j.kv("rolled_back", g.events_rolled_back);
-      j.kv("rollbacks", g.rollbacks);
-      time_kv(j, "window", g.window);
-      j.kv("live", g.live_entries);
-      j.kv("holding", g.holding_events);
-      j.kv("pool_bytes", g.pool_bytes);
-      j.kv("batches", g.batches_sent);
-      j.kv("batch_msgs", g.batch_msgs_sent);
-      j.end_object();
-    }
-    j.end_array();
-    j.end_object();
-  }
-  j.end_array();
-  j.end_object();
-  os << '\n';
-}
-
 bool write_perfetto_trace_file(const std::string& path,
                                const ObsSession& session) {
   std::ofstream f;
@@ -267,14 +231,6 @@ bool write_metrics_csv_file(const std::string& path,
   std::ofstream f;
   if (!open_or_warn(f, path, "metrics CSV")) return false;
   write_metrics_csv(f, session);
-  return static_cast<bool>(f);
-}
-
-bool write_metrics_json_file(const std::string& path,
-                             const ObsSession& session) {
-  std::ofstream f;
-  if (!open_or_warn(f, path, "metrics JSON")) return false;
-  write_metrics_json(f, session);
   return static_cast<bool>(f);
 }
 

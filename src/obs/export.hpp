@@ -1,7 +1,7 @@
 #pragma once
 // Exporters for an ObsSession: Chrome/Perfetto trace.json (open in
 // https://ui.perfetto.dev or chrome://tracing) and the metrics time series
-// as long-format CSV or JSON.
+// as long-format CSV.
 //
 // Only call after the run: the trace rings require their producer threads
 // joined and the sampler stopped.  Output is deterministic modulo
@@ -27,16 +27,11 @@ void write_perfetto_trace(std::ostream& os, const ObsSession& session);
 /// node per sample; the global GVT samples use node -1.
 void write_metrics_csv(std::ostream& os, const ObsSession& session);
 
-/// The same series as structured JSON (one object per sample).
-void write_metrics_json(std::ostream& os, const ObsSession& session);
-
-/// File variants; return false (and log a warning) when the file cannot
-/// be opened.
+/// File variants; return false (and print a warning on stderr) when the
+/// file cannot be opened.
 bool write_perfetto_trace_file(const std::string& path,
                                const ObsSession& session);
 bool write_metrics_csv_file(const std::string& path,
                             const ObsSession& session);
-bool write_metrics_json_file(const std::string& path,
-                             const ObsSession& session);
 
 }  // namespace pls::obs

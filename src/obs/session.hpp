@@ -43,8 +43,6 @@ class ObsSession {
   ObsSession& operator=(const ObsSession&) = delete;
 
   std::uint32_t num_nodes() const noexcept { return num_nodes_; }
-  const ObsConfig& config() const noexcept { return cfg_; }
-  bool tracing() const noexcept { return cfg_.trace; }
 
   /// Node `n`'s trace ring, or nullptr when tracing is off.  The kernel
   /// caches this per cluster; one null test per would-be record.

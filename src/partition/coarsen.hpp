@@ -39,7 +39,9 @@ enum class CoarsenScheme {
 struct CoarsenOptions {
   /// Stop once the globule count is <= threshold. 0 = caller default.
   std::size_t threshold = 64;
-  std::size_t max_levels = 64;
+  /// Hierarchy depth cap: a guard, the threshold normally stops
+  /// coarsening first.
+  static constexpr std::size_t max_levels = 64;
   CoarsenScheme scheme = CoarsenScheme::kFanout;
   std::uint64_t seed = 1;
   /// Largest weight a single globule may reach (0 = unlimited).  Without a

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 
 #include "util/check.hpp"
 
@@ -69,12 +68,30 @@ std::string Cli::get(const std::string& name) const {
 
 std::int64_t Cli::get_int(const std::string& name) const {
   const std::string v = get(name);
+  std::size_t end = 0;
+  std::int64_t x = 0;
   try {
-    return std::stoll(v);
+    x = std::stoll(v, &end);
   } catch (const std::exception&) {
-    throw std::runtime_error("flag --" + name + " expects an integer, got '" +
-                             v + "'");
+    end = 0;
   }
+  if (end == 0 || end != v.size()) {
+    throw FlagError("flag --" + name + " expects an integer, got '" + v +
+                    "'");
+  }
+  return x;
+}
+
+std::uint64_t Cli::get_u64(const std::string& name, std::uint64_t lo,
+                           std::uint64_t hi) const {
+  const std::int64_t v = get_int(name);
+  if (v < 0 || static_cast<std::uint64_t>(v) < lo ||
+      static_cast<std::uint64_t>(v) > hi) {
+    throw FlagError("--" + name + " must be in [" + std::to_string(lo) +
+                    ", " + std::to_string(hi) + "], got " +
+                    std::to_string(v));
+  }
+  return static_cast<std::uint64_t>(v);
 }
 
 double Cli::get_double(const std::string& name) const {
@@ -82,8 +99,7 @@ double Cli::get_double(const std::string& name) const {
   try {
     return std::stod(v);
   } catch (const std::exception&) {
-    throw std::runtime_error("flag --" + name + " expects a number, got '" +
-                             v + "'");
+    throw FlagError("flag --" + name + " expects a number, got '" + v + "'");
   }
 }
 
@@ -91,8 +107,7 @@ bool Cli::get_bool(const std::string& name) const {
   const std::string v = get(name);
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw std::runtime_error("flag --" + name + " expects a boolean, got '" +
-                           v + "'");
+  throw FlagError("flag --" + name + " expects a boolean, got '" + v + "'");
 }
 
 std::string Cli::usage() const {

@@ -6,10 +6,18 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace pls::util {
+
+/// A flag value that does not parse or is out of range; what() is a
+/// one-line message naming the flag, e.g. "--nodes must be in [1, 8], got 0".
+class FlagError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class Cli {
  public:
@@ -22,10 +30,15 @@ class Cli {
   /// Parse argv. Returns false (after printing usage) on --help or error.
   bool parse(int argc, const char* const* argv);
 
+  /// Typed reads; a malformed value throws FlagError.
   std::string get(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
+  /// Integer read checked against [lo, hi] before any unsigned cast, so a
+  /// negative or overlarge value is a FlagError instead of wrapping.
+  std::uint64_t get_u64(const std::string& name, std::uint64_t lo,
+                        std::uint64_t hi) const;
 
   /// Positional arguments left over after flag parsing.
   const std::vector<std::string>& positional() const noexcept {

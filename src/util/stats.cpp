@@ -1,73 +1,10 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 
 #include "util/check.hpp"
 
 namespace pls::util {
-
-void RunningStat::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStat::merge(const RunningStat& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStat::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
-
-double Samples::mean() const noexcept {
-  if (xs_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs_) s += x;
-  return s / static_cast<double>(xs_.size());
-}
-
-double Samples::stddev() const noexcept {
-  if (xs_.size() < 2) return 0.0;
-  const double m = mean();
-  double s = 0.0;
-  for (double x : xs_) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(xs_.size() - 1));
-}
-
-double Samples::min() const noexcept {
-  return xs_.empty() ? 0.0 : *std::min_element(xs_.begin(), xs_.end());
-}
-
-double Samples::max() const noexcept {
-  return xs_.empty() ? 0.0 : *std::max_element(xs_.begin(), xs_.end());
-}
 
 double Samples::percentile(double p) const {
   PLS_CHECK_MSG(!xs_.empty(), "percentile of empty sample set");
@@ -80,50 +17,6 @@ double Samples::percentile(double p) const {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  PLS_CHECK_MSG(hi > lo, "histogram range must be non-empty");
-  PLS_CHECK_MSG(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) noexcept {
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    if (idx >= counts_.size()) idx = counts_.size() - 1;
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::ostringstream os;
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        static_cast<std::size_t>(static_cast<double>(counts_[i]) /
-                                 static_cast<double>(peak) *
-                                 static_cast<double>(width));
-    os << '[' << bucket_lo(i) << ", " << bucket_hi(i) << ") "
-       << std::string(bar, '#') << ' ' << counts_[i] << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace pls::util

@@ -1,37 +1,10 @@
 #pragma once
-// Small statistics helpers used by the benchmark harnesses and the Time Warp
-// kernel's run statistics: single-pass mean/variance (Welford), min/max,
-// percentiles over stored samples, and a fixed-bucket histogram.
+// Exact percentiles over stored samples, for the harnesses that summarize
+// repeated runs.
 
-#include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace pls::util {
-
-/// Single-pass running statistic (Welford's online algorithm).
-class RunningStat {
- public:
-  void add(double x) noexcept;
-  void merge(const RunningStat& other) noexcept;
-
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  double variance() const noexcept;  ///< sample variance (n-1 denominator)
-  double stddev() const noexcept;
-  double min() const noexcept { return n_ ? min_ : 0.0; }
-  double max() const noexcept { return n_ ? max_ : 0.0; }
-  double sum() const noexcept { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Stores all samples; supports exact percentiles. Used by harnesses that
 /// repeat runs (the paper repeated each experiment five times and reported
@@ -39,41 +12,11 @@ class RunningStat {
 class Samples {
  public:
   void add(double x) { xs_.push_back(x); }
-  std::size_t count() const noexcept { return xs_.size(); }
-  double mean() const noexcept;
-  double stddev() const noexcept;
-  double min() const noexcept;
-  double max() const noexcept;
   /// Exact percentile by linear interpolation, p in [0,100].
   double percentile(double p) const;
-  const std::vector<double>& values() const noexcept { return xs_; }
 
  private:
   std::vector<double> xs_;
-};
-
-/// Fixed-width bucket histogram over [lo, hi); out-of-range samples clamp to
-/// the first/last bucket.  Used for event-granularity and rollback-length
-/// distributions in the kernel micro benches.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  std::uint64_t total() const noexcept { return total_; }
-  double bucket_lo(std::size_t i) const noexcept;
-  double bucket_hi(std::size_t i) const noexcept;
-  /// Render as a compact ASCII bar chart (for bench output).
-  std::string ascii(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace pls::util

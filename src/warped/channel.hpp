@@ -178,7 +178,7 @@ struct CoalesceConfig {
   /// kernel flushes every destination at each LTSF-burst end anyway, so
   /// this matters just for pathological bursts that keep routing without
   /// reaching the burst boundary.
-  std::uint64_t max_batch_age_ns = 200'000;
+  static constexpr std::uint64_t max_batch_age_ns = 200'000;
 };
 
 /// Cumulative flush accounting (NodeStats / obs gauges).

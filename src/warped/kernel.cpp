@@ -8,7 +8,6 @@
 
 #include "obs/session.hpp"
 #include "util/check.hpp"
-#include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace pls::warped {
@@ -353,8 +352,6 @@ void Kernel::node_main(std::uint32_t node) {
   Cluster& cl = *clusters_[node];
   const SimTime end = cfg_.end_time;
   const std::uint64_t latency = cfg_.network.latency_ns;
-  // Attribute this thread's log lines (PLS_LOG_TIMESTAMPS=1 shows them).
-  util::set_log_thread_tag("node" + std::to_string(node));
   // Node-local arena for the whole loop: every wide payload this thread
   // allocates (inserts, snapshots) comes from — and recycles into — this
   // node's pool.
@@ -721,7 +718,6 @@ std::uint64_t Kernel::total_exec_ticks() const noexcept {
 }
 
 void Kernel::watchdog_main() {
-  util::set_log_thread_tag("watchdog");
   const std::uint64_t timeout_ns = cfg_.watchdog_timeout_ms * 1'000'000ull;
   SimTime last_gvt = gvt_.load(std::memory_order_relaxed);
   std::uint64_t ticks_at_freeze = total_exec_ticks();

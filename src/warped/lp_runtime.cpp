@@ -203,7 +203,7 @@ void LpRuntime::commit_batch(SimTime batch_time, std::size_t batch_size) {
   PLS_CHECK(head_ + processed_count_ + batch_size <= queue_.size());
   PLS_CHECK_MSG(!processed_any_ || batch_time > last_processed_,
                 "batches must commit in increasing time order");
-  // Lane-aware work signal: the batch's incoming lane transitions (a
+  // Lane-aware work count: the batch's incoming lane transitions (a
   // rollback that un-processes the batch takes them back).
   const std::size_t first = head_ + processed_count_;
   for (std::size_t i = first; i < first + batch_size; ++i) {
@@ -224,7 +224,7 @@ void LpRuntime::record_output(const Event& ev) {
   PLS_CHECK_MSG(output_queue_.empty() ||
                     output_queue_.back().send_time <= ev.send_time,
                 "output queue must grow in send-time order");
-  // Transition-weighted traffic signal: a batched event carries popcount
+  // Transition-weighted traffic count: a batched event carries popcount
   // lane transitions over its mask words; scalar events keep mask = 1.
   // Self-sends are scheduling ticks and weigh nothing (mirroring
   // SeqStats::per_lp_sends).

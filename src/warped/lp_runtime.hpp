@@ -197,27 +197,28 @@ class LpRuntime {
   /// Number of rollbacks (primary + secondary) this LP suffered.
   std::uint64_t rollbacks() const noexcept { return rollbacks_; }
   /// Events irrevocably committed (cut by fossil collection, plus what
-  /// finalize() commits) — the per-LP useful-work count the
-  /// activity-guided partitioner feeds back.
+  /// finalize() commits) — the per-LP useful-work count
+  /// check_equivalence compares with the sequential reference.
   std::uint64_t events_committed() const noexcept {
     return events_committed_;
   }
   /// Non-self lane transitions sent and not cancelled: each send counts
   /// popcount over all its mask words when recorded, and a rollback takes
   /// back the ones it cancels, so once the run is over this is the
-  /// committed per-LP traffic count the activity-guided partitioner feeds
-  /// back (≈ transitions × fanout; self-sends are scheduling ticks and
-  /// excluded).  Scalar events have mask = 1, so this is exactly the
-  /// committed-send count in single-lane runs.
+  /// committed per-LP traffic count (≈ transitions × fanout; self-sends
+  /// are scheduling ticks and excluded) that check_equivalence compares
+  /// and the benches sum into committed transitions.  Scalar events have
+  /// mask = 1, so this is exactly the committed-send count in single-lane
+  /// runs.
   std::uint64_t sends_committed() const noexcept { return sends_committed_; }
   /// *Incoming* lane transitions of the processed, not rolled-back events:
   /// popcount over the mask words of each event, added when its batch
   /// executes and taken back when a rollback un-processes it.  Once the
-  /// run is over (finalize()) this is the committed lane-aware work signal
-  /// — a gate hot in one lane of 256 no longer weighs like one hot in all
-  /// of them.  Scalar events carry mask = 1, so in single-lane runs this
-  /// equals events_committed() exactly and lane-aware weights degenerate
-  /// to the classic ones.
+  /// run is over (finalize()) this is the committed lane-aware work —
+  /// a gate hot in one lane of 256 does not weigh like one hot in all of
+  /// them — that check_equivalence compares and the pipeline benchmark
+  /// sums.  Scalar events carry mask = 1, so in single-lane runs this
+  /// equals events_committed() exactly.
   std::uint64_t lane_work_committed() const noexcept {
     return lane_work_committed_;
   }

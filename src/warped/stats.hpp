@@ -52,20 +52,21 @@ struct NodeStats {
 
 /// Per-LP attribution, so a stall or a rollback storm can be pinned to the
 /// responsible process instead of showing up only as node-level noise.
+/// The three committed counters are what logicsim::check_equivalence
+/// compares with the sequential reference LP by LP; the benches sum
+/// sends_committed into committed lane transitions, and the pipeline
+/// benchmark sums lane_work_committed into its lane work.
 struct LpStats {
   std::uint64_t events_processed = 0;
   std::uint64_t events_rolled_back = 0;
   std::uint64_t events_committed = 0;    ///< committed useful work (fossil
-                                         ///< cut + finalize) — the warm-up
-                                         ///< *work* signal
+                                         ///< cut + finalize)
   std::uint64_t sends_committed = 0;     ///< lane transitions sent and
                                          ///< never cancelled (popcount of
-                                         ///< each non-self send's mask) —
-                                         ///< the warm-up *traffic* signal
+                                         ///< each non-self send's mask)
   std::uint64_t lane_work_committed = 0; ///< committed incoming lane
                                          ///< transitions (input-mask
-                                         ///< popcounts): the lane-aware
-                                         ///< work signal; == events_committed
+                                         ///< popcounts); == events_committed
                                          ///< in single-lane runs
   std::uint64_t rollbacks = 0;           ///< primary + secondary
   std::uint64_t max_rollback_depth = 0;  ///< most events undone at once

@@ -50,9 +50,8 @@ OptimismThrottle::OptimismThrottle(ThrottleConfig cfg, SimTime base_window)
       window_ = base_window == 0 ? kEndOfTime : base_window;
       break;
     case ThrottleMode::kAdaptive:
-      window_ = base_window == 0 ? cfg_.max_window
-                                 : std::clamp(base_window, cfg_.min_window,
-                                              cfg_.max_window);
+      window_ = base_window == 0 ? kEndOfTime
+                                 : std::max(base_window, cfg_.min_window);
       break;
   }
   min_window_seen_ = window_;
@@ -131,11 +130,8 @@ void OptimismThrottle::decide(std::uint64_t round, bool full_sample) {
       // First clamp of an open window: anchor at the deepest speculation
       // horizon actually observed, not at a constant — the budget check
       // keeps cutting from there if the storm persists.
-      const SimTime anchor = std::max(sample_max_lead_, cfg_.min_window);
-      window_ = std::clamp(anchor, cfg_.min_window,
-                           cfg_.max_window == kEndOfTime
-                               ? kEndOfTime - 1
-                               : cfg_.max_window);
+      window_ = std::min(std::max(sample_max_lead_, cfg_.min_window),
+                         kEndOfTime - 1);
       storm_threshold_ = window_;
     } else {
       storm_threshold_ = window_;
@@ -178,11 +174,10 @@ SimTime OptimismThrottle::grown_window() const noexcept {
   if (window_ >= storm_threshold_) {
     // Congestion avoidance: probe past the last storm gently.
     const SimTime inc = std::max(cfg_.min_window, window_ / 8);
-    return std::min(cfg_.max_window, saturating_add(window_, inc));
+    return saturating_add(window_, inc);
   }
   // Slow start up to the storm threshold, never over it in one leap.
-  return scale_window(window_, cfg_.grow_factor,
-                      std::min(storm_threshold_, cfg_.max_window));
+  return scale_window(window_, cfg_.grow_factor, storm_threshold_);
 }
 
 ThrottleSummary OptimismThrottle::summary() const noexcept {

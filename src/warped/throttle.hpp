@@ -28,8 +28,9 @@
 //    few events to judge) forces growth on a period: a node starved by
 //    its own window can never fill a sample, and that is exactly the
 //    state the controller must be able to leave.
-//  * the window never leaves [min_window, max_window]; an open window's
-//    first clamp anchors at the observed speculation lead, not a constant.
+//  * the window never drops below min_window and may grow back to fully
+//    open; an open window's first clamp anchors at the observed
+//    speculation lead, not a constant.
 //
 // Progress is always safe: GVT is the minimum over *pending* work, so even
 // the smallest window admits the globally earliest event once a round
@@ -65,7 +66,6 @@ struct ThrottleConfig {
   /// Rollback budget: shrink while events_rolled_back / events_processed
   /// (per decision sample) exceeds this.
   double target_rollback_fraction = 0.20;
-  SimTime max_window = kEndOfTime;  ///< kEndOfTime = may fully re-open
 
   // Fixed control-law constants.
 

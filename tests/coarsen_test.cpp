@@ -83,11 +83,21 @@ TEST(Coarsen, ThresholdStopsCoarsening) {
 }
 
 TEST(Coarsen, MaxLevelsRespected) {
-  const auto c = test_circuit();
+  // One gate driving 100 leaves: heavy-edge matching pairs only one leaf
+  // with the hub's globule per level, so reaching the threshold would take
+  // over 100 levels and the depth cap has to stop it.
+  circuit::Circuit c;
+  const circuit::GateId hub =
+      c.add_gate("hub", circuit::GateType::kNot, {c.add_input("a")});
+  for (int i = 0; i < 100; ++i) {
+    c.mark_output(c.add_gate("leaf" + std::to_string(i),
+                             circuit::GateType::kNot, {hub}));
+  }
+  c.freeze();
   CoarsenOptions opt;
   opt.threshold = 1;  // would coarsen forever
-  opt.max_levels = 3;
-  EXPECT_LE(coarsen(c, opt).num_levels(), 3u);
+  opt.scheme = CoarsenScheme::kHeavyEdge;
+  EXPECT_EQ(coarsen(c, opt).num_levels(), CoarsenOptions::max_levels);
 }
 
 TEST(Coarsen, AllInputsCircuitCannotCoarsen) {

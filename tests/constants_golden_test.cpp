@@ -133,9 +133,7 @@ TEST(DriverGolden, ProfileGuidedPartitions) {
     cfg.partitioner = k.strategy;
     cfg.num_nodes = k.k;
     cfg.use_activity = true;
-    cfg.activity_source = framework::DriverConfig::ActivitySource::kProfile;
     const framework::DriverResult res = framework::partition_only(c, cfg);
-    EXPECT_EQ(res.activity_mode, "profile");
     Fnv1a h;
     for (const std::uint32_t a : res.partition.assign) h.add(a);
     EXPECT_TRUE(HashIs(h, k.hash)) << k.strategy << " k=" << k.k;

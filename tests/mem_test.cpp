@@ -1,5 +1,5 @@
 // Arena pool + Words unit and property tests (src/mem/): slot alignment,
-// free-list recycling, exhaustion degradation, cross-thread reclamation
+// free-list recycling, oversize heap fallback, cross-thread reclamation
 // and the O(1)-synchronization run-reclaim contract the Time Warp fossil
 // collector and rollback path rely on.
 
@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <thread>
-#include <vector>
 
 #include "mem/pool.hpp"
 #include "mem/words.hpp"
@@ -55,32 +54,6 @@ TEST(Pool, RecyclesFreedBlocksWithoutNewCarves) {
   EXPECT_EQ(after.carved, before.carved);
   EXPECT_EQ(after.recycled, before.recycled + 1);
   pool.free_local(again);
-}
-
-TEST(Pool, ExhaustionDegradesToHeapFallback) {
-  PoolConfig cfg;
-  cfg.slab_bytes = 4096;
-  cfg.max_slabs = 1;  // one slab, then the budget is gone
-  Pool pool(cfg);
-  std::vector<BlockHeader*> blocks;
-  // 126-word blocks stride 1 KiB: a 4 KiB slab holds exactly 4.
-  for (int i = 0; i < 4; ++i) blocks.push_back(pool.alloc(126));
-  for (BlockHeader* h : blocks) EXPECT_EQ(h->owner, &pool);
-
-  BlockHeader* overflow = pool.alloc(126);
-  EXPECT_EQ(overflow->owner, nullptr) << "budget exhaustion must degrade";
-  EXPECT_EQ(overflow->cls, Pool::kHeapClass);
-  const PoolStats s = pool.snapshot();
-  EXPECT_EQ(s.slabs, 1u);
-  EXPECT_GE(s.heap_fallbacks, 1u);
-
-  // Heap-fallback payloads free through the same entry point.
-  free_words(payload_of(overflow));
-  for (BlockHeader* h : blocks) pool.free_local(h);
-  // With slots back on the free list the pool serves pooled blocks again.
-  BlockHeader* reused = pool.alloc(126);
-  EXPECT_EQ(reused->owner, &pool);
-  pool.free_local(reused);
 }
 
 TEST(Pool, OversizeRequestsBypassThePool) {

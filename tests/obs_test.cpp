@@ -208,7 +208,7 @@ TEST(MetricsSampler, StopWithoutStartIsANoOp) {
   EXPECT_TRUE(s.samples().empty());
 }
 
-TEST(MetricsExport, CsvAndJsonCarryTheSeries) {
+TEST(MetricsExport, CsvCarriesTheSeries) {
   ObsConfig cfg;
   cfg.metrics_interval_us = 1000;
   ObsSession s(1, cfg);
@@ -224,11 +224,6 @@ TEST(MetricsExport, CsvAndJsonCarryTheSeries) {
   EXPECT_EQ(c.rfind("wall_ms,node,metric,value\n", 0), 0u);
   EXPECT_NE(c.find(",-1,gvt,9"), std::string::npos);
   EXPECT_NE(c.find(",0,committed,5"), std::string::npos);
-
-  std::ostringstream js;
-  write_metrics_json(js, s);
-  EXPECT_NE(js.str().find("\"samples\""), std::string::npos);
-  EXPECT_NE(js.str().find("\"gvt\":9"), std::string::npos);
 }
 
 // ---- end-to-end kernel smoke -----------------------------------------
@@ -323,10 +318,6 @@ TEST(ObsKernel, TwoNodeRunRecordsTraceAndMetrics) {
   write_metrics_csv(csv, session);
   EXPECT_EQ(csv.str().find(raw), std::string::npos);
   EXPECT_NE(csv.str().find(",-1,gvt,end\n"), std::string::npos);
-  std::ostringstream js;
-  write_metrics_json(js, session);
-  EXPECT_EQ(js.str().find(raw), std::string::npos);
-  EXPECT_NE(js.str().find("\"gvt\":\"end\""), std::string::npos);
 }
 
 }  // namespace

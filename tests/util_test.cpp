@@ -1,17 +1,15 @@
-// Unit tests for the util layer: RNG determinism and distribution, running
-// statistics, CSV escaping, CLI parsing, table rendering, spin calibration.
+// Unit tests for the util layer: RNG determinism and distribution,
+// percentiles, CSV escaping, CLI parsing, table rendering, spin calibration.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -110,39 +108,6 @@ TEST(SplitMix64, KnownFirstValueIsStable) {
   EXPECT_NE(v1, t.next());
 }
 
-TEST(RunningStat, MeanAndVariance) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStat, MergeMatchesCombinedStream) {
-  RunningStat a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.7 - 3;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(RunningStat, EmptyIsZero) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
 TEST(Samples, PercentileInterpolates) {
   Samples s;
   for (int i = 1; i <= 100; ++i) s.add(i);
@@ -154,35 +119,6 @@ TEST(Samples, PercentileInterpolates) {
 TEST(Samples, PercentileOfEmptyThrows) {
   Samples s;
   EXPECT_THROW(s.percentile(50), CheckError);
-}
-
-TEST(Samples, MeanStdDev) {
-  Samples s;
-  s.add(1);
-  s.add(3);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(2.0), 1e-12);
-  EXPECT_EQ(s.min(), 1.0);
-  EXPECT_EQ(s.max(), 3.0);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0, 10, 5);
-  h.add(-1);   // clamps to first
-  h.add(0.5);
-  h.add(9.9);
-  h.add(42);   // clamps to last
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(4), 10.0);
-  EXPECT_FALSE(h.ascii().empty());
-}
-
-TEST(Histogram, RejectsEmptyRange) {
-  EXPECT_THROW(Histogram(1, 1, 4), CheckError);
-  EXPECT_THROW(Histogram(0, 1, 0), CheckError);
 }
 
 TEST(Csv, EscapesSpecials) {
@@ -253,6 +189,27 @@ TEST(Cli, BadIntegerThrows) {
   EXPECT_THROW(cli.get_int("n"), std::runtime_error);
 }
 
+TEST(Cli, RangeCheckedIntegerRejectsWrapAndJunk) {
+  const auto read = [](const char* value) {
+    Cli c("test");
+    c.add_flag("n", "count", "17");
+    const char* argv[] = {"prog", "--n", value};
+    EXPECT_TRUE(c.parse(3, argv));
+    return c.get_u64("n", 1, 100);
+  };
+  EXPECT_EQ(read("1"), 1u);
+  EXPECT_EQ(read("100"), 100u);
+  EXPECT_THROW(read("0"), FlagError);
+  EXPECT_THROW(read("101"), FlagError);
+  EXPECT_THROW(read("-1"), FlagError);  // would wrap to 2^64 - 1
+  EXPECT_THROW(read("4x"), FlagError);
+  try {
+    read("-1");
+  } catch (const FlagError& e) {
+    EXPECT_STREQ(e.what(), "--n must be in [1, 100], got -1");
+  }
+}
+
 TEST(Table, RendersAlignedGrid) {
   AsciiTable t({"circuit", "time"});
   t.add_row({"s5378", "91.66"});
@@ -309,29 +266,6 @@ TEST(Check, ThrowsWithMessage) {
 
 TEST(Check, PassingCheckIsSilent) {
   EXPECT_NO_THROW(PLS_CHECK(2 + 2 == 4));
-}
-
-TEST(Log, FormatLineWithoutTimestamps) {
-  EXPECT_EQ(detail::format_line(LogLevel::kInfo, "hello", false, 99.0,
-                                "node3"),
-            "[pls INFO ] hello");
-}
-
-TEST(Log, FormatLineWithTimestampsAndTag) {
-  EXPECT_EQ(detail::format_line(LogLevel::kWarn, "msg", true, 1.5, "node3"),
-            "[pls WARN  +1.500s node3] msg");
-  // No tag set: the offset still appears, no trailing tag.
-  EXPECT_EQ(detail::format_line(LogLevel::kError, "boom", true, 0.0, ""),
-            "[pls ERROR +0.000s] boom");
-}
-
-TEST(Log, TimestampToggleRoundTrips) {
-  const bool before = log_timestamps();
-  set_log_timestamps(true);
-  EXPECT_TRUE(log_timestamps());
-  set_log_timestamps(false);
-  EXPECT_FALSE(log_timestamps());
-  set_log_timestamps(before);
 }
 
 }  // namespace

@@ -245,14 +245,13 @@ TEST(SendCoalescer, SizeBoundFlushesFromInsideAdd) {
 TEST(SendCoalescer, AgeBoundFlushesStaleBuffer) {
   InProcChannel ch(2);
   SendCoalescer co;
-  CoalesceConfig cfg;
-  cfg.max_batch_age_ns = 1000;
-  co.configure(&ch, cfg);
+  co.configure(&ch, CoalesceConfig{});
+  constexpr std::uint64_t kAge = CoalesceConfig::max_batch_age_ns;
 
   co.add(1, make_msg(10, 0), /*now_ns=*/5000, 0);
-  co.add(1, make_msg(10, 1), /*now_ns=*/5900, 0);  // age 900 < 1000: buffered
+  co.add(1, make_msg(10, 1), 5000 + kAge - 100, 0);  // younger: buffered
   EXPECT_EQ(co.stats().batches_flushed, 0u);
-  co.add(1, make_msg(10, 2), /*now_ns=*/6000, 0);  // age 1000: flush
+  co.add(1, make_msg(10, 2), 5000 + kAge, 0);  // at the age bound: flush
   EXPECT_EQ(co.stats().batches_flushed, 1u);
   EXPECT_EQ(co.stats().msgs_flushed, 3u);
   EXPECT_EQ(co.buffered(), 0u);
