@@ -25,9 +25,12 @@ int main(int argc, char** argv) {
   cli.add_flag("k", "number of nodes", "8");
   cli.add_flag("circuit", "benchmark", "s9234");
   if (!cli.parse(argc, argv)) return 1;
-  const bench::BenchConfig cfg = bench::config_from_cli(cli);
-  bench::require_activity_off(cfg, "bench_coarsening_ablation");
-  const auto k = static_cast<std::uint32_t>(cli.get_u64("k", 1, 1024));
+  std::uint32_t k = 0;
+  const bench::BenchConfig cfg =
+      bench::config_from_cli(cli, [&](const bench::BenchConfig& c) {
+        bench::require_activity_off(c, "bench_coarsening_ablation");
+        k = static_cast<std::uint32_t>(cli.get_u64("k", 1, 1024));
+      });
   const std::string name = cli.get("circuit");
 
   const circuit::Circuit c = bench::make_benchmark(name, cfg);

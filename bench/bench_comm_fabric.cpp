@@ -29,12 +29,15 @@ int main(int argc, char** argv) {
                "inter-node traffic the fabric must absorb)",
                "Random");
   if (!cli.parse(argc, argv)) return 1;
-  const bench::BenchConfig cfg = bench::config_from_cli(cli);
-  const auto max_nodes =
-      static_cast<std::uint32_t>(cli.get_u64("max-nodes", 2, 64));
+  std::uint32_t max_nodes = 0;
+  const bench::BenchConfig cfg =
+      bench::config_from_cli(cli, [&](const bench::BenchConfig& c) {
+        max_nodes =
+            static_cast<std::uint32_t>(cli.get_u64("max-nodes", 2, 64));
+        bench::require_activity_off(c, "bench_comm_fabric");
+      });
   const std::string circuit_name = cli.get("circuit");
   const std::string strategy = cli.get("strategy");
-  bench::require_activity_off(cfg, "bench_comm_fabric");
 
   const circuit::Circuit c = bench::make_benchmark(circuit_name, cfg);
   const auto mode = bench::throttle_modes(cfg).front();

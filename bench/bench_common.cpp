@@ -95,7 +95,7 @@ namespace {
 /// config_from_cli's reads and checks; a bad flag throws.
 BenchConfig read_config(const util::Cli& cli) {
   BenchConfig cfg;
-  cfg.scale = cli.get_double("scale");
+  cfg.scale = cli.get_double("scale", 0.0, 4.0);
   // Checked reads: every one of these lands in an unsigned config field, so
   // a negative (or absurdly large) value would otherwise wrap silently.
   cfg.end_time = cli.get_u64("end", 1, std::uint64_t{1} << 60);
@@ -122,8 +122,6 @@ BenchConfig read_config(const util::Cli& cli) {
   cfg.clock_period = cli.get_u64("clock-period", 1, 1u << 30);
   cfg.trace_path = cli.get("trace");
   cfg.metrics_interval_ms = cli.get_u64("metrics-interval", 0, 60'000);
-  PLS_CHECK_MSG(cfg.scale > 0.0 && cfg.scale <= 4.0,
-                "--scale must be in (0, 4]");
   PLS_CHECK_MSG(cfg.rollback_budget > 0.0 && cfg.rollback_budget < 1.0,
                 "--rollback-budget must be in (0, 1)");
   PLS_CHECK_MSG(std::filesystem::is_directory(cfg.csv_dir),
@@ -136,9 +134,12 @@ BenchConfig read_config(const util::Cli& cli) {
 
 }  // namespace
 
-BenchConfig config_from_cli(const util::Cli& cli) {
+BenchConfig config_from_cli(const util::Cli& cli,
+                            const std::function<void(BenchConfig&)>& extra) {
   try {
-    return read_config(cli);
+    BenchConfig cfg = read_config(cli);
+    if (extra) extra(cfg);
+    return cfg;
   } catch (const std::exception& e) {
     // A CheckError reads "check failed: (expr) at file:line — message";
     // the user needs only the message.

@@ -16,6 +16,7 @@
 //   --csv DIR     directory for CSV output (default ".")
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -99,10 +100,13 @@ struct BenchConfig {
 /// Register the common flags on a Cli.
 void add_common_flags(util::Cli& cli);
 
-/// Extract a BenchConfig after cli.parse().  A bad flag value, or a --csv
-/// that is not an existing directory, prints one "error: ..." line on
-/// stderr and exits with status 2.
-BenchConfig config_from_cli(const util::Cli& cli);
+/// Extract a BenchConfig after cli.parse(), then run `extra` on it: a
+/// bench's own flag reads and checks.  A bad flag value or a failed check
+/// in either, or a --csv that is not an existing directory, prints one
+/// "error: ..." line on stderr and exits with status 2.
+BenchConfig config_from_cli(
+    const util::Cli& cli,
+    const std::function<void(BenchConfig&)>& extra = nullptr);
 
 /// Resolve cfg.throttle into concrete kernel modes ("auto" expands using
 /// cfg.optimism_window; a comma-separated list expands in order, deduped).

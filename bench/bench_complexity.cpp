@@ -24,9 +24,12 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli);
   cli.add_flag("k", "number of parts for the size sweep", "8");
   if (!cli.parse(argc, argv)) return 1;
-  const bench::BenchConfig cfg = bench::config_from_cli(cli);
-  bench::require_activity_off(cfg, "bench_complexity");
-  const auto k = static_cast<std::uint32_t>(cli.get_u64("k", 1, 1024));
+  std::uint32_t k = 0;
+  const bench::BenchConfig cfg =
+      bench::config_from_cli(cli, [&](const bench::BenchConfig& c) {
+        bench::require_activity_off(c, "bench_complexity");
+        k = static_cast<std::uint32_t>(cli.get_u64("k", 1, 1024));
+      });
 
   util::AsciiTable table({"Gates", "Edges", "Levels", "Cut", "Time(ms)",
                           "ns/edge"});

@@ -21,9 +21,12 @@ int main(int argc, char** argv) {
   cli.add_flag("max-nodes", "largest node count", "8");
   cli.add_flag("circuit", "benchmark to sweep", "s9234");
   if (!cli.parse(argc, argv)) return 1;
-  const bench::BenchConfig cfg = bench::config_from_cli(cli);
-  const auto max_nodes =
-      static_cast<std::uint32_t>(cli.get_u64("max-nodes", 2, 64));
+  std::uint32_t max_nodes = 0;
+  const bench::BenchConfig cfg =
+      bench::config_from_cli(cli, [&](const bench::BenchConfig&) {
+        max_nodes =
+            static_cast<std::uint32_t>(cli.get_u64("max-nodes", 2, 64));
+      });
   const std::string circuit_name = cli.get("circuit");
 
   const circuit::Circuit c = bench::make_benchmark(circuit_name, cfg);

@@ -1,19 +1,23 @@
 // Google-benchmark micro measurements of the kernel's primitive costs:
 // gate evaluation, event queue insertion, batch commit + snapshot,
-// rollback + cancellation, fossil collection, mailbox transfer, and the
-// multilevel pipeline phases.  These are the constants behind the
-// macro-level tables (a committed event in the gate model costs a handful
-// of these primitives).
+// rollback + cancellation, fossil collection, mailbox transfer, the whole
+// kernel on the s15850 stand-in, and the multilevel pipeline phases.
+// These are the constants behind the macro-level tables (a committed event
+// in the gate model costs a handful of these primitives).
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "circuit/generator.hpp"
+#include "framework/driver.hpp"
+#include "framework/registry.hpp"
 #include "graph/weighted_graph.hpp"
 #include "logicsim/gate_eval.hpp"
+#include "logicsim/netlist_lps.hpp"
 #include "partition/coarsen.hpp"
 #include "partition/initial.hpp"
+#include "partition/partition.hpp"
 #include "partition/refine.hpp"
 #include "util/rng.hpp"
 #include "warped/channel.hpp"
@@ -310,6 +314,59 @@ void BM_KernelScalarEventThroughput(benchmark::State& state) {
   state.SetLabel("committed events/s = scalar event throughput");
 }
 BENCHMARK(BM_KernelScalarEventThroughput)->Unit(benchmark::kMillisecond);
+
+/// The kernel alone on pipebench's scalar-ml-k2 model: the s15850 stand-in
+/// (generator seed 2000), graph Multilevel onto 2 parts (partitioner seed
+/// 2000), one lane with stimulus seed 4242, horizon 6000, and the
+/// host-native KernelConfig a default DriverConfig gives once the modeled
+/// event, send and latency costs are 0.  Arg = node count: at 1 node every
+/// LP shares one node loop, at 2 nodes the partition's cut is real
+/// traffic.  Circuit, partition and model are built outside the timing;
+/// each iteration constructs and runs a fresh Kernel.
+/// `per_event` is wall time per committed event, in seconds.
+void BM_KernelS15850(benchmark::State& state) {
+  const auto nodes = static_cast<std::uint32_t>(state.range(0));
+  static const circuit::Circuit c = circuit::make_iscas_like("s15850", 2000);
+  static const partition::Partition p =
+      framework::make_partitioner("Multilevel")->run(c, 2, 2000);
+  logicsim::ModelOptions mo;
+  mo.stim_seed = 4242;
+  const logicsim::SimModel model = logicsim::build_model(c, mo);
+  const std::vector<std::uint32_t> node_of =
+      nodes == 1 ? std::vector<std::uint32_t>(c.size(), 0) : p.assign;
+
+  const framework::DriverConfig d;
+  warped::KernelConfig kc;
+  kc.num_nodes = nodes;
+  kc.end_time = 6000;
+  kc.coalesce.enabled = d.coalesce;
+  kc.coalesce.max_batch_msgs = d.coalesce_max_batch;
+  kc.gvt_interval_us = d.gvt_interval_us;
+  kc.state_period = d.state_period;
+  kc.throttle = d.throttle;
+  kc.optimism_window = d.optimism_window;
+  kc.max_batches_per_poll = d.max_batches_per_poll;
+  kc.max_live_entries_per_node = d.max_live_entries_per_node;
+  kc.watchdog_timeout_ms = d.watchdog_timeout_ms;
+
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    warped::Kernel kernel(model.behaviours(), node_of, kc);
+    const warped::RunStats rs = kernel.run();
+    benchmark::DoNotOptimize(rs.final_gvt);
+    events += rs.totals.events_committed;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_KernelS15850)
+    ->ArgName("nodes")
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_CoarsenS9234(benchmark::State& state) {
   const circuit::Circuit c = circuit::make_iscas_like("s9234", 7);

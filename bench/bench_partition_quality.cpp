@@ -27,8 +27,11 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli);
   cli.add_flag("k", "number of parts", "8");
   if (!cli.parse(argc, argv)) return 1;
-  const bench::BenchConfig cfg = bench::config_from_cli(cli);
-  const auto k = static_cast<std::uint32_t>(cli.get_u64("k", 1, 1024));
+  std::uint32_t k = 0;
+  const bench::BenchConfig cfg =
+      bench::config_from_cli(cli, [&](const bench::BenchConfig&) {
+        k = static_cast<std::uint32_t>(cli.get_u64("k", 1, 1024));
+      });
 
   const auto amodes = bench::activity_modes(cfg);
   util::AsciiTable table({"Circuit", "Strategy", "Activity", "EdgeCut",

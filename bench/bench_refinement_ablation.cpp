@@ -23,9 +23,12 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli);
   cli.add_flag("k", "number of parts", "8");
   if (!cli.parse(argc, argv)) return 1;
-  const bench::BenchConfig cfg = bench::config_from_cli(cli);
-  bench::require_activity_off(cfg, "bench_refinement_ablation");
-  const auto k = static_cast<std::uint32_t>(cli.get_u64("k", 1, 1024));
+  std::uint32_t k = 0;
+  const bench::BenchConfig cfg =
+      bench::config_from_cli(cli, [&](const bench::BenchConfig& c) {
+        bench::require_activity_off(c, "bench_refinement_ablation");
+        k = static_cast<std::uint32_t>(cli.get_u64("k", 1, 1024));
+      });
 
   struct Variant {
     const char* label;

@@ -27,9 +27,11 @@ int main(int argc, char** argv) {
                "(0 = unlimited)",
                "0");
   if (!cli.parse(argc, argv)) return 1;
-  bench::BenchConfig cfg = bench::config_from_cli(cli);
-  cfg.max_live_entries_per_node = static_cast<std::size_t>(
-      cli.get_u64("oom-limit", 0, std::uint64_t{1} << 40));
+  const bench::BenchConfig cfg =
+      bench::config_from_cli(cli, [&](bench::BenchConfig& c) {
+        c.max_live_entries_per_node = static_cast<std::size_t>(
+            cli.get_u64("oom-limit", 0, std::uint64_t{1} << 40));
+      });
 
   const auto cells = bench::sweep_cells(cfg);
   std::vector<std::string> header{"Circuit", "Seq Time", "Nodes"};

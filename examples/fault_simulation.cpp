@@ -36,7 +36,7 @@ int main(int argc, char** argv) try {
 
   circuit::GeneratorSpec spec = circuit::iscas_spec(
       cli.get("circuit"), cli.get_u64("seed", 0, ~std::uint64_t{0} >> 1));
-  const double scale = cli.get_double("scale");
+  const double scale = cli.get_double("scale", 0.0, 4.0);
   spec.num_comb_gates = std::max<std::size_t>(
       4, static_cast<std::size_t>(
              static_cast<double>(spec.num_comb_gates) * scale));

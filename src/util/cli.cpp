@@ -96,11 +96,28 @@ std::uint64_t Cli::get_u64(const std::string& name, std::uint64_t lo,
 
 double Cli::get_double(const std::string& name) const {
   const std::string v = get(name);
+  std::size_t end = 0;
+  double x = 0.0;
   try {
-    return std::stod(v);
+    x = std::stod(v, &end);
   } catch (const std::exception&) {
+    end = 0;
+  }
+  if (end == 0 || end != v.size()) {
     throw FlagError("flag --" + name + " expects a number, got '" + v + "'");
   }
+  return x;
+}
+
+double Cli::get_double(const std::string& name, double lo, double hi) const {
+  const double v = get_double(name);
+  if (!(v > lo && v <= hi)) {  // written so that NaN fails too
+    std::ostringstream os;
+    os << "--" << name << " must be in (" << lo << ", " << hi << "], got "
+       << v;
+    throw FlagError(os.str());
+  }
+  return v;
 }
 
 bool Cli::get_bool(const std::string& name) const {

@@ -39,6 +39,10 @@ class Cli {
   /// negative or overlarge value is a FlagError instead of wrapping.
   std::uint64_t get_u64(const std::string& name, std::uint64_t lo,
                         std::uint64_t hi) const;
+  /// Number read checked against (lo, hi]: above lo, at most hi.  NaN and
+  /// anything outside the range are a FlagError ("--scale must be in
+  /// (0, 4], got 0"), so a caller may cast the value to a count.
+  double get_double(const std::string& name, double lo, double hi) const;
 
   /// Positional arguments left over after flag parsing.
   const std::vector<std::string>& positional() const noexcept {

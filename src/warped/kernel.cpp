@@ -3,26 +3,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <deque>
 #include <thread>
 
 #include "obs/session.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
+#include "warped/ltsf_calendar.hpp"
 
 namespace pls::warped {
 namespace {
 
 using util::steady_now_ns;
-
-struct SchedEntry {
-  SimTime time;
-  LpId lp;
-  friend bool operator>(const SchedEntry& a, const SchedEntry& b) noexcept {
-    if (a.time != b.time) return a.time > b.time;
-    return a.lp > b.lp;
-  }
-};
 
 /// Idle polls (with yield) before the loop starts napping instead of
 /// spinning.  Spinning reacts fastest while work is in flight; napping is
@@ -41,20 +32,36 @@ struct Kernel::Cluster {
   std::uint32_t node = 0;
   std::vector<LpId> own_lps;
 
-  // LTSF scheduler: lazy min-heap over (next pending time, lp).  Entries
+  /// Per-LP bookkeeping, indexed by LpId: one 16-byte slot, so the
+  /// scheduler mark, the live count and the fossil flag of an LP share a
+  /// cache line.
+  struct LpSlot {
+    /// Time of the LP's single *live* calendar entry (kEndOfTime = none):
+    /// pushes that would duplicate it are skipped, and a surfacing entry
+    /// whose time differs from the mark is dropped dead instead of
+    /// corrected-and-re-pushed.  Without the marks an always-busy LP
+    /// (every batch schedules the next) grows the calendar by O(1)
+    /// entries per batch forever.
+    SimTime sched_mark = kEndOfTime;
+    /// live_entries() as last observed (an LP's live entries stay far
+    /// below 2^32: each one takes 32 bytes or more).
+    std::uint32_t live = 0;
+    /// Queued on fossil_lps.
+    bool in_fossil = false;
+  };
+  static_assert(sizeof(LpSlot) == 16);
+  std::vector<LpSlot> slot;
+
+  // LTSF scheduler: lazy calendar over (next pending time, lp).  Entries
   // go stale when an LP's next_time changes; clean_top() discards them.
-  // `sched_mark[lp]` is the time of the LP's single *live* entry
-  // (kEndOfTime = none): pushes that would duplicate it are skipped and a
-  // surfacing entry whose time differs from the mark is dropped dead
-  // instead of corrected-and-re-pushed.  Without the marks an always-busy
-  // LP (every batch schedules the next) grows the heap by O(1) entries
-  // per batch forever and clean_top degenerates quadratically.
-  std::vector<SchedEntry> sched;
-  std::vector<SimTime> sched_mark;
+  LtsfCalendar sched;
 
   HoldingHeap holding;
   std::vector<InFlight> drain_buf;
-  std::deque<Event> pending;  ///< routing work queue (FIFO per channel)
+  /// Routing work queue (FIFO per channel): the send path appends, and
+  /// route_pending consumes it front to back and then clears it, so its
+  /// capacity is reused from poll to poll.
+  std::vector<Event> pending;
   std::uint64_t net_seq = 0;
 
   /// Per-destination send buffers (channel.hpp): remote routes add here
@@ -87,15 +94,15 @@ struct Kernel::Cluster {
   // mutation (insert, commit, fossil) instead of only at
   // fossil passes — the high-water mark used to under-report between
   // fossil passes, exactly when a rollback storm balloons the queues.
-  std::vector<std::size_t> live_of;  ///< per-LP last observed live_entries
-  std::size_t live_now = 0;          ///< == sum(live_of[own LPs])
+  std::size_t live_now = 0;  ///< == sum of slot[lp].live over own LPs
 
   /// Refresh `lp`'s contribution to the live count and the peak.
   void note_live(const std::vector<LpRuntime>& rts, LpId lp) noexcept {
-    const std::size_t cur = rts[lp].live_entries();
+    const auto cur = static_cast<std::uint32_t>(rts[lp].live_entries());
+    LpSlot& s = slot[lp];
     live_now += cur;
-    live_now -= live_of[lp];
-    live_of[lp] = cur;
+    live_now -= s.live;
+    s.live = cur;
     if (live_now > stats.peak_live_entries) {
       stats.peak_live_entries = live_now;
     }
@@ -104,22 +111,22 @@ struct Kernel::Cluster {
   // Fossil work list: the LPs that executed or received here since a
   // fossil pass last found them LpRuntime::fossil_idle().  Nothing else
   // creates fossil work, so a pass that walks this list instead of
-  // own_lps commits exactly the same events.  `in_fossil[lp]` dedups the
-  // list.
+  // own_lps commits exactly the same events.  `LpSlot::in_fossil` dedups
+  // the list.
   std::vector<LpId> fossil_lps;
-  std::vector<std::uint8_t> in_fossil;
 
   /// `lp`'s queues changed on this node: refresh its live count and queue
   /// it for the next fossil pass.
   void note_touched(const std::vector<LpRuntime>& rts, LpId lp) {
     note_live(rts, lp);
-    if (!in_fossil[lp]) {
-      in_fossil[lp] = 1;
+    if (!slot[lp].in_fossil) {
+      slot[lp].in_fossil = true;
       fossil_lps.push_back(lp);
     }
   }
 
-  /// Watchdog progress counter (relaxed; owner increments per batch).
+  /// Watchdog progress counter (relaxed; the owner adds each poll's
+  /// executed batches).
   std::atomic<std::uint64_t> exec_ticks{0};
 
   /// Set by the owner when its next pending work sits beyond the optimism
@@ -128,57 +135,54 @@ struct Kernel::Cluster {
   std::atomic<bool> window_blocked{false};
 
   void push_sched(SimTime t, LpId lp) {
-    if (t == kEndOfTime || sched_mark[lp] == t) return;
-    sched_mark[lp] = t;
-    sched.push_back(SchedEntry{t, lp});
-    std::push_heap(sched.begin(), sched.end(), std::greater<>{});
+    if (t == kEndOfTime || slot[lp].sched_mark == t) return;
+    slot[lp].sched_mark = t;
+    sched.push(t, lp);
   }
 
-  void pop_sched() {
-    std::pop_heap(sched.begin(), sched.end(), std::greater<>{});
-    sched.pop_back();
-  }
-
-  /// Discard stale heap entries; afterwards the top (if any) is exact.
-  void clean_top(const std::vector<LpRuntime>& rts) {
+  /// Discard stale calendar entries.  False when none is left; otherwise
+  /// `top` is the earliest entry, live and exact.
+  bool clean_top(const std::vector<LpRuntime>& rts, LtsfCalendar::Entry& top) {
     while (!sched.empty()) {
-      const SchedEntry top = sched.front();
-      if (top.time != sched_mark[top.lp]) {
+      top = sched.top();
+      SimTime& mark = slot[top.lp].sched_mark;
+      if (top.time != mark) {
         // Superseded duplicate: the LP's live entry is elsewhere (or was
         // re-marked); this one dies here instead of being re-pushed.
-        pop_sched();
+        sched.pop();
         continue;
       }
       const SimTime actual = rts[top.lp].next_time();
-      if (actual == top.time) return;
-      pop_sched();
-      sched_mark[top.lp] = kEndOfTime;
+      if (actual == top.time) return true;
+      sched.pop();
+      mark = kEndOfTime;
       push_sched(actual, top.lp);
     }
+    return false;
   }
 
   /// GVT report contribution of this cluster's LPs: the minimum
-  /// gvt_min_time() over the LPs that hold a live scheduler entry (an
+  /// gvt_min_time() over the LPs that hold a live calendar entry (an
   /// entry whose time equals its LP's mark).  Every LP with pending work
   /// holds one at its next_time() — push_sched follows every insert and
   /// commit, and clean_top re-pushes what it corrects — so an LP without
-  /// one reports kEndOfTime and can be skipped.  The entry's key is not the report: an LP coast-forwarding
-  /// through a replay window has pending batches *below* an already
-  /// published GVT whose re-execution is effect-free, which
-  /// gvt_min_time() excludes.  O(heap), once per GVT round; debug builds
-  /// check it against the O(own LPs) scan.
+  /// one reports kEndOfTime and can be skipped.  The entry's time is not
+  /// the report: an LP coast-forwarding through a replay window has
+  /// pending batches *below* an already published GVT whose re-execution
+  /// is effect-free, which gvt_min_time() excludes.  O(calendar), once per
+  /// GVT round; debug builds check it against the O(own LPs) scan.
   SimTime gvt_report_min(const std::vector<LpRuntime>& rts) const {
     SimTime m = kEndOfTime;
-    for (const SchedEntry& e : sched) {
-      if (e.time == sched_mark[e.lp]) {
+    sched.for_each([&](const LtsfCalendar::Entry& e) {
+      if (e.time == slot[e.lp].sched_mark) {
         m = std::min(m, rts[e.lp].gvt_min_time());
       }
-    }
+    });
 #ifndef NDEBUG
     SimTime full = kEndOfTime;
     for (LpId lp : own_lps) full = std::min(full, rts[lp].gvt_min_time());
     PLS_CHECK_MSG(m == full, "node " << node << " GVT report " << m
-                                     << " from live scheduler entries != "
+                                     << " from live calendar entries != "
                                      << full << " from every own LP");
 #endif
     return m;
@@ -193,7 +197,7 @@ namespace {
 class ClusterContext final : public Context {
  public:
   ClusterContext(SimTime now, SimTime end, LpId self, LpRuntime* rt,
-                 std::deque<Event>* out, bool suppress, bool init_mode)
+                 std::vector<Event>* out, bool suppress, bool init_mode)
       : now_(now), end_(end), self_(self), rt_(rt), out_(out),
         suppress_(suppress), init_mode_(init_mode) {}
 
@@ -259,7 +263,7 @@ class ClusterContext final : public Context {
   SimTime end_;
   LpId self_;
   LpRuntime* rt_;
-  std::deque<Event>* out_;
+  std::vector<Event>* out_;
   bool suppress_;
   bool init_mode_;
 };
@@ -304,11 +308,7 @@ Kernel::Kernel(std::vector<LogicalProcess*> lps,
   for (LpId i = 0; i < lps_.size(); ++i) {
     clusters_[node_of_[i]]->own_lps.push_back(i);
   }
-  for (auto& cl : clusters_) {
-    cl->live_of.assign(lps_.size(), 0);
-    cl->in_fossil.assign(lps_.size(), 0);
-    cl->sched_mark.assign(lps_.size(), kEndOfTime);
-  }
+  for (auto& cl : clusters_) cl->slot.resize(lps_.size());
   if (cfg_.obs != nullptr) {
     PLS_CHECK_MSG(cfg_.obs->num_nodes() >= cfg_.num_nodes,
                   "ObsSession sized for fewer nodes than the kernel runs");
@@ -324,7 +324,7 @@ Kernel::~Kernel() = default;
 void Kernel::init_all_lps() {
   // Single-threaded elaboration: run every LP's init() and deliver its
   // initial sends directly (no network, no rollbacks possible yet).
-  std::deque<Event> out;
+  std::vector<Event> out;
   for (LpId i = 0; i < lps_.size(); ++i) {
     runtimes_[i].install_initial_state(lps_[i]->initial_state());
   }
@@ -332,13 +332,12 @@ void Kernel::init_all_lps() {
     ClusterContext ctx(0, cfg_.end_time, i, &runtimes_[i], &out,
                        /*suppress=*/false, /*init_mode=*/true);
     lps_[i]->init(ctx);
-    while (!out.empty()) {
-      Event ev = std::move(out.front());
-      out.pop_front();
+    for (Event& ev : out) {
       const LpId target = ev.target;
       const auto res = runtimes_[target].insert(std::move(ev));
       PLS_CHECK_MSG(!res.rolled_back, "rollback during init phase");
     }
+    out.clear();
   }
   for (std::uint32_t n = 0; n < cfg_.num_nodes; ++n) {
     for (LpId lp : clusters_[n]->own_lps) {
@@ -366,9 +365,10 @@ void Kernel::node_main(std::uint32_t node) {
   // transients).  Events move from the send path through here into an LP
   // queue or an InFlight without a copy.
   auto route_pending = [&] {
-    while (!cl.pending.empty()) {
-      Event ev = std::move(cl.pending.front());
-      cl.pending.pop_front();
+    // Antis appended while routing join the same pass; `i` re-reads the
+    // size, and `ev` is moved out before any append can reallocate.
+    for (std::size_t i = 0; i < cl.pending.size(); ++i) {
+      Event ev = std::move(cl.pending[i]);
       const LpId target = ev.target;
       const bool positive = ev.sign == Sign::kPositive;
       const std::uint32_t target_node = node_of_[target];
@@ -411,6 +411,7 @@ void Kernel::node_main(std::uint32_t node) {
                          latency);
       }
     }
+    cl.pending.clear();
   };
 
   while (!done_.load(std::memory_order_acquire) &&
@@ -489,13 +490,11 @@ void Kernel::node_main(std::uint32_t node) {
     // re-evaluated between batches — GVT may advance mid-burst, and a
     // routed straggler can change which LP is lowest-timestamp — so a
     // burst never runs further ahead than a single-batch loop would.
-    bool executed = false;
     bool blocked_by_window = false;
     const std::uint32_t max_batches = std::max(1u, cfg_.max_batches_per_poll);
-    for (std::uint32_t b = 0; b < max_batches; ++b) {
-      cl.clean_top(runtimes_);
-      if (cl.sched.empty()) break;
-      const SchedEntry top = cl.sched.front();
+    std::uint32_t batches = 0;
+    LtsfCalendar::Entry top;
+    for (; batches < max_batches && cl.clean_top(runtimes_, top); ++batches) {
       const SimTime gvt_now = gvt_.load(std::memory_order_relaxed);
       // Saturating: near end-of-time a plain add wraps, collapsing the
       // window and blocking the final drain (regression-tested).
@@ -505,6 +504,10 @@ void Kernel::node_main(std::uint32_t node) {
         blocked_by_window = true;
         break;
       }
+      // The entry is consumed here; push_sched below files the LP's next
+      // batch, so the LP holds a live entry again before any GVT report.
+      cl.sched.pop();
+      cl.slot[top.lp].sched_mark = kEndOfTime;
       LpRuntime& rt = runtimes_[top.lp];
       const std::uint64_t tb0 = cl.trace != nullptr ? steady_now_ns() : 0;
       SimTime t = 0;
@@ -524,11 +527,11 @@ void Kernel::node_main(std::uint32_t node) {
       cl.note_touched(runtimes_, top.lp);
       cl.stats.events_processed += batch_size;
       cl.throttle.note_executed(batch_size, t > gvt_now ? t - gvt_now : 0);
-      cl.exec_ticks.fetch_add(1, std::memory_order_relaxed);
       cl.push_sched(rt.next_time(), top.lp);
       route_pending();
-      executed = true;
     }
+    const bool executed = batches != 0;
+    if (executed) cl.exec_ticks.fetch_add(batches, std::memory_order_relaxed);
     // Burst-end flush: everything routed remotely during this poll —
     // receive-path forwards included — leaves as one batch per
     // destination.  This is the coalescing fabric's primary flush point:
@@ -679,6 +682,9 @@ void Kernel::controller_poll(std::uint64_t now_ns) {
 void Kernel::fossil_round(Cluster& cl) {
   const SimTime g = gvt_.load(std::memory_order_acquire);
   const std::uint64_t tf0 = cl.trace != nullptr ? steady_now_ns() : 0;
+  // Every payload and snapshot the pass frees goes back to its owner pool
+  // in one batched run.
+  mem::ReclaimScope reclaim;
   std::uint64_t committed = 0;
   for (std::size_t i = 0; i < cl.fossil_lps.size();) {
     const LpId lp = cl.fossil_lps[i];
@@ -690,7 +696,7 @@ void Kernel::fossil_round(Cluster& cl) {
       continue;
     }
     // Swap-erase: the list's order carries no meaning.
-    cl.in_fossil[lp] = 0;
+    cl.slot[lp].in_fossil = false;
     cl.fossil_lps[i] = cl.fossil_lps.back();
     cl.fossil_lps.pop_back();
   }
@@ -902,7 +908,7 @@ RunStats Kernel::run() {
                                      "(unsound GVT)");
       }
     }
-    std::deque<Event> sink;
+    std::vector<Event> sink;
     for (LpId lp = 0; lp < runtimes_.size(); ++lp) {
       LpRuntime& rt = runtimes_[lp];
       Cluster& owner = *clusters_[node_of_[lp]];

@@ -9,7 +9,7 @@ namespace pls::warped {
 
 LpRuntime::LpRuntime(LpId id, LogicalProcess* behavior,
                      std::uint32_t state_period)
-    : id_(id), behavior_(behavior), state_period_(state_period) {
+    : id_(id), state_period_(state_period), behavior_(behavior) {
   PLS_CHECK_MSG(state_period >= 1, "state saving period must be >= 1");
 }
 
@@ -249,9 +249,6 @@ LpRuntime::FossilResult LpRuntime::fossil_collect(SimTime gvt) {
       snapshots_.begin(), snapshots_.end(), gvt,
       [](const Snapshot& s, SimTime time) { return s.time < time; });
   if (snap != snapshots_.begin()) {
-    // Retired event payloads and dropped snapshots flow back to their
-    // owner pool as one batched reclaim run.
-    mem::ReclaimScope reclaim;
     const Snapshot& base = *std::prev(snap);
     const std::size_t cut = first_at_or_after(base.time + 1);
     PLS_CHECK_MSG(cut <= processed_count_,

@@ -46,9 +46,10 @@
 //    collection and finalize only advance cursors and free memory; once
 //    the run is over the counters hold exactly the committed work.
 //  * memory: wide event payloads and state words are arena-pooled
-//    (mem/pool.hpp); fossil sweeps, rollbacks and finalization run under
-//    a mem::ReclaimScope, so each run of discarded payloads goes back to
-//    its owner pool with a single splice.
+//    (mem/pool.hpp); rollbacks and finalization run under a
+//    mem::ReclaimScope, and the kernel opens one per fossil pass over its
+//    LPs, so each run of discarded payloads goes back to its owner pool
+//    with a single splice.
 
 #include <cstdint>
 #include <span>
@@ -161,7 +162,8 @@ class LpRuntime {
   };
   /// Irrevocably commit everything at or below the newest snapshot that
   /// precedes `gvt` (events older than that snapshot can never be replayed
-  /// or rolled back again).
+  /// or rolled back again).  A caller sweeping many LPs opens one
+  /// mem::ReclaimScope around the sweep to batch the frees.
   FossilResult fossil_collect(SimTime gvt);
 
   /// True when no higher GVT, kEndOfTime included, can commit or free
@@ -260,34 +262,41 @@ class LpRuntime {
   /// of the live range (amortized O(1) per retired event).
   void maybe_compact();
 
-  LpId id_ = kInvalidLp;
-  LogicalProcess* behavior_ = nullptr;
-  std::uint32_t state_period_ = 1;
-  std::uint32_t batches_since_snapshot_ = 0;
+  // Members run hot to cold, one 64-byte cache line per group, so a batch
+  // touches the lines its path needs and no more.
 
+  // Line 0: everything insert() and next_time() read.
   /// Sorted; [0, head_) retired (committed, awaiting compaction),
   /// [head_, head_ + processed_count_) processed, the rest pending.
-  std::vector<Event> queue_;
+  alignas(64) std::vector<Event> queue_;
   std::size_t head_ = 0;
   std::size_t processed_count_ = 0;
   SimTime last_processed_ = 0;
-  bool processed_any_ = false;
   SimTime replay_until_ = 0;       ///< batches below this re-execute muted
+  LpId id_ = kInvalidLp;
+  bool processed_any_ = false;
 
-  LpState state_;
-  LpState initial_state_;
+  // Line 1: state and snapshots (commit_batch, rollback).
+  alignas(64) LpState state_;
   std::vector<Snapshot> snapshots_;  ///< ascending in time
+  std::uint32_t state_period_ = 1;
+  std::uint32_t batches_since_snapshot_ = 0;
 
+  // Line 2: the behaviour, outputs and work counters (execute and send).
+  alignas(64) LogicalProcess* behavior_ = nullptr;
   std::vector<OutputRecord> output_queue_;  ///< ascending in send_time
-
+  std::uint64_t next_event_id_ = 1;
   std::uint64_t events_processed_ = 0;
+  std::uint64_t lane_work_committed_ = 0;
+  std::uint64_t sends_committed_ = 0;
+
+  // Line 3: initial state, commit and rollback statistics.
+  alignas(64) LpState initial_state_;
+  std::uint64_t events_committed_ = 0;
   std::uint64_t events_rolled_back_ = 0;
   std::uint64_t rollbacks_ = 0;
   std::uint64_t max_rollback_depth_ = 0;
-  std::uint64_t events_committed_ = 0;
-  std::uint64_t sends_committed_ = 0;
-  std::uint64_t lane_work_committed_ = 0;
-  std::uint64_t next_event_id_ = 1;
 };
+static_assert(sizeof(LpRuntime) == 4 * 64, "LpRuntime spans four lines");
 
 }  // namespace pls::warped

@@ -1,12 +1,15 @@
-# Runs a bench binary with bad flags and checks that each run fails
+# Runs bench binaries with bad flags and checks that each run fails
 # cleanly: exit status 2 and exactly one "error: ..." line on stderr, not
-# an uncaught exception.
+# an uncaught exception.  Common flags go to bench_table1_characteristics;
+# bench-specific ones (--k, --max-nodes) to the benches that own them.
 #
 #   cmake -DBENCH=path/to/bench_table1_characteristics \
+#         -DCOMPLEXITY=path/to/bench_complexity \
+#         -DFIG6=path/to/bench_fig6_rollbacks \
 #         -DMISSING_DIR=path/that/does/not/exist -P bench_flag_error.cmake
 
-function(expect_flag_error want)
-  execute_process(COMMAND ${BENCH} ${ARGN}
+function(expect_flag_error bench want)
+  execute_process(COMMAND ${bench} ${ARGN}
                   RESULT_VARIABLE status
                   OUTPUT_QUIET
                   ERROR_VARIABLE err)
@@ -23,6 +26,9 @@ endfunction()
 if(EXISTS "${MISSING_DIR}")
   message(FATAL_ERROR "${MISSING_DIR} exists; the test needs a missing path")
 endif()
-expect_flag_error("--csv must name an existing directory"
+expect_flag_error(${BENCH} "--csv must name an existing directory"
                   --csv "${MISSING_DIR}")
-expect_flag_error("--scale must be in" --scale 5)
+expect_flag_error(${BENCH} "--scale must be in" --scale 5)
+expect_flag_error(${COMPLEXITY} "--k must be in \\[1, 1024\\], got 0" --k 0)
+expect_flag_error(${FIG6} "--max-nodes must be in \\[2, 64\\], got 1"
+                  --max-nodes 1)

@@ -1,11 +1,13 @@
-# Runs an example with bad integer flags and checks that each run fails
+# Runs examples with bad numeric flags and checks that each run fails
 # cleanly: exit status 1 and exactly one "error: ..." line on stderr, not
-# an uncaught exception or a wrapped unsigned value.
+# an uncaught exception, a wrapped unsigned value or a negative size.
 #
-#   cmake -DEXAMPLE=path/to/example_quickstart -P example_flag_error.cmake
+#   cmake -DEXAMPLE=path/to/example_quickstart \
+#         -DSCALED=path/to/example_parallel_vs_sequential \
+#         -P example_flag_error.cmake
 
-function(expect_flag_error want)
-  execute_process(COMMAND ${EXAMPLE} ${ARGN}
+function(expect_flag_error example want)
+  execute_process(COMMAND ${example} ${ARGN}
                   RESULT_VARIABLE status
                   OUTPUT_QUIET
                   ERROR_VARIABLE err)
@@ -21,5 +23,12 @@ endfunction()
 
 # --nodes 0 runs first: a build that lets bad values through aborts on it,
 # before -1 could wrap to a request for 2^32 - 1 parts.
-expect_flag_error("--nodes must be in \\[1, [0-9]+\\], got 0" --nodes 0)
-expect_flag_error("--nodes must be in \\[1, [0-9]+\\], got -1" --nodes -1)
+expect_flag_error(${EXAMPLE} "--nodes must be in \\[1, [0-9]+\\], got 0"
+                  --nodes 0)
+expect_flag_error(${EXAMPLE} "--nodes must be in \\[1, [0-9]+\\], got -1"
+                  --nodes -1)
+# --scale sizes the generated circuit: 0 builds none, and a negative value
+# would become a negative gate count.
+expect_flag_error(${SCALED} "--scale must be in \\(0, 4\\], got 0" --scale 0)
+expect_flag_error(${SCALED} "--scale must be in \\(0, 4\\], got -1"
+                  --scale -1)

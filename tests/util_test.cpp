@@ -210,6 +210,29 @@ TEST(Cli, RangeCheckedIntegerRejectsWrapAndJunk) {
   }
 }
 
+TEST(Cli, RangeCheckedNumberRejectsZeroNanAndJunk) {
+  const auto read = [](const char* value) {
+    Cli c("test");
+    c.add_flag("scale", "size multiplier", "0.5");
+    const char* argv[] = {"prog", "--scale", value};
+    EXPECT_TRUE(c.parse(3, argv));
+    return c.get_double("scale", 0.0, 4.0);
+  };
+  EXPECT_DOUBLE_EQ(read("0.25"), 0.25);
+  EXPECT_DOUBLE_EQ(read("4"), 4.0);
+  EXPECT_THROW(read("0"), FlagError);  // the lower bound is exclusive
+  EXPECT_THROW(read("-1"), FlagError);
+  EXPECT_THROW(read("4.5"), FlagError);
+  EXPECT_THROW(read("nan"), FlagError);
+  EXPECT_THROW(read("inf"), FlagError);
+  EXPECT_THROW(read("0.5x"), FlagError);
+  try {
+    read("0");
+  } catch (const FlagError& e) {
+    EXPECT_STREQ(e.what(), "--scale must be in (0, 4], got 0");
+  }
+}
+
 TEST(Table, RendersAlignedGrid) {
   AsciiTable t({"circuit", "time"});
   t.add_row({"s5378", "91.66"});
