@@ -225,19 +225,8 @@ std::vector<warped::ThrottleMode> throttle_modes(const BenchConfig& cfg) {
 
 circuit::Circuit make_benchmark(const std::string& name,
                                 const BenchConfig& cfg) {
-  circuit::GeneratorSpec spec = circuit::iscas_spec(name, cfg.seed);
-  if (cfg.scale != 1.0) {
-    auto scaled = [&](std::size_t n) {
-      return std::max<std::size_t>(
-          4, static_cast<std::size_t>(static_cast<double>(n) * cfg.scale));
-    };
-    spec.num_comb_gates = scaled(spec.num_comb_gates);
-    spec.num_dffs = scaled(spec.num_dffs);
-    spec.num_inputs = std::max<std::size_t>(4, spec.num_inputs);
-    spec.num_outputs =
-        std::min(spec.num_outputs, spec.num_comb_gates / 4 + 1);
-  }
-  return circuit::generate(spec);
+  return circuit::generate(
+      circuit::scale_spec(circuit::iscas_spec(name, cfg.seed), cfg.scale));
 }
 
 const std::vector<std::string>& strategies() {

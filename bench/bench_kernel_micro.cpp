@@ -1,7 +1,8 @@
 // Google-benchmark micro measurements of the kernel's primitive costs:
 // gate evaluation, event queue insertion, batch commit + snapshot,
 // rollback + cancellation, fossil collection, mailbox transfer, the whole
-// kernel on the s15850 stand-in, and the multilevel pipeline phases.
+// kernel and the sequential reference on the s15850 stand-in, and the
+// multilevel pipeline phases.
 // These are the constants behind the macro-level tables (a committed event
 // in the gate model costs a handful of these primitives).
 
@@ -15,6 +16,7 @@
 #include "graph/weighted_graph.hpp"
 #include "logicsim/gate_eval.hpp"
 #include "logicsim/netlist_lps.hpp"
+#include "logicsim/sequential.hpp"
 #include "partition/coarsen.hpp"
 #include "partition/initial.hpp"
 #include "partition/partition.hpp"
@@ -365,6 +367,40 @@ BENCHMARK(BM_KernelS15850)
     ->ArgName("nodes")
     ->Arg(1)
     ->Arg(2)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// The sequential reference on pipebench's two verify workloads: the
+/// s15850 stand-in (generator seed 2000) with stimulus seed 4242, at one
+/// lane to horizon 6000 and at 256 lanes to horizon 1200.  Arg = lanes.
+/// The model is built outside the timing; each iteration runs
+/// simulate_sequential once.  `per_event` is wall time per processed
+/// event, in seconds.
+void BM_SequentialS15850(benchmark::State& state) {
+  const auto lanes = static_cast<std::uint32_t>(state.range(0));
+  static const circuit::Circuit c = circuit::make_iscas_like("s15850", 2000);
+  logicsim::ModelOptions mo;
+  mo.stim_seed = 4242;
+  mo.lanes = lanes;
+  const logicsim::SimModel model = logicsim::build_model(c, mo);
+  const warped::SimTime horizon = lanes == 1 ? 6000 : 1200;
+
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const logicsim::SeqStats s =
+        logicsim::simulate_sequential(model.behaviours(), horizon);
+    benchmark::DoNotOptimize(s.final_states.data());
+    events += s.events_processed;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SequentialS15850)
+    ->ArgName("lanes")
+    ->Arg(1)
+    ->Arg(256)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

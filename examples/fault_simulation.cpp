@@ -34,14 +34,11 @@ int main(int argc, char** argv) try {
   cli.add_flag("fault-seed", "fault-site sampling seed", "9");
   if (!cli.parse(argc, argv)) return 1;
 
-  circuit::GeneratorSpec spec = circuit::iscas_spec(
-      cli.get("circuit"), cli.get_u64("seed", 0, ~std::uint64_t{0} >> 1));
   const double scale = cli.get_double("scale", 0.0, 4.0);
-  spec.num_comb_gates = std::max<std::size_t>(
-      4, static_cast<std::size_t>(
-             static_cast<double>(spec.num_comb_gates) * scale));
-  spec.num_dffs = std::max<std::size_t>(
-      4, static_cast<std::size_t>(static_cast<double>(spec.num_dffs) * scale));
+  const circuit::GeneratorSpec spec = circuit::scale_spec(
+      circuit::iscas_spec(cli.get("circuit"),
+                          cli.get_u64("seed", 0, ~std::uint64_t{0} >> 1)),
+      scale);
   const circuit::Circuit c = circuit::generate(spec);
 
   framework::DriverConfig cfg;

@@ -98,6 +98,7 @@ Circuit generate(const GeneratorSpec& spec) {
   std::vector<std::uint32_t> consumers(
       spec.num_inputs + spec.num_dffs + spec.num_comb_gates, 0);
   auto note_consumer = [&](GateId f) { ++consumers.at(f); };
+  std::vector<std::uint32_t> fanin_count(consumers.size(), 0);
 
   // --- sources: primary inputs and flip-flops ------------------------------
   std::vector<GateId> sources;
@@ -159,8 +160,10 @@ Circuit generate(const GeneratorSpec& spec) {
         fins.push_back(f);
       }
       for (GateId f : fins) note_consumer(f);
+      const auto num_fins = static_cast<std::uint32_t>(fins.size());
       const GateId g = c.add_gate("g" + std::to_string(gate_counter++), t,
                                   std::move(fins));
+      fanin_count[g] = num_fins;
       levels[l].push_back(g);
     }
   }
@@ -221,7 +224,10 @@ Circuit generate(const GeneratorSpec& spec) {
   // adds forward edges (and edges out of a DFF can never close a
   // combinational cycle).  Gates at the top level with no such target stay
   // dangling, as marking them as extra observers would change the output
-  // count; the taper above keeps those to a handful.
+  // count; the taper above keeps those to a handful.  A target that already
+  // has max_arity fanins sends the gate on to the next level up, so a tiny
+  // circuit with many sources leaves some dangling rather than overfill a
+  // gate.
   {
     std::vector<std::vector<GateId>> multi_by_level(depth + 1);
     for (std::uint32_t l = 1; l <= depth; ++l) {
@@ -241,7 +247,12 @@ Circuit generate(const GeneratorSpec& spec) {
           if (multi_by_level[tl].empty()) continue;
           const GateId target =
               multi_by_level[tl][rng.below(multi_by_level[tl].size())];
+          if (fanin_count[target] >=
+              static_cast<std::uint32_t>(max_arity(c.type(target)))) {
+            continue;
+          }
           c.connect(target, g);
+          ++fanin_count[target];
           note_consumer(g);
           break;
         }
@@ -291,6 +302,20 @@ GeneratorSpec iscas_spec(std::string_view which, std::uint64_t seed) {
 
 Circuit make_iscas_like(std::string_view which, std::uint64_t seed) {
   return generate(iscas_spec(which, seed));
+}
+
+GeneratorSpec scale_spec(GeneratorSpec spec, double scale) {
+  PLS_CHECK_MSG(scale > 0.0 && scale <= 4.0,
+                "scale must be in (0, 4], got " << scale);
+  auto scaled = [scale](std::size_t n) {
+    return std::max<std::size_t>(
+        4, static_cast<std::size_t>(static_cast<double>(n) * scale));
+  };
+  spec.num_comb_gates = scaled(spec.num_comb_gates);
+  spec.num_dffs = scaled(spec.num_dffs);
+  spec.num_inputs = std::max<std::size_t>(1, spec.num_inputs);
+  spec.num_outputs = std::min(spec.num_outputs, spec.num_comb_gates / 4 + 1);
+  return spec;
 }
 
 }  // namespace pls::circuit

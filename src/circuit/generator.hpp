@@ -51,8 +51,8 @@ struct GeneratorSpec {
 /// Generate a frozen circuit from the spec.  Deterministic in spec.seed.
 /// Guarantees: exact input/output/comb-gate/DFF counts; every combinational
 /// gate is reachable from a primary input or flip-flop; no combinational
-/// cycles; every non-output gate drives at least one sink where the level
-/// structure allows it.
+/// cycles; no gate above max_arity fanins; every non-output gate drives at
+/// least one sink where the level structure and the arity bound allow it.
 Circuit generate(const GeneratorSpec& spec);
 
 /// The three benchmark stand-ins, keyed by the paper's names
@@ -65,5 +65,13 @@ Circuit make_iscas_like(std::string_view which, std::uint64_t seed = 2000);
 
 /// Spec lookup for the three benchmarks (exposed so harnesses can scale).
 GeneratorSpec iscas_spec(std::string_view which, std::uint64_t seed = 2000);
+
+/// `spec` shrunk or grown to `scale` (in (0, 4]) times its combinational
+/// gates and flip-flops, clamped so that generate() accepts it at any
+/// scale: at least 4 gates and 4 flip-flops, at least one input, and at
+/// most a quarter of the gates (plus one) as outputs.  A count that needs
+/// no clamp is exactly floor(count * scale), so scale 1 returns the three
+/// benchmark specs unchanged.
+GeneratorSpec scale_spec(GeneratorSpec spec, double scale);
 
 }  // namespace pls::circuit

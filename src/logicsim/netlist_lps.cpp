@@ -27,7 +27,7 @@ inline std::uint64_t divergence_from_lane0(std::uint64_t word,
 /// Check the lane configuration every behaviour shares and return the
 /// stuck-at words of a faulted LP: K mask words, then K value words, both
 /// clipped to the active lanes.  Fault-free LPs (empty `sa_mask`) get null.
-std::unique_ptr<std::uint64_t[]> stuck_words(
+std::unique_ptr<std::uint64_t[]> make_stuck_words(
     std::uint32_t lanes, const std::vector<std::uint64_t>& sa_mask,
     const std::vector<std::uint64_t>& sa_value, bool observe) {
   PLS_CHECK(lanes >= 1 && lanes <= kMaxLanes);
@@ -77,7 +77,8 @@ BatchGateLp::BatchGateLp(circuit::GateType type, std::uint32_t arity,
                          std::vector<std::uint64_t> sa_value, bool observe)
     : fanouts_(std::move(fanouts)), delay_(delay), type_(type),
       observe_(observe), lanes_(static_cast<std::uint16_t>(lanes)),
-      arity_(arity), stuck_(stuck_words(lanes, sa_mask, sa_value, observe)) {
+      arity_(arity),
+      stuck_(make_stuck_words(lanes, sa_mask, sa_value, observe)) {
   PLS_CHECK_MSG(arity_ >= 1 && arity_ <= 64,
                 "gate arity must be in [1,64] to pack into one state word");
   PLS_CHECK(delay_ >= 1);
@@ -159,7 +160,7 @@ BatchDffLp::BatchDffLp(std::vector<FanoutPort> fanouts, SimTime period,
                        std::vector<std::uint64_t> sa_value, bool observe)
     : fanouts_(std::move(fanouts)), period_(period), phase_(phase),
       delay_(delay), lanes_(lanes), observe_(observe),
-      stuck_(stuck_words(lanes, sa_mask, sa_value, observe)) {
+      stuck_(make_stuck_words(lanes, sa_mask, sa_value, observe)) {
   PLS_CHECK(period_ >= 1);
   PLS_CHECK(phase_ >= 1);
   PLS_CHECK(delay_ >= 1);
@@ -292,7 +293,7 @@ BatchInputLp::BatchInputLp(std::vector<FanoutPort> fanouts, SimTime period,
     : fanouts_(std::move(fanouts)), period_(period), delay_(delay),
       seed_(seed), drift_at_(drift_at), lanes_(lanes),
       uniform_(uniform_stimulus), hot_first_(hot_first), observe_(observe),
-      stuck_(stuck_words(lanes, sa_mask, sa_value, observe)) {
+      stuck_(make_stuck_words(lanes, sa_mask, sa_value, observe)) {
   PLS_CHECK(period_ >= 1);
   PLS_CHECK(delay_ >= 1);
 }

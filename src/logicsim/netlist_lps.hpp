@@ -135,6 +135,16 @@ class BatchGateLp final : public warped::LogicalProcess {
   void init(warped::Context& ctx) override;
   void execute(warped::Context& ctx, warped::EventBatch batch) override;
 
+  // Elaborated parameters, read by the sequential reference's compiler.
+  const std::vector<FanoutPort>& fanouts() const noexcept { return fanouts_; }
+  warped::SimTime delay() const noexcept { return delay_; }
+  circuit::GateType type() const noexcept { return type_; }
+  std::uint32_t arity() const noexcept { return arity_; }
+  std::uint32_t lanes() const noexcept { return lanes_; }
+  bool observes() const noexcept { return observe_; }
+  /// K stuck-at mask words, then K value words; null unless faulted.
+  const std::uint64_t* stuck_words() const noexcept { return stuck_.get(); }
+
  private:
   // 56 bytes: the most numerous LP fits one 64-byte heap chunk.
   std::vector<FanoutPort> fanouts_;
@@ -167,6 +177,16 @@ class BatchDffLp final : public warped::LogicalProcess {
 
   /// First clock edge at or after t (edges at phase + n·period).
   warped::SimTime next_edge_at_or_after(warped::SimTime t) const;
+
+  // Elaborated parameters, read by the sequential reference's compiler.
+  const std::vector<FanoutPort>& fanouts() const noexcept { return fanouts_; }
+  warped::SimTime period() const noexcept { return period_; }
+  warped::SimTime phase() const noexcept { return phase_; }
+  warped::SimTime delay() const noexcept { return delay_; }
+  std::uint32_t lanes() const noexcept { return lanes_; }
+  bool observes() const noexcept { return observe_; }
+  /// K stuck-at mask words, then K value words; null unless faulted.
+  const std::uint64_t* stuck_words() const noexcept { return stuck_.get(); }
 
  private:
   std::vector<FanoutPort> fanouts_;
@@ -211,6 +231,19 @@ class BatchInputLp final : public warped::LogicalProcess {
                                    std::uint64_t n, std::uint32_t lanes,
                                    bool uniform,
                                    std::uint32_t word = 0) noexcept;
+
+  // Elaborated parameters, read by the sequential reference's compiler.
+  const std::vector<FanoutPort>& fanouts() const noexcept { return fanouts_; }
+  warped::SimTime period() const noexcept { return period_; }
+  warped::SimTime delay() const noexcept { return delay_; }
+  std::uint64_t seed() const noexcept { return seed_; }
+  warped::SimTime drift_at() const noexcept { return drift_at_; }
+  bool hot_first() const noexcept { return hot_first_; }
+  std::uint32_t lanes() const noexcept { return lanes_; }
+  bool uniform() const noexcept { return uniform_; }
+  bool observes() const noexcept { return observe_; }
+  /// K stuck-at mask words, then K value words; null unless faulted.
+  const std::uint64_t* stuck_words() const noexcept { return stuck_.get(); }
 
  private:
   std::vector<FanoutPort> fanouts_;

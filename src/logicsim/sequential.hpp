@@ -2,31 +2,41 @@
 // Sequential reference simulator.
 //
 // The paper's "Seq Time" column comes from a plain sequential simulation of
-// the same model: one time-ordered event calendar, no state saving, no
-// rollbacks, no communication.  This engine executes the *same*
-// LogicalProcess behaviours as the Time Warp kernel with identical batch
-// semantics, so its final states and event counts are the ground truth the
-// optimistic runs are checked against (logicsim/equivalence.hpp).
+// the same model: no state saving, no rollbacks, no communication.  Its
+// final states and event counts are the ground truth the optimistic runs
+// are checked against (logicsim/equivalence.hpp), so it is written apart
+// from the behaviours it verifies: it never calls LogicalProcess::init or
+// execute.  It reads the elaborated model through the behaviours' const
+// accessors and steps a flat unit-delay engine of its own:
 //
-// Its cost is proportional to the events it executes:
-//  * pending events sit in a ring of 32 slot vectors, slot t % 32 holding
-//    the events due at tick t for the next 32 ticks; an event due 32 or
-//    more ticks ahead waits in a receive-time min-heap and moves into the
-//    ring when the window reaches its tick, and a stretch with no event
-//    at all is skipped in one step;
-//  * each tick sorts its slot by (target, Event::operator<) and executes
-//    every target's run of events as one batch, a view into the slot, in
-//    ascending LP id.  operator< is a total order (ids are unique per
-//    sender), so a batch holds exactly the events, in exactly the order,
-//    that the kernel's sorted per-LP queue would; and since every send
-//    made while executing is due strictly later, batches at one tick are
-//    independent and a send never lands in the slot being executed;
-//  * init sends may be due at time 0; tick 0 runs them after every init;
-//  * wide event payloads and state words (lanes > 64) come from a
-//    mem::Pool owned by the call.  The calendar lives inside the pool's
-//    scope, so every event it frees returns there; the final states are
-//    copied out through the caller's allocator before the pool is
-//    destroyed.
+//  * compile: one dynamic_cast per LP to BatchGateLp, BatchDffLp or
+//    BatchInputLp (any other LP is a check failure naming its id) turns the
+//    model into CSR fanout ports (target, port), per-LP kind, gate type and
+//    arity, clock and stimulus timing, stuck-at words and observe flags,
+//    and one word array holding every LP's state in its documented LpState
+//    layout (netlist_lps.hpp), sized from initial_state().  All LPs share
+//    one lane count, and every gate, flip-flop and input has delay 1.
+//  * data: every output change lands exactly one tick later, so a tick's
+//    sends fill a next-tick buffer of 16-byte records (target, port,
+//    payload offset, lane count), and the sender writes its K value words
+//    and K change masks once into that tick's payload array.
+//  * ticks: self-ticks (power-on, clock edges, stimulus vectors) go to a
+//    32-slot wheel, slot t % 32 holding the LPs due at tick t, with a
+//    min-heap for ticks 32 or more ahead; a stretch with nothing pending is
+//    skipped in one step.  A duplicate tick is still its own event.
+//  * batches: at each tick every tick and data record lands first (masked
+//    application into the fanin, D or armed words), then each LP that got
+//    anything runs once, in first-touch order, with no sort: each port has
+//    one driver and every send is due strictly later, so the order of LPs
+//    within a tick and of events within a batch cannot change a result.
+//    `event_cost_ns` is charged once per such batch.
+//
+// It shares with the behaviours only the elaboration (build_model's port
+// numbering, input ordinals and fault words) and the pure helpers
+// eval_gate, eval_gate_word and BatchInputLp::vector_word, so a fault in
+// BatchGateLp, BatchDffLp or BatchInputLp::execute makes the Time Warp
+// kernel disagree with it.  It allocates no pooled memory: the exported
+// final states draw their wide words from the caller's pool, if any.
 
 #include <cstdint>
 #include <vector>
@@ -48,17 +58,19 @@ struct SeqStats {
   /// Equals per_lp_events on scalar (lanes = 1) runs, where every mask
   /// has exactly one bit.
   std::vector<std::uint64_t> per_lp_lane_work;
-  /// Non-self ctx.send() lane transitions per LP (≈ output transitions ×
-  /// fanout degree) — the *traffic* profile source: a gate that evaluates
-  /// often but rarely toggles receives many events yet sends few, and
-  /// only sends cross node boundaries.  Self-sends (clock/stimulus
-  /// ticks) are excluded; they never leave the LP.
+  /// Lane transitions sent to other LPs (≈ output transitions × fanout
+  /// degree) — the *traffic* profile source: a gate that evaluates often
+  /// but rarely toggles receives many events yet sends few, and only sends
+  /// cross node boundaries.  Sends to the LP itself (clock and stimulus
+  /// ticks, a flip-flop whose D is its own Q) are excluded; they never
+  /// leave the LP.
   std::vector<std::uint64_t> per_lp_sends;
 };
 
-/// Run the model to `end_time`.  `event_cost_ns` charges the same per-batch
-/// CPU cost the parallel kernel charges, so sequential-vs-parallel wall
-/// times are an apples-to-apples speedup comparison.
+/// Run the netlist model `lps` (SimModel::behaviours()) to `end_time`.
+/// `event_cost_ns` charges the same per-batch CPU cost the parallel kernel
+/// charges, so sequential-vs-parallel wall times are an apples-to-apples
+/// speedup comparison.
 SeqStats simulate_sequential(const std::vector<warped::LogicalProcess*>& lps,
                              warped::SimTime end_time,
                              std::uint64_t event_cost_ns = 0);

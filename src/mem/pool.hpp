@@ -26,9 +26,10 @@
 //   1. A block remembers its owning pool in its header; `free_block` may
 //      be called from any thread and routes home.
 //   2. A pool must outlive every block it carved.  The kernel guarantees
-//      this by declaring its pools before the per-LP runtimes; the
-//      sequential reference declares its pool before its queues and
-//      states and copies the final states out before the pool dies.
+//      this by declaring its pools before the per-LP runtimes.  The
+//      sequential reference owns no pool: it keeps its state in flat
+//      word arrays, and its exported final states draw from the caller's
+//      current pool (or the heap).
 //   3. Allocation with no current pool (main thread, tests) falls back
 //      to the global heap; such blocks carry a null owner and are deleted
 //      immediately on free.  Correctness never depends on a pool being

@@ -728,10 +728,13 @@ void Kernel::watchdog_main() {
   SimTime last_gvt = gvt_.load(std::memory_order_relaxed);
   std::uint64_t ticks_at_freeze = total_exec_ticks();
   std::uint64_t last_change_ns = steady_now_ns();
+  std::unique_lock<std::mutex> lock(watchdog_mu_);
   while (!done_.load(std::memory_order_acquire) &&
          !stalled_.load(std::memory_order_acquire)) {
-    // Short naps keep end-of-run teardown latency negligible.
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    if (watchdog_cv_.wait_for(lock, std::chrono::milliseconds(10),
+                              [this] { return watchdog_stop_; })) {
+      break;
+    }
     const SimTime g = gvt_.load(std::memory_order_relaxed);
     const std::uint64_t now = steady_now_ns();
     if (g != last_gvt) {
@@ -875,8 +878,13 @@ RunStats Kernel::run() {
     for (auto& t : threads) t.join();
   }
   const double wall_seconds = timer.elapsed_seconds();
-  // Unblock the watchdog promptly even on a stalled/OOM exit.
+  // Wake the watchdog at once, even on a stalled/OOM exit.
   done_.store(true, std::memory_order_release);
+  {
+    const std::lock_guard<std::mutex> lock(watchdog_mu_);
+    watchdog_stop_ = true;
+  }
+  watchdog_cv_.notify_all();
   if (watchdog.joinable()) watchdog.join();
 
   if (stalled_.load(std::memory_order_acquire)) dump_stall_diagnostics();

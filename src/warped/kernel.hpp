@@ -15,8 +15,10 @@
 // given to this kernel, and it stays fixed for the whole run.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "mem/pool.hpp"
@@ -146,6 +148,13 @@ class Kernel {
   /// Batches executed during the watchdog's frozen-GVT window (written by
   /// the watchdog before it raises stalled_): 0 = deadlock, >0 = livelock.
   std::uint64_t stall_ticks_wasted_ = 0;
+
+  /// The watchdog naps on watchdog_cv_ until run() sets watchdog_stop_
+  /// (under watchdog_mu_) once the nodes are done, so the end of a run
+  /// never waits out a nap.
+  std::mutex watchdog_mu_;
+  bool watchdog_stop_ = false;
+  std::condition_variable watchdog_cv_;
 
   bool ran_ = false;
 };

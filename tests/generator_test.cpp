@@ -157,6 +157,44 @@ TEST(Generator, TinySpecWorks) {
   EXPECT_EQ(c.num_combinational(), 5u);
 }
 
+TEST(ScaleSpec, ScalesGatesAndFlipFlopsAndKeepsTheRest) {
+  const GeneratorSpec base = iscas_spec("s9234", 7);
+  const GeneratorSpec same = scale_spec(base, 1.0);
+  EXPECT_EQ(same.num_comb_gates, base.num_comb_gates);
+  EXPECT_EQ(same.num_dffs, base.num_dffs);
+  EXPECT_EQ(same.num_inputs, base.num_inputs);
+  EXPECT_EQ(same.num_outputs, base.num_outputs);
+  EXPECT_EQ(same.seed, base.seed);
+
+  const GeneratorSpec tenth = scale_spec(base, 0.1);
+  EXPECT_EQ(tenth.num_comb_gates, 559u);
+  EXPECT_EQ(tenth.num_dffs, 21u);
+  EXPECT_EQ(tenth.num_inputs, base.num_inputs);
+  EXPECT_EQ(tenth.num_outputs, base.num_outputs);
+
+  EXPECT_THROW(scale_spec(base, 0.0), util::CheckError);
+  EXPECT_THROW(scale_spec(base, 4.5), util::CheckError);
+}
+
+TEST(ScaleSpec, AnyTinyScaleBuildsAValidCircuit) {
+  // The generator leaves a source dangling rather than push a gate past
+  // max_arity, and scale_spec clamps every count it checks.
+  for (const char* name : {"s5378", "s9234", "s15850"}) {
+    for (const std::uint64_t seed : {1u, 7u, 2000u}) {
+      for (const double scale : {0.0001, 0.0005, 0.002, 0.01}) {
+        const GeneratorSpec spec = scale_spec(iscas_spec(name, seed), scale);
+        EXPECT_GE(spec.num_comb_gates, 4u);
+        EXPECT_GE(spec.num_dffs, 4u);
+        EXPECT_LE(spec.num_outputs, spec.num_comb_gates / 4 + 1);
+        const Circuit c = generate(spec);  // freeze() checks every arity
+        EXPECT_EQ(c.num_combinational(), spec.num_comb_gates)
+            << name << " seed " << seed << " scale " << scale;
+        EXPECT_EQ(c.primary_outputs().size(), spec.num_outputs);
+      }
+    }
+  }
+}
+
 // ---- property sweep over sizes and seeds ---------------------------------
 
 struct GenParam {

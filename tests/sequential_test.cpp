@@ -3,16 +3,15 @@
 
 #include <gtest/gtest.h>
 
-#include <iterator>
-#include <memory>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "circuit/bench_io.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/generator.hpp"
 #include "logicsim/netlist_lps.hpp"
 #include "logicsim/sequential.hpp"
+#include "util/check.hpp"
 
 namespace pls::logicsim {
 namespace {
@@ -133,12 +132,40 @@ OUTPUT(g3)
   }
 }
 
+// The reference compiles the netlist behaviours into flat arrays, so any
+// other LogicalProcess is a check failure that names the LP.
+class TickLp final : public warped::LogicalProcess {
+ public:
+  void init(warped::Context& ctx) override { ctx.schedule_self(1); }
+  void execute(warped::Context&, warped::EventBatch) override {}
+};
+
+TEST(Sequential, RejectsNonNetlistLps) {
+  circuit::Circuit c;
+  const auto a = c.add_input("a");
+  c.add_gate("n0", GateType::kNot, {a});
+  c.freeze();
+  SimModel model = build_model(c);
+  TickLp other;
+  std::vector<warped::LogicalProcess*> lps = model.behaviours();
+  lps.push_back(&other);
+  try {
+    simulate_sequential(lps, 100);
+    ADD_FAILURE() << "a generic LP was accepted";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("LP 2 is not a netlist behaviour"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ----- golden hashes ---------------------------------------------------
 //
 // FNV-1a hashes of every SeqStats field except the wall time, on generated
 // circuits at one lane and at single- and multi-word lane counts.  The
 // one-lane rows were recorded on a separate scalar engine that the
-// word-wise LPs replaced.  A speed-up of the sequential reference must keep
+// word-wise LPs replaced, and every row on an engine that ran the LP
+// behaviours themselves.  A speed-up of the sequential reference must keep
 // every committed count and every final state word, so a changed hash is a
 // behaviour change.
 
@@ -226,157 +253,69 @@ TEST(SeqGolden, GeneratedCircuitsAcrossLaneCounts) {
   }
 }
 
-// ----- generic LPs ------------------------------------------------------
-//
-// A test-local LP model whose sends straddle any short time window: ticks
-// and data events go out at every delay in kDelays, several senders meet
-// at one LP and tick, init sends land at time 0, wide (multi-word)
-// payloads and state words come from the pool, and long delays leave
-// stretches of more than 32 ticks with no event at all.  Each batch folds
-// into the state in an order-sensitive way, so a batch that holds other
-// events, or the same events in another order, changes the hash.
+// One driver on two pins of a gate (x, n), a flip-flop whose D is its own
+// Q (q), and a toggle flip-flop whose D loops back through a gate (t).
+constexpr const char* kEdgeBench = R"(
+INPUT(a)
+INPUT(b)
+INPUT(c)
+OUTPUT(y)
+OUTPUT(q)
+OUTPUT(t)
+x = AND(a, a)
+n = NAND(b, x, b)
+q = DFF(q)
+t = DFF(u)
+u = XOR(t, n)
+v = NOR(c, q)
+y = OR(x, v, u)
+)";
 
-constexpr warped::SimTime kDelays[] = {1, 2, 20, 31, 32, 33, 64, 1000};
-constexpr std::uint32_t kWideWords = 3;
-
-std::uint64_t mix(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  return x ^ (x >> 33);
-}
-
-/// What the model did, gathered across every LP, so the test can check
-/// that the run covers the cases the model is built for.
-struct CalendarLog {
-  std::set<warped::SimTime> delays;   ///< recv_time - send_time seen
-  std::set<warped::SimTime> times;    ///< times with at least one batch
-  std::size_t multi_sender_batches = 0;
-  std::size_t wide_events = 0;
-};
-
-class CalendarLp final : public warped::LogicalProcess {
- public:
-  CalendarLp(warped::LpId n, CalendarLog* log) : n_(n), log_(log) {}
-
-  warped::LpState initial_state() const override {
-    warped::LpState s;
-    s.w = mem::Words(kWideWords);
-    return s;
-  }
-
-  void init(warped::Context& ctx) override {
-    const warped::LpId self = ctx.self();
-    ctx.schedule_self(0, self);
-    // Every LP also sends to LP 0 at time 0: many senders, one batch.
-    ctx.send(0, 0, 1, self + 1);
-    if (self % 2 == 1) ctx.schedule_self(kDelays[self % 8], self);
-  }
-
-  void execute(warped::Context& ctx, warped::EventBatch batch) override {
-    warped::LpState& s = ctx.state();
-    bool tick = false;
-    std::set<warped::LpId> senders;
-    for (const warped::Event& e : batch) {
-      if (e.port == warped::kTickPort) tick = true;
-      senders.insert(e.sender);
-      log_->delays.insert(e.recv_time - e.send_time);
-      std::uint64_t f = mix((std::uint64_t{e.sender} << 32) ^ e.port);
-      for (std::uint32_t w = 0; w < e.payload_words(); ++w) {
-        f = mix(f ^ e.value_word(w)) + e.mask_word(w);
-      }
-      if (e.payload_words() > 1) ++log_->wide_events;
-      s.a = s.a * 31 + f;
-      s.w[e.id % kWideWords] = s.w[e.id % kWideWords] * 31 + (f >> 7);
-    }
-    s.b += batch.size();
-    log_->times.insert(ctx.now());
-    if (senders.size() > 1) ++log_->multi_sender_batches;
-    if (!tick) return;
-
-    const std::uint64_t h = mix(s.a);
-    const warped::SimTime now = ctx.now();
-    // Data delays, and half the tick delays, follow the clock, so LPs
-    // that tick together keep meeting: they send to one arrival tick and
-    // tick together again.  Every eighth 128-tick phase is quiet: only
-    // 64- and 1000-tick sends, which leaves long stretches with no event.
-    const bool quiet = (now / 128) % 8 == 7;
-    const std::uint64_t by_clock = mix(now);
-    const warped::SimTime data_at =
-        now + (quiet ? kDelays[6 + h % 2] : kDelays[by_clock % 8]);
-    const std::uint64_t tick_pick = (h >> 3) % 2 ? h >> 4 : by_clock >> 3;
-    const warped::SimTime tick_at =
-        now + (quiet ? 1000 : kDelays[tick_pick % 8]);
-    // One send goes to a hub (LP 0 or 1), where senders meet; the other
-    // to any LP.  A third of the sends are wide.
-    const warped::LpId targets[] = {static_cast<warped::LpId>((h >> 6) % 2),
-                                    static_cast<warped::LpId>((h >> 8) % n_)};
-    const std::uint32_t port = static_cast<std::uint32_t>((h >> 16) % 3);
-    for (const warped::LpId target : targets) {
-      if (data_at > ctx.end_time()) break;
-      if ((h >> 20) % 3 == 0) {
-        std::uint64_t values[kWideWords];
-        std::uint64_t masks[kWideWords];
-        for (std::uint32_t w = 0; w < kWideWords; ++w) {
-          values[w] = mix(h + w);
-          masks[w] = mix(h ^ (w + 1)) | 1;
-        }
-        ctx.send_wide(target, data_at, port, values, masks, kWideWords);
-      } else {
-        ctx.send(target, data_at, port, h >> 32, (h >> 24) | 1);
-      }
-    }
-    if (tick_at <= ctx.end_time()) ctx.schedule_self(tick_at, h >> 40);
-  }
-
- private:
-  warped::LpId n_;
-  CalendarLog* log_;
-};
-
-TEST(SeqGolden, GenericLpsAcrossTheCalendar) {
+TEST(SeqGolden, FaultSimulationAndEdgeCircuits) {
   struct Case {
-    warped::LpId lps;
+    const char* circuit;
+    std::uint32_t lanes;
+    std::size_t faults;  ///< sample_faults(c, faults, 9), uniform stimulus
     warped::SimTime horizon;
     std::uint64_t hash;
   };
+  // The fault rows inject stuck-at words, drive every lane with the base
+  // stream and accumulate divergence at the primary outputs: 127 faults
+  // fill words 0 and 1, and 129 also reach lanes 128 and 129 in word 2.
+  // Two lanes share one word, so the flip-flop keeps its armed word and
+  // the gate its word-wise fanins at K = 1.  On the edge circuit, nine
+  // faults include a stuck-at-1 on q, whose Q then feeds its own D.
   const Case cases[] = {
-      {3, 20000, 0x5326c4e8dd351819ULL},
-      {7, 20000, 0x478426bf46edab75ULL},
-      {16, 12000, 0xcd33af4922445e27ULL},
+      {"s5378", 64, 63, 600, 0x65e7c2c37d5f8053ULL},
+      {"s5378", 130, 127, 400, 0x8a1727645e5aed28ULL},
+      {"s5378", 130, 129, 400, 0xfb83b6738af32d3ULL},
+      {"s5378", 2, 0, 2000, 0x6221d4572d273198ULL},
+      {"edge", 1, 0, 3000, 0xae1c5e6e5c05c8acULL},
+      {"edge", 2, 0, 3000, 0x4700acfc14451a4bULL},
+      {"edge", 130, 0, 3000, 0x4a8840da05d5d21cULL},
+      {"edge", 2, 1, 3000, 0x7bcfda945dc74df9ULL},
+      {"edge", 130, 9, 3000, 0xf5451d6ad19f2187ULL},
   };
+  const circuit::Circuit s5378 = circuit::make_iscas_like("s5378", 2000);
+  const circuit::Circuit edge = circuit::parse_bench_string(kEdgeBench);
   for (const Case& k : cases) {
-    CalendarLog log;
-    std::vector<std::unique_ptr<CalendarLp>> owners;
-    std::vector<warped::LogicalProcess*> lps;
-    for (warped::LpId i = 0; i < k.lps; ++i) {
-      owners.push_back(std::make_unique<CalendarLp>(k.lps, &log));
-      lps.push_back(owners.back().get());
+    const circuit::Circuit& c = std::string(k.circuit) == "s5378" ? s5378
+                                                                  : edge;
+    ModelOptions opt;
+    opt.lanes = k.lanes;
+    opt.stim_seed = 11;
+    if (k.faults > 0) {
+      opt.faults = sample_faults(c, k.faults, 9);
+      ASSERT_EQ(opt.faults.size(), k.faults);
+      opt.uniform_stimulus = true;
     }
-    const SeqStats out = simulate_sequential(lps, k.horizon);
-
-    // The run reaches every case the model is built for.
-    EXPECT_EQ(log.delays,
-              std::set<warped::SimTime>({0, 1, 2, 20, 31, 32, 33, 64, 1000}));
-    EXPECT_EQ(*log.times.begin(), 0u);
-    EXPECT_GT(log.multi_sender_batches, 10u);
-    EXPECT_GT(log.wide_events, 10u);
-    std::size_t long_gaps = 0;
-    for (auto it = std::next(log.times.begin()); it != log.times.end();
-         ++it) {
-      if (*it - *std::prev(it) > 32) ++long_gaps;
-    }
-    EXPECT_GT(long_gaps, 2u);
-
+    SimModel model = build_model(c, opt);
+    const SeqStats out = simulate_sequential(model.behaviours(), k.horizon);
     Fnv1a h;
     h.add(out);
     EXPECT_EQ(h.value(), k.hash)
         << std::hex << "hash 0x" << h.value() << std::dec << " for "
-        << k.lps << " LPs, horizon " << k.horizon << " ("
-        << out.events_processed << " events, " << log.multi_sender_batches
-        << " batches from several senders, " << long_gaps
-        << " gaps over 32 ticks)";
+        << k.circuit << ", lanes " << k.lanes << ", faults " << k.faults;
   }
 }
 
