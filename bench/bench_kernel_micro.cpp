@@ -404,6 +404,32 @@ BENCHMARK(BM_SequentialS15850)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+/// Whole partitioner runs on the s15850 stand-in (generator seed 2000):
+/// graph Multilevel onto 2 parts at partitioner seed 2000 (the partition
+/// of pipebench's ml-k2 workloads), and MultilevelHG onto 8 parts cycling
+/// partition-hg-k8's sub-seeds 32·2000 + j, j = 0..31, one per iteration
+/// and each once per measurement (their work differs by up to 1.5×).  The
+/// circuit is built outside the timing; the row's time is wall time per
+/// run.
+void BM_PartitionS15850(benchmark::State& state, const char* strategy,
+                        std::uint32_t k, bool cycle_seeds) {
+  static const circuit::Circuit c = circuit::make_iscas_like("s15850", 2000);
+  const auto partitioner = framework::make_partitioner(strategy);
+  std::uint64_t j = 0;
+  for (auto _ : state) {
+    const std::uint64_t seed = cycle_seeds ? 32 * 2000 + j++ % 32 : 2000;
+    benchmark::DoNotOptimize(partitioner->run(c, k, seed).assign.data());
+  }
+}
+BENCHMARK_CAPTURE(BM_PartitionS15850, multilevel_k2, "Multilevel", 2, false)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_PartitionS15850, multilevel_hg_k8, "MultilevelHG", 8,
+                  true)
+    ->Iterations(32)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 void BM_CoarsenS9234(benchmark::State& state) {
   const circuit::Circuit c = circuit::make_iscas_like("s9234", 7);
   for (auto _ : state) {

@@ -1,75 +1,103 @@
 #include "graph/weighted_graph.hpp"
 
 #include <algorithm>
-#include <tuple>
 
 #include "util/check.hpp"
 
 namespace pls::graph {
 
+void merge_rows(std::vector<std::uint32_t>& off, std::vector<Edge>& edges) {
+  // A row never writes past its own read position, and off[v + 1] is
+  // still the old end when row v is read.
+  std::uint32_t write = 0;
+  for (std::size_t v = 0; v + 1 < off.size(); ++v) {
+    Edge* const first = edges.data() + off[v];
+    Edge* const last = edges.data() + off[v + 1];
+    std::sort(first, last,
+              [](const Edge& a, const Edge& b) { return a.to < b.to; });
+    off[v] = write;
+    for (const Edge* e = first; e != last; ++e) {
+      if (write > off[v] && edges[write - 1].to == e->to) {
+        edges[write - 1].weight += e->weight;
+      } else {
+        edges[write++] = *e;
+      }
+    }
+  }
+  off.back() = write;
+  edges.resize(write);
+}
+
+template <class EachEdge>
+void WeightedGraph::build_csr(EachEdge each) {
+  for (auto w : vweight_) total_weight_ += w;
+  const auto n = vweight_.size();
+
+  // Degree count: every non-loop edge lands in both endpoints' rows.
+  off_.assign(n + 1, 0);
+  each([&](VertexId u, VertexId v, std::uint32_t) {
+    PLS_CHECK_MSG(u < n && v < n, "edge endpoint out of range");
+    if (u == v) return;
+    ++off_[u + 1];
+    ++off_[v + 1];
+  });
+  for (std::size_t i = 1; i <= n; ++i) off_[i] += off_[i - 1];
+
+  adj_.resize(off_[n]);
+  std::vector<std::uint32_t> cursor(off_.begin(), off_.end() - 1);
+  each([&](VertexId u, VertexId v, std::uint32_t w) {
+    if (u == v) return;
+    adj_[cursor[u]++] = Edge{v, w};
+    adj_[cursor[v]++] = Edge{u, w};
+  });
+
+  merge_rows(off_, adj_);
+  edge_count_ = adj_.size() / 2;  // each undirected edge sits in two rows
+}
+
 WeightedGraph::WeightedGraph(
     std::vector<std::uint32_t> vertex_weights,
     std::span<const std::tuple<VertexId, VertexId, std::uint32_t>> edges)
     : vweight_(std::move(vertex_weights)) {
-  for (auto w : vweight_) total_weight_ += w;
-  build_csr(edges);
+  build_csr([&](auto&& f) {
+    for (const auto& [u, v, w] : edges) f(u, v, w);
+  });
 }
 
-void WeightedGraph::build_csr(
-    std::span<const std::tuple<VertexId, VertexId, std::uint32_t>> edges) {
-  const auto n = vweight_.size();
-
-  // Normalize: drop self-loops, order endpoints, sort, merge duplicates.
-  std::vector<std::tuple<VertexId, VertexId, std::uint32_t>> norm;
-  norm.reserve(edges.size());
-  for (const auto& [u, v, w] : edges) {
-    PLS_CHECK_MSG(u < n && v < n, "edge endpoint out of range");
-    if (u == v) continue;
-    norm.emplace_back(std::min(u, v), std::max(u, v), w);
+WeightedGraph::WeightedGraph(std::vector<std::uint32_t> vertex_weights,
+                             std::span<const std::uint32_t> row_off,
+                             std::span<const Edge> out)
+    : vweight_(std::move(vertex_weights)) {
+  const std::size_t n = vweight_.size();
+  PLS_CHECK_MSG(row_off.size() == n + 1 && row_off.front() == 0 &&
+                    row_off.back() == out.size(),
+                "row offsets must frame the out-edge array, one row per "
+                "vertex");
+  for (std::size_t u = 0; u < n; ++u) {
+    PLS_CHECK_MSG(row_off[u] <= row_off[u + 1],
+                  "row offsets must not decrease");
   }
-  std::sort(norm.begin(), norm.end(),
-            [](const auto& a, const auto& b) {
-              return std::tie(std::get<0>(a), std::get<1>(a)) <
-                     std::tie(std::get<0>(b), std::get<1>(b));
-            });
-  std::vector<std::tuple<VertexId, VertexId, std::uint32_t>> merged;
-  merged.reserve(norm.size());
-  for (const auto& e : norm) {
-    if (!merged.empty() && std::get<0>(merged.back()) == std::get<0>(e) &&
-        std::get<1>(merged.back()) == std::get<1>(e)) {
-      std::get<2>(merged.back()) += std::get<2>(e);
-    } else {
-      merged.push_back(e);
+  build_csr([&](auto&& f) {
+    for (std::size_t u = 0; u < n; ++u) {
+      for (std::uint32_t i = row_off[u]; i < row_off[u + 1]; ++i) {
+        f(static_cast<VertexId>(u), out[i].to, out[i].weight);
+      }
     }
-  }
-  edge_count_ = merged.size();
-
-  // CSR with both directions.
-  off_.assign(n + 1, 0);
-  for (const auto& [u, v, w] : merged) {
-    ++off_[u + 1];
-    ++off_[v + 1];
-  }
-  for (std::size_t i = 1; i <= n; ++i) off_[i] += off_[i - 1];
-  adj_.resize(merged.size() * 2);
-  std::vector<std::uint32_t> cursor(off_.begin(), off_.end() - 1);
-  for (const auto& [u, v, w] : merged) {
-    adj_[cursor[u]++] = Edge{v, w};
-    adj_[cursor[v]++] = Edge{u, w};
-  }
+  });
 }
 
 WeightedGraph WeightedGraph::from_circuit(const circuit::Circuit& c) {
   PLS_CHECK_MSG(c.frozen(), "from_circuit requires a frozen circuit");
-  std::vector<std::tuple<VertexId, VertexId, std::uint32_t>> edges;
-  edges.reserve(c.num_edges());
-  for (circuit::GateId g = 0; g < c.size(); ++g) {
-    for (circuit::GateId f : c.fanins(g)) {
-      edges.emplace_back(static_cast<VertexId>(f), static_cast<VertexId>(g),
-                         1u);
+  WeightedGraph g;
+  g.vweight_.assign(c.size(), 1);
+  g.build_csr([&](auto&& f) {
+    for (circuit::GateId gate = 0; gate < c.size(); ++gate) {
+      for (circuit::GateId in : c.fanins(gate)) {
+        f(static_cast<VertexId>(in), static_cast<VertexId>(gate), 1u);
+      }
     }
-  }
-  return WeightedGraph(std::vector<std::uint32_t>(c.size(), 1), edges);
+  });
+  return g;
 }
 
 std::uint64_t WeightedGraph::weighted_degree(VertexId v) const {

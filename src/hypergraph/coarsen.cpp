@@ -28,20 +28,22 @@ std::pair<std::vector<std::uint32_t>, std::size_t> heavy_pin_round(
   std::vector<double> score(n, 0.0);
   std::vector<VertexId> touched;
 
+  const Hypergraph::Csr csr = hg.csr();
   for (const VertexId v : order) {
     if (globule[v] != kNone) continue;
     touched.clear();
-    for (NetId e : hg.nets(v)) {
-      const auto pin_span = hg.pins(e);
+    const bool v_input = contains_input[v] != 0;
+    const std::uint64_t v_weight = csr.vertex_weight[v];
+    for (NetId e : csr.nets(v)) {
+      const auto pin_span = csr.pins(e);
       if (pin_span.size() > opt.rating_pin_limit) continue;
-      const double r = static_cast<double>(hg.net_weight(e)) /
+      const double r = static_cast<double>(csr.net_weight[e]) /
                        static_cast<double>(pin_span.size() - 1);
       for (VertexId u : pin_span) {
         if (u == v || globule[u] != kNone) continue;
-        if (contains_input[v] && contains_input[u]) continue;  // PI rule
+        if (v_input && contains_input[u]) continue;  // PI rule
         if (opt.max_globule_weight != 0 &&
-            std::uint64_t{hg.vertex_weight(v)} + hg.vertex_weight(u) >
-                opt.max_globule_weight) {
+            v_weight + csr.vertex_weight[u] > opt.max_globule_weight) {
           continue;  // weight cap: keep globules movable by refinement
         }
         if (score[u] == 0.0) touched.push_back(u);
@@ -54,7 +56,7 @@ std::pair<std::vector<std::uint32_t>, std::size_t> heavy_pin_round(
       // Prefer the lighter partner on ties: keeps globule weights even.
       if (score[u] > best_score ||
           (score[u] == best_score && best != kNone &&
-           hg.vertex_weight(u) < hg.vertex_weight(best))) {
+           csr.vertex_weight[u] < csr.vertex_weight[best])) {
         best_score = score[u];
         best = u;
       }
@@ -77,9 +79,10 @@ std::pair<std::vector<std::uint32_t>, std::size_t> heavy_pin_round(
 Hypergraph contract(const Hypergraph& fine,
                     const std::vector<std::uint32_t>& globule,
                     std::size_t num_globules) {
+  const Hypergraph::Csr csr = fine.csr();
   std::vector<std::uint32_t> vweight(num_globules, 0);
   for (VertexId v = 0; v < fine.num_vertices(); ++v) {
-    vweight[globule[v]] += fine.vertex_weight(v);
+    vweight[globule[v]] += csr.vertex_weight[v];
   }
 
   std::vector<std::uint32_t> net_off{0};
@@ -96,7 +99,7 @@ Hypergraph contract(const Hypergraph& fine,
 
   for (NetId e = 0; e < fine.num_nets(); ++e) {
     const std::size_t start = pins.size();
-    for (VertexId v : fine.pins(e)) pins.push_back(globule[v]);
+    for (VertexId v : csr.pins(e)) pins.push_back(globule[v]);
     const auto first = pins.begin() + static_cast<std::ptrdiff_t>(start);
     std::sort(first, pins.end());
     pins.erase(std::unique(first, pins.end()), pins.end());
@@ -115,14 +118,14 @@ Hypergraph contract(const Hypergraph& fine,
       if (id == kNone) {
         table[slot] = static_cast<std::uint32_t>(net_weights.size());
         net_off.push_back(static_cast<std::uint32_t>(pins.size()));
-        net_weights.push_back(fine.net_weight(e));
+        net_weights.push_back(csr.net_weight[e]);
         net_hash.push_back(h);
         break;
       }
       if (net_hash[id] == h &&
           std::equal(pins.begin() + net_off[id],
                      pins.begin() + net_off[id + 1], first, pins.end())) {
-        net_weights[id] += fine.net_weight(e);
+        net_weights[id] += csr.net_weight[e];
         pins.resize(start);
         break;
       }

@@ -82,6 +82,29 @@ class Hypergraph {
   /// λ−1 change a single move of v can cause (bounds FM gains).
   std::uint64_t weighted_degree(VertexId v) const;
 
+  /// The validated CSR arrays, unchecked, for hot loops that would
+  /// otherwise pay the accessors' bounds checks on every element.  Valid
+  /// while the hypergraph lives; ids must be in range.
+  struct Csr {
+    const std::uint32_t* net_off;
+    const VertexId* pin;
+    const std::uint32_t* net_weight;
+    const std::uint32_t* vtx_off;
+    const NetId* incident;
+    const std::uint32_t* vertex_weight;
+
+    std::span<const VertexId> pins(NetId e) const {
+      return {pin + net_off[e], pin + net_off[e + 1]};
+    }
+    std::span<const NetId> nets(VertexId v) const {
+      return {incident + vtx_off[v], incident + vtx_off[v + 1]};
+    }
+  };
+  Csr csr() const noexcept {
+    return {net_off_.data(), pins_.data(),    net_weight_.data(),
+            vtx_off_.data(), incident_.data(), vweight_.data()};
+  }
+
  private:
   void build_incidence();
 

@@ -1,6 +1,5 @@
 #include "hypergraph/metrics.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "multilevel/metrics.hpp"
@@ -9,33 +8,32 @@
 namespace pls::hypergraph {
 namespace {
 
-/// Number of distinct parts among a net's pins; `seen` is caller-provided
-/// scratch of size k, zeroed between calls via the returned list.
-std::uint32_t lambda_of(const Hypergraph& hg, NetId e,
+constexpr NetId kNoNet = ~NetId{0};
+
+/// Number of distinct parts among net e's pins, in one walk of its pins.
+/// `last[q]` is the last net that counted part q; callers visit each net
+/// once, so a part counts once per net with no reset between nets.
+std::uint32_t lambda_of(const Hypergraph::Csr& csr, NetId e,
                         const partition::Partition& p,
-                        std::vector<std::uint8_t>& seen,
-                        std::vector<partition::PartId>& touched) {
-  touched.clear();
-  for (VertexId v : hg.pins(e)) {
-    const partition::PartId q = p.assign[v];
-    if (!seen[q]) {
-      seen[q] = 1;
-      touched.push_back(q);
-    }
+                        std::vector<NetId>& last) {
+  std::uint32_t lambda = 0;
+  for (VertexId v : csr.pins(e)) {
+    NetId& seen = last[p.assign[v]];
+    lambda += seen != e ? 1 : 0;
+    seen = e;
   }
-  for (partition::PartId q : touched) seen[q] = 0;
-  return static_cast<std::uint32_t>(touched.size());
+  return lambda;
 }
 
 }  // namespace
 
 std::uint64_t cut_net(const Hypergraph& hg, const partition::Partition& p) {
   p.validate(hg.num_vertices());
+  const Hypergraph::Csr csr = hg.csr();
   std::uint64_t cut = 0;
-  std::vector<std::uint8_t> seen(p.k, 0);
-  std::vector<partition::PartId> touched;
+  std::vector<NetId> last(p.k, kNoNet);
   for (NetId e = 0; e < hg.num_nets(); ++e) {
-    if (lambda_of(hg, e, p, seen, touched) > 1) cut += hg.net_weight(e);
+    if (lambda_of(csr, e, p, last) > 1) cut += csr.net_weight[e];
   }
   return cut;
 }
@@ -43,12 +41,12 @@ std::uint64_t cut_net(const Hypergraph& hg, const partition::Partition& p) {
 std::uint64_t connectivity_minus_one(const Hypergraph& hg,
                                      const partition::Partition& p) {
   p.validate(hg.num_vertices());
+  const Hypergraph::Csr csr = hg.csr();
   std::uint64_t volume = 0;
-  std::vector<std::uint8_t> seen(p.k, 0);
-  std::vector<partition::PartId> touched;
+  std::vector<NetId> last(p.k, kNoNet);
   for (NetId e = 0; e < hg.num_nets(); ++e) {
-    volume += static_cast<std::uint64_t>(hg.net_weight(e)) *
-              (lambda_of(hg, e, p, seen, touched) - 1);
+    volume += std::uint64_t{csr.net_weight[e]} *
+              (lambda_of(csr, e, p, last) - 1);
   }
   return volume;
 }

@@ -19,9 +19,13 @@
 //                           changed);
 //   Φ(e,a) 2→1              the last pin left in a becomes sole;
 //   Φ(e,b) 1→2              b's former sole pin no longer is.
-// Finding a vertex's best target is then an O(k) scan of its row under
-// (gain ↓, load ↑, id ↑), independent of its degree and of how many parts
-// its nets span.
+// A vertex is bucketed at its key, freed − conn[home] + max_{q≠home}
+// conn[q], its best gain over all targets.  Keys live in a per-vertex
+// cache kept exact by every move and rollback step, wherever the step
+// changes a conn row, a freed entry or a home part, so filling and
+// refreshing the buckets reads the cache.  Only the pop that moves a
+// vertex scans its row for the target under (gain ↓, load ↑, id ↑): O(k),
+// independent of its degree and of how many parts its nets span.
 //
 // Moves are selected from gain buckets (an array of vectors indexed by
 // gain, with lazy invalidation stamps), FM-style: zero- and negative-gain

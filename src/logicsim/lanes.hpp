@@ -80,8 +80,9 @@ struct StuckAtFault {
 };
 
 /// Deterministically pick `count` distinct single-stuck-at faults spread
-/// over the circuit's non-input gates (seeded; count is clamped to
-/// kMaxLanes - 1 and to the available fault sites).
+/// over every gate of the circuit, primary inputs included: an input's
+/// stuck-at word is applied like any other gate's (seeded; count is
+/// clamped to kMaxLanes - 1 and to the gate count).
 std::vector<StuckAtFault> sample_faults(const circuit::Circuit& c,
                                         std::size_t count,
                                         std::uint64_t seed);

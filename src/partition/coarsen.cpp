@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <tuple>
+#include <span>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -16,11 +16,18 @@ struct WorkLevel {
   std::vector<std::uint32_t> vweight;
   std::vector<std::uint8_t> contains_input;
   std::vector<std::uint8_t> is_start;  ///< traversal roots for this level
-  /// Directed out-edges with weights (deduplicated per source vertex).
-  std::vector<std::vector<graph::Edge>> out;
+  /// Directed out-edges with weights, one CSR row per vertex
+  /// (out[off[v] .. off[v+1])), each target once per row.
+  std::vector<std::uint32_t> off;
+  std::vector<graph::Edge> out;
 
   std::size_t size() const noexcept { return vweight.size(); }
+  std::span<const graph::Edge> row(std::uint32_t v) const {
+    return {out.data() + off[v], off[v + 1] - off[v]};
+  }
 };
+
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
 WorkLevel base_level(const circuit::Circuit& c,
                      const multilevel::VertexTrafficWeights* weights) {
@@ -38,30 +45,35 @@ WorkLevel base_level(const circuit::Circuit& c,
   }
   w.contains_input.assign(n, 0);
   w.is_start.assign(n, 0);
-  w.out.resize(n);
   for (circuit::GateId pi : c.primary_inputs()) {
     w.contains_input[pi] = 1;
     w.is_start[pi] = 1;
   }
+  // Row g lists g's fanout targets in first-occurrence order; a repeated
+  // target adds to its entry, found through `at` (reset after each row).
+  w.off.reserve(n + 1);
+  w.off.push_back(0);
+  w.out.reserve(c.num_edges());
+  std::vector<std::uint32_t> at(n, kNone);
   for (circuit::GateId g = 0; g < n; ++g) {
-    const auto outs = c.fanouts(g);
-    auto& row = w.out[g];
-    row.reserve(outs.size());
     // Traffic scaling: a busy driver's signal is more expensive to cut, so
     // its edges weigh more and the coarsener keeps its fanout together
     // (paper §6 "activity levels of communication").
     const std::uint32_t base_weight =
         weights != nullptr ? weights->traffic[g] : 1;
-    for (circuit::GateId t : outs) {
+    for (circuit::GateId t : c.fanouts(g)) {
       if (t == g) continue;
-      auto it = std::find_if(row.begin(), row.end(),
-                             [&](const graph::Edge& e) { return e.to == t; });
-      if (it == row.end()) {
-        row.push_back(graph::Edge{t, base_weight});
+      if (at[t] == kNone) {
+        at[t] = static_cast<std::uint32_t>(w.out.size());
+        w.out.push_back(graph::Edge{t, base_weight});
       } else {
-        it->weight += base_weight;
+        w.out[at[t]].weight += base_weight;
       }
     }
+    for (std::size_t i = w.off.back(); i < w.out.size(); ++i) {
+      at[w.out[i].to] = kNone;
+    }
+    w.off.push_back(static_cast<std::uint32_t>(w.out.size()));
   }
   return w;
 }
@@ -71,7 +83,6 @@ WorkLevel base_level(const circuit::Circuit& c,
 std::pair<std::vector<std::uint32_t>, std::size_t> fanout_round(
     const WorkLevel& lvl, std::uint64_t max_weight, util::Rng& rng) {
   const std::size_t n = lvl.size();
-  constexpr std::uint32_t kNone = ~std::uint32_t{0};
   std::vector<std::uint32_t> globule(n, kNone);
   std::vector<std::uint8_t> glob_has_input;  // indexed by globule id
   std::vector<std::uint64_t> glob_weight;    // indexed by globule id
@@ -88,7 +99,7 @@ std::pair<std::vector<std::uint32_t>, std::size_t> fanout_round(
     globule[v] = g;
     glob_has_input.push_back(lvl.contains_input[v]);
     glob_weight.push_back(lvl.vweight[v]);
-    for (const graph::Edge& e : lvl.out[v]) {
+    for (const graph::Edge& e : lvl.row(v)) {
       const std::uint32_t t = e.to;
       if (globule[t] != kNone) continue;           // coarsened once per level
       if (glob_has_input[g] && lvl.contains_input[t]) continue;  // PI rule
@@ -123,7 +134,8 @@ std::pair<std::vector<std::uint32_t>, std::size_t> fanout_round(
       const std::uint32_t v = stack.back();
       stack.pop_back();
       choose(v);
-      for (auto it = lvl.out[v].rbegin(); it != lvl.out[v].rend(); ++it) {
+      const auto row = lvl.row(v);
+      for (auto it = row.rbegin(); it != row.rend(); ++it) {
         if (!visited[it->to]) {
           visited[it->to] = 1;
           stack.push_back(it->to);
@@ -147,15 +159,24 @@ std::pair<std::vector<std::uint32_t>, std::size_t> fanout_round(
 std::pair<std::vector<std::uint32_t>, std::size_t> heavy_edge_round(
     const WorkLevel& lvl, std::uint64_t max_weight, util::Rng& rng) {
   const std::size_t n = lvl.size();
-  constexpr std::uint32_t kNone = ~std::uint32_t{0};
   std::vector<std::uint32_t> globule(n, kNone);
   std::uint32_t next_globule = 0;
 
-  std::vector<std::vector<graph::Edge>> nbr(n);
+  // Both directions of every out-edge in one CSR, filled in ascending
+  // source order: u→t lands in row u as itself and in row t as (u, w), so
+  // each row keeps the order that breaks weight ties below.
+  std::vector<std::uint32_t> nbr_off(n + 1, 0);
   for (std::uint32_t v = 0; v < n; ++v) {
-    for (const graph::Edge& e : lvl.out[v]) {
-      nbr[v].push_back(e);
-      nbr[e.to].push_back(graph::Edge{v, e.weight});
+    nbr_off[v + 1] += static_cast<std::uint32_t>(lvl.row(v).size());
+    for (const graph::Edge& e : lvl.row(v)) ++nbr_off[e.to + 1];
+  }
+  for (std::size_t i = 1; i <= n; ++i) nbr_off[i] += nbr_off[i - 1];
+  std::vector<graph::Edge> nbr(nbr_off[n]);
+  std::vector<std::uint32_t> cursor(nbr_off.begin(), nbr_off.end() - 1);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    for (const graph::Edge& e : lvl.row(v)) {
+      nbr[cursor[v]++] = e;
+      nbr[cursor[e.to]++] = graph::Edge{v, e.weight};
     }
   }
 
@@ -167,7 +188,8 @@ std::pair<std::vector<std::uint32_t>, std::size_t> heavy_edge_round(
     if (globule[v] != kNone) continue;
     std::uint32_t best = kNone;
     std::uint32_t best_w = 0;
-    for (const graph::Edge& e : nbr[v]) {
+    for (std::uint32_t i = nbr_off[v]; i < nbr_off[v + 1]; ++i) {
+      const graph::Edge& e = nbr[i];
       if (globule[e.to] != kNone) continue;
       if (lvl.contains_input[v] && lvl.contains_input[e.to]) continue;
       if (max_weight != 0 &&
@@ -195,7 +217,6 @@ WorkLevel contract(const WorkLevel& fine,
   coarse.vweight.assign(num_globules, 0);
   coarse.contains_input.assign(num_globules, 0);
   coarse.is_start.assign(num_globules, 0);
-  coarse.out.resize(num_globules);
 
   std::vector<std::uint32_t> member_count(num_globules, 0);
   for (std::size_t v = 0; v < fine.size(); ++v) {
@@ -217,41 +238,32 @@ WorkLevel contract(const WorkLevel& fine,
 
   // The edge set of a coarse vertex is the union of its members' edges
   // (paper §3): self-loops dropped, parallel edges merged with summed
-  // weight.
-  for (std::size_t v = 0; v < fine.size(); ++v) {
+  // weight.  Rows are counted, filled at their offsets, then sorted by
+  // target and merged in place.
+  coarse.off.assign(num_globules + 1, 0);
+  for (std::uint32_t v = 0; v < fine.size(); ++v) {
     const std::uint32_t gs = globule[v];
-    for (const graph::Edge& e : fine.out[v]) {
+    for (const graph::Edge& e : fine.row(v)) {
+      if (globule[e.to] != gs) ++coarse.off[gs + 1];
+    }
+  }
+  for (std::size_t g = 1; g <= num_globules; ++g) {
+    coarse.off[g] += coarse.off[g - 1];
+  }
+  coarse.out.resize(coarse.off[num_globules]);
+  std::vector<std::uint32_t> cursor(coarse.off.begin(), coarse.off.end() - 1);
+  for (std::uint32_t v = 0; v < fine.size(); ++v) {
+    const std::uint32_t gs = globule[v];
+    for (const graph::Edge& e : fine.row(v)) {
       const std::uint32_t gt = globule[e.to];
-      if (gs == gt) continue;
-      coarse.out[gs].push_back(graph::Edge{gt, e.weight});
+      if (gs != gt) coarse.out[cursor[gs]++] = graph::Edge{gt, e.weight};
     }
   }
-  for (auto& row : coarse.out) {
-    std::sort(row.begin(), row.end(),
-              [](const graph::Edge& a, const graph::Edge& b) {
-                return a.to < b.to;
-              });
-    std::vector<graph::Edge> dedup;
-    dedup.reserve(row.size());
-    for (const graph::Edge& e : row) {
-      if (!dedup.empty() && dedup.back().to == e.to) {
-        dedup.back().weight += e.weight;
-      } else {
-        dedup.push_back(e);
-      }
-    }
-    row = std::move(dedup);
-  }
+  graph::merge_rows(coarse.off, coarse.out);
 
   if (out_level != nullptr) {
-    std::vector<std::tuple<graph::VertexId, graph::VertexId, std::uint32_t>>
-        sym_edges;
-    for (std::uint32_t gs = 0; gs < coarse.out.size(); ++gs) {
-      for (const graph::Edge& e : coarse.out[gs]) {
-        sym_edges.emplace_back(gs, e.to, e.weight);
-      }
-    }
-    out_level->graph = graph::WeightedGraph(coarse.vweight, sym_edges);
+    out_level->graph =
+        graph::WeightedGraph(coarse.vweight, coarse.off, coarse.out);
     out_level->parent_map = globule;
     out_level->contains_input = coarse.contains_input;
     out_level->merged_globules = merged;
@@ -270,17 +282,8 @@ Hierarchy coarsen(const circuit::Circuit& c, const CoarsenOptions& opt) {
   WorkLevel cur = base_level(c, opt.weights);
 
   // Public G0 view (for final-level refinement).
-  {
-    std::vector<std::tuple<graph::VertexId, graph::VertexId, std::uint32_t>>
-        edges;
-    for (std::uint32_t v = 0; v < cur.size(); ++v) {
-      for (const graph::Edge& e : cur.out[v]) {
-        edges.emplace_back(v, e.to, e.weight);
-      }
-    }
-    h.base = graph::WeightedGraph(cur.vweight, edges);
-    h.base_contains_input = cur.contains_input;
-  }
+  h.base = graph::WeightedGraph(cur.vweight, cur.off, cur.out);
+  h.base_contains_input = cur.contains_input;
 
   while (h.levels.size() < opt.max_levels && cur.size() > threshold) {
     // Halt if every globule is an input globule: nothing legal remains to

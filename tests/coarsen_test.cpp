@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "circuit/generator.hpp"
 #include "partition/coarsen.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace pls::partition {
 namespace {
@@ -213,6 +216,107 @@ TEST(Coarsen, RequiresFrozenCircuit) {
   circuit::Circuit c;
   c.add_input("a");
   EXPECT_THROW(coarsen(c, CoarsenOptions{}), util::CheckError);
+}
+
+// ----- golden hashes ---------------------------------------------------
+//
+// FNV-1a hashes of whole hierarchies.  A speed-up of the coarsener or of
+// the graph's CSR builder must keep every level's vertex weights, rows
+// (neighbour order and summed weights), parent maps and input flags, so a
+// changed hash is a behaviour change, never noise.
+
+class Fnv1a {
+ public:
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (x >> (8 * i)) & 0xffu;
+      h_ *= 1099511628211ULL;
+    }
+  }
+  void add(const graph::WeightedGraph& g) {
+    add(g.num_vertices());
+    add(g.num_edges());
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+      add(g.vertex_weight(v));
+      add(g.neighbors(v).size());
+      for (const graph::Edge& e : g.neighbors(v)) {
+        add(e.to);
+        add(e.weight);
+      }
+    }
+  }
+  template <class T>
+  void add_all(const std::vector<T>& xs) {
+    add(xs.size());
+    for (const T x : xs) add(x);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ULL;
+};
+
+::testing::AssertionResult HashIs(const Fnv1a& h, std::uint64_t expected) {
+  if (h.value() == expected) return ::testing::AssertionSuccess();
+  std::ostringstream msg;
+  msg << std::hex << "hash 0x" << h.value() << " != recorded 0x" << expected;
+  return ::testing::AssertionFailure() << msg.str();
+}
+
+/// Work weights 1–4 and traffic weights 0–19, so weight-0 edges occur.
+multilevel::VertexTrafficWeights random_weights(std::size_t n,
+                                                std::uint64_t seed) {
+  util::Rng rng(seed);
+  multilevel::VertexTrafficWeights w;
+  w.vertex.resize(n);
+  w.traffic.resize(n);
+  for (auto& x : w.vertex) x = static_cast<std::uint32_t>(1 + rng.below(4));
+  for (auto& x : w.traffic) x = static_cast<std::uint32_t>(rng.below(20));
+  return w;
+}
+
+TEST(GraphGolden, CoarseningHierarchies) {
+  // Both schemes, unweighted and activity-weighted, on two circuits: G0
+  // and every level's graph, parent map and input flags.
+  struct Case {
+    const char* circuit;
+    CoarsenScheme scheme;
+    bool weighted;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"s9234", CoarsenScheme::kFanout, false, 0xa018e9894e2ac5afULL},
+      {"s9234", CoarsenScheme::kFanout, true, 0x2e1b974dd798185dULL},
+      {"s9234", CoarsenScheme::kHeavyEdge, false, 0xa2dc93a379e40494ULL},
+      {"s9234", CoarsenScheme::kHeavyEdge, true, 0x59e149a1bf4639e2ULL},
+      {"s15850", CoarsenScheme::kFanout, false, 0x8d6c0ab21b6baab1ULL},
+      {"s15850", CoarsenScheme::kFanout, true, 0x276303a548e976d0ULL},
+      {"s15850", CoarsenScheme::kHeavyEdge, false, 0x7d289c50b741bdc1ULL},
+      {"s15850", CoarsenScheme::kHeavyEdge, true, 0x09786334b7e83228ULL},
+  };
+  for (const Case& gc : cases) {
+    const auto c = circuit::make_iscas_like(gc.circuit, 2000);
+    const auto w = random_weights(c.size(), 5);
+    CoarsenOptions opt;
+    opt.threshold = 64;
+    opt.scheme = gc.scheme;
+    opt.seed = 11;
+    opt.max_globule_weight = c.size() / 16;
+    if (gc.weighted) opt.weights = &w;
+    const Hierarchy h = coarsen(c, opt);
+    Fnv1a hash;
+    hash.add(h.base);
+    hash.add_all(h.base_contains_input);
+    for (const CoarseLevel& lvl : h.levels) {
+      hash.add(lvl.graph);
+      hash.add_all(lvl.parent_map);
+      hash.add_all(lvl.contains_input);
+      hash.add(lvl.merged_globules);
+    }
+    EXPECT_TRUE(HashIs(hash, gc.hash))
+        << gc.circuit << " scheme " << static_cast<int>(gc.scheme)
+        << " weighted " << gc.weighted;
+  }
 }
 
 }  // namespace

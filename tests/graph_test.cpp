@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include "circuit/circuit.hpp"
 #include "graph/weighted_graph.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace pls::graph {
 namespace {
@@ -90,6 +93,83 @@ TEST(WeightedGraph, EmptyGraphIsUsable) {
   EXPECT_EQ(g.num_vertices(), 0u);
   EXPECT_EQ(g.num_edges(), 0u);
   EXPECT_EQ(g.total_vertex_weight(), 0u);
+}
+
+TEST(WeightedGraph, CsrBuilderMatchesSortedEdgeListReference) {
+  // Random directed rows with duplicate targets, both directions of a
+  // pair, self-loops, empty rows and isolated vertices, through both
+  // constructors, against the (min, max, w) edge list sorted and merged.
+  util::Rng rng(11);
+  for (int t = 0; t < 200; ++t) {
+    const std::size_t n = 1 + rng.below(60);
+    std::vector<std::uint32_t> vweights(n);
+    for (auto& w : vweights) w = static_cast<std::uint32_t>(1 + rng.below(5));
+    std::vector<std::uint32_t> off{0};
+    std::vector<Edge> out;
+    std::vector<EdgeTuple> edges;
+    const std::size_t span = 1 + rng.below(n);  // higher ids stay isolated
+    for (VertexId u = 0; u < n; ++u) {
+      const std::size_t deg = rng.below(4) == 0 ? 0 : rng.below(9);
+      for (std::size_t i = 0; i < deg && u < span; ++i) {
+        const auto v = static_cast<VertexId>(rng.below(span));
+        const auto w = static_cast<std::uint32_t>(rng.below(5));
+        out.push_back(Edge{v, w});
+        edges.emplace_back(u, v, w);
+      }
+      off.push_back(static_cast<std::uint32_t>(out.size()));
+    }
+
+    std::vector<EdgeTuple> norm;
+    for (const auto& [u, v, w] : edges) {
+      if (u != v) norm.emplace_back(std::min(u, v), std::max(u, v), w);
+    }
+    std::sort(norm.begin(), norm.end(), [](const auto& a, const auto& b) {
+      return std::tie(std::get<0>(a), std::get<1>(a)) <
+             std::tie(std::get<0>(b), std::get<1>(b));
+    });
+    std::vector<EdgeTuple> merged;
+    for (const auto& e : norm) {
+      if (!merged.empty() && std::get<0>(merged.back()) == std::get<0>(e) &&
+          std::get<1>(merged.back()) == std::get<1>(e)) {
+        std::get<2>(merged.back()) += std::get<2>(e);
+      } else {
+        merged.push_back(e);
+      }
+    }
+    std::vector<std::vector<std::pair<VertexId, std::uint32_t>>> rows(n);
+    for (const auto& [a, b, w] : merged) {
+      rows[a].emplace_back(b, w);
+      rows[b].emplace_back(a, w);
+    }
+
+    const WeightedGraph from_list(vweights, edges);
+    const WeightedGraph from_rows(vweights, off, out);
+    for (const WeightedGraph* g : {&from_list, &from_rows}) {
+      ASSERT_EQ(g->num_vertices(), n);
+      EXPECT_EQ(g->num_edges(), merged.size()) << "t=" << t;
+      for (VertexId v = 0; v < n; ++v) {
+        std::sort(rows[v].begin(), rows[v].end());
+        std::vector<std::pair<VertexId, std::uint32_t>> got;
+        for (const Edge& e : g->neighbors(v)) got.emplace_back(e.to, e.weight);
+        EXPECT_EQ(got, rows[v]) << "t=" << t << " v=" << v;
+      }
+    }
+  }
+}
+
+TEST(WeightedGraph, RowConstructorValidates) {
+  const std::vector<Edge> out{{1, 1}};
+  const std::vector<std::uint32_t> good{0, 1, 1};
+  EXPECT_EQ(WeightedGraph({1, 1}, good, out).num_edges(), 1u);
+  // Misframed offsets, decreasing offsets, an out-of-range neighbour.
+  const std::vector<std::uint32_t> short_off{0, 1};
+  EXPECT_THROW(WeightedGraph({1, 1}, short_off, out), pls::util::CheckError);
+  const std::vector<std::uint32_t> decreasing{0, 2, 1, 2};
+  const std::vector<Edge> two{{1, 1}, {0, 1}};
+  EXPECT_THROW(WeightedGraph({1, 1, 1}, decreasing, two),
+               pls::util::CheckError);
+  const std::vector<Edge> far{{9, 1}};
+  EXPECT_THROW(WeightedGraph({1, 1}, good, far), pls::util::CheckError);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "circuit/generator.hpp"
@@ -195,6 +196,41 @@ TEST(HgMetrics, InvalidPartitionRejected) {
   bad.assign.assign(c.size(), 5);  // part out of range
   EXPECT_THROW(cut_net(hg, bad), util::CheckError);
   EXPECT_THROW(connectivity_minus_one(hg, bad), util::CheckError);
+}
+
+TEST(HgMetrics, MatchNaiveSetReference) {
+  // Random weighted hypergraphs (duplicate pins, nets of up to every
+  // vertex) and partitions with k from 2 to 70, so part ids cross 64,
+  // against λ(e) counted as the size of a std::set of the pins' parts.
+  util::Rng rng(77);
+  for (int t = 0; t < 300; ++t) {
+    const auto k = static_cast<std::uint32_t>(2 + rng.below(69));
+    const std::size_t n = 2 + rng.below(150);
+    const std::size_t m = 1 + rng.below(2 * n);
+    std::vector<std::vector<VertexId>> nets(m);
+    std::vector<std::uint32_t> nweights(m);
+    for (std::size_t e = 0; e < m; ++e) {
+      const std::size_t size = rng.below(8) == 0 ? 1 + rng.below(n)
+                                                 : 1 + rng.below(6);
+      for (std::size_t i = 0; i < size; ++i) {
+        nets[e].push_back(static_cast<VertexId>(rng.below(n)));
+      }
+      nweights[e] = static_cast<std::uint32_t>(rng.below(9));
+    }
+    const Hypergraph hg(std::vector<std::uint32_t>(n, 1), nets, nweights);
+    const auto p = random_partition(n, k, rng.next());
+    std::uint64_t lambda1 = 0;
+    std::uint64_t cut = 0;
+    for (NetId e = 0; e < hg.num_nets(); ++e) {
+      std::set<partition::PartId> parts;
+      for (VertexId v : hg.pins(e)) parts.insert(p.assign[v]);
+      lambda1 += std::uint64_t{hg.net_weight(e)} * (parts.size() - 1);
+      if (parts.size() > 1) cut += hg.net_weight(e);
+    }
+    EXPECT_EQ(connectivity_minus_one(hg, p), lambda1) << "t=" << t
+                                                      << " k=" << k;
+    EXPECT_EQ(cut_net(hg, p), cut) << "t=" << t << " k=" << k;
+  }
 }
 
 // ----- coarsening ------------------------------------------------------

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "circuit/generator.hpp"
 #include "multilevel/metrics.hpp"
 #include "multilevel/weights.hpp"
@@ -163,6 +165,73 @@ TEST(Multilevel, ScalesToIscasSizes) {
   p.validate(c.size());
   EXPECT_LE(imbalance(c, p), 1.12);
   EXPECT_LT(edge_cut(c, p), c.num_edges() / 3);
+}
+
+// ----- golden hashes ---------------------------------------------------
+//
+// FNV-1a hashes of unweighted Multilevel partitions on the s15850
+// stand-in.  A speed-up of the coarsener, the graph's CSR builder or a
+// refiner must keep every decision, so a changed hash is a behaviour
+// change, never noise.
+
+class Fnv1a {
+ public:
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (x >> (8 * i)) & 0xffu;
+      h_ *= 1099511628211ULL;
+    }
+  }
+  void add(const Partition& p) {
+    add(p.k);
+    add(p.assign.size());
+    for (auto a : p.assign) add(a);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ULL;
+};
+
+::testing::AssertionResult HashIs(const Fnv1a& h, std::uint64_t expected) {
+  if (h.value() == expected) return ::testing::AssertionSuccess();
+  std::ostringstream msg;
+  msg << std::hex << "hash 0x" << h.value() << " != recorded 0x" << expected;
+  return ::testing::AssertionFailure() << msg.str();
+}
+
+TEST(GraphGolden, MultilevelPartitions) {
+  // Every refiner at k = 2, 3, 4 and 8; each hash covers seeds 1 and 7.
+  struct Case {
+    RefinerKind refiner;
+    std::uint32_t k;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {RefinerKind::kGreedy, 2, 0x53526b199c424323ULL},
+      {RefinerKind::kGreedy, 3, 0x8aabeab128b8c034ULL},
+      {RefinerKind::kGreedy, 4, 0xb02cf1a9cd291793ULL},
+      {RefinerKind::kGreedy, 8, 0x9b6590c4ea648e33ULL},
+      {RefinerKind::kKernighanLin, 2, 0xa1a00a14e7e008e2ULL},
+      {RefinerKind::kKernighanLin, 3, 0xce08d8a989bee694ULL},
+      {RefinerKind::kKernighanLin, 4, 0xc2bb5f22c941acb3ULL},
+      {RefinerKind::kKernighanLin, 8, 0xf0d44d2475ae0cf1ULL},
+      {RefinerKind::kFiducciaMattheyses, 2, 0x316a29d72461dfaeULL},
+      {RefinerKind::kFiducciaMattheyses, 3, 0x4fd19f98f1ae2eb5ULL},
+      {RefinerKind::kFiducciaMattheyses, 4, 0xe867657951296ff3ULL},
+      {RefinerKind::kFiducciaMattheyses, 8, 0xfd4fcc169eae821eULL},
+  };
+  const auto c = circuit::make_iscas_like("s15850", 2000);
+  for (const Case& gc : cases) {
+    MultilevelOptions opt;
+    opt.refiner = gc.refiner;
+    Fnv1a hash;
+    for (std::uint64_t seed : {1u, 7u}) {
+      hash.add(MultilevelPartitioner(opt).run(c, gc.k, seed));
+    }
+    EXPECT_TRUE(HashIs(hash, gc.hash))
+        << "refiner " << static_cast<int>(gc.refiner) << " k=" << gc.k;
+  }
 }
 
 }  // namespace

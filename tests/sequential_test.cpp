@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -317,6 +319,29 @@ TEST(SeqGolden, FaultSimulationAndEdgeCircuits) {
         << std::hex << "hash 0x" << h.value() << std::dec << " for "
         << k.circuit << ", lanes " << k.lanes << ", faults " << k.faults;
   }
+}
+
+TEST(SampleFaults, DistinctSeededSitesOverEveryGate) {
+  // Sites are distinct gates, one seed always gives the same list, and
+  // primary inputs are sites like any other gate.
+  const circuit::Circuit s5378 = circuit::make_iscas_like("s5378", 2000);
+  const auto faults = sample_faults(s5378, 200, 3);
+  ASSERT_EQ(faults.size(), 200u);
+  std::set<circuit::GateId> sites;
+  for (const StuckAtFault& f : faults) sites.insert(f.gate);
+  EXPECT_EQ(sites.size(), faults.size());
+  EXPECT_EQ(sample_faults(s5378, 200, 3), faults);
+
+  const circuit::Circuit edge = circuit::parse_bench_string(kEdgeBench);
+  const auto edge_faults = sample_faults(edge, 9, 9);
+  ASSERT_EQ(edge_faults.size(), 9u);
+  EXPECT_EQ(sample_faults(edge, 9, 9), edge_faults);
+  const auto inputs = edge.primary_inputs();
+  EXPECT_TRUE(std::any_of(
+      edge_faults.begin(), edge_faults.end(), [&](const StuckAtFault& f) {
+        return std::find(inputs.begin(), inputs.end(), f.gate) !=
+               inputs.end();
+      }));
 }
 
 }  // namespace
