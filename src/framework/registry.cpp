@@ -29,12 +29,10 @@ std::unique_ptr<partition::Partitioner> make_partitioner(
     return std::make_unique<FanoutConePartitioner>();
   }
   if (name == "MultilevelHG") {
-    // Shares the multilevel knobs that have hypergraph equivalents, so a
-    // head-to-head comparison runs both pipelines at the same imbalance
-    // tolerance and activity weighting.
+    // Shares the activity weighting, so a head-to-head comparison runs
+    // both pipelines on the same weights (and, by construction, at the
+    // same imbalance tolerance).
     hypergraph::MultilevelHGOptions hgo;
-    hgo.balance_tol = ml.balance_tol;
-    hgo.coarsen_threshold = ml.coarsen_threshold;
     hgo.weights = ml.weights;
     return std::make_unique<hypergraph::MultilevelHGPartitioner>(hgo);
   }

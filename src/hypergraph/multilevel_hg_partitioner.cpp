@@ -4,6 +4,7 @@
 
 #include "hypergraph/initial.hpp"
 #include "hypergraph/metrics.hpp"
+#include "partition/multilevel_partitioner.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -29,7 +30,7 @@ struct HgPolicy {
   }
   void refine(const Hypergraph& hg, partition::Partition& p) {
     HgRefineOptions ropt;
-    ropt.balance_tol = opt.balance_tol;
+    ropt.balance_tol = partition::MultilevelOptions::balance_tol;
     ropt.max_iters = opt.refine_iters;
     refine_fm(hg, p, ropt);
   }
@@ -56,9 +57,7 @@ partition::Partition MultilevelHGPartitioner::run_traced(
 
   // ---- Phase 1: heavy-pin coarsening ----------------------------------
   HgCoarsenOptions copt;
-  copt.threshold = opt_.coarsen_threshold != 0
-                       ? opt_.coarsen_threshold
-                       : std::max<std::size_t>(std::size_t{8} * k, 128);
+  copt.threshold = std::max<std::size_t>(std::size_t{8} * k, 128);
   copt.seed = seeder.next();
   copt.weights = opt_.weights;
   // Same cap policy as the graph pipeline: a quarter of the ideal per-part

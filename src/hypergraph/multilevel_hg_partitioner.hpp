@@ -21,14 +21,11 @@
 
 namespace pls::hypergraph {
 
+/// Coarsening stops at max(8k, 128) vertices: pairwise matching halves
+/// levels at best, so the HG pipeline keeps a slightly larger coarsest
+/// level than the graph pipeline's 4k.  The balance tolerance is the graph
+/// pipeline's (partition::MultilevelOptions::balance_tol).
 struct MultilevelHGOptions {
-  /// Coarsening stops at this vertex count; 0 = auto (max(8k, 128)).
-  /// Pairwise matching halves levels at best, so the HG pipeline keeps a
-  /// slightly larger coarsest level than the graph pipeline's 4k.
-  std::size_t coarsen_threshold = 0;
-  /// Same default as MultilevelOptions::balance_tol so head-to-head
-  /// comparisons run at equal imbalance tolerance.
-  double balance_tol = 0.03;
   /// FM passes per level; the same budget as MultilevelOptions.
   static constexpr std::uint32_t refine_iters = 8;
   /// Optional activity-derived work/traffic weights, consumed exactly like

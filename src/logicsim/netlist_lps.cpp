@@ -71,17 +71,14 @@ void emit(Context& ctx, const std::vector<FanoutPort>& fanouts, SimTime delay,
 // ---------------------------------------------------------------------------
 
 BatchGateLp::BatchGateLp(circuit::GateType type, std::uint32_t arity,
-                         std::vector<FanoutPort> fanouts, SimTime delay,
-                         std::uint32_t lanes,
+                         std::vector<FanoutPort> fanouts, std::uint32_t lanes,
                          std::vector<std::uint64_t> sa_mask,
                          std::vector<std::uint64_t> sa_value, bool observe)
-    : fanouts_(std::move(fanouts)), delay_(delay), type_(type),
-      observe_(observe), lanes_(static_cast<std::uint16_t>(lanes)),
-      arity_(arity),
+    : fanouts_(std::move(fanouts)), type_(type), observe_(observe),
+      lanes_(static_cast<std::uint16_t>(lanes)), arity_(arity),
       stuck_(make_stuck_words(lanes, sa_mask, sa_value, observe)) {
   PLS_CHECK_MSG(arity_ >= 1 && arity_ <= 64,
                 "gate arity must be in [1,64] to pack into one state word");
-  PLS_CHECK(delay_ >= 1);
 }
 
 warped::LpState BatchGateLp::initial_state() const {
@@ -139,7 +136,7 @@ void BatchGateLp::execute(Context& ctx, EventBatch batch) {
   if (any != 0) {
     s.b = out[0];
     for (std::uint32_t wd = 1; wd < K; ++wd) s.w[arity_ * K + wd - 1] = out[wd];
-    emit(ctx, fanouts_, delay_, out, diff, K);
+    emit(ctx, fanouts_, ModelOptions::gate_delay, out, diff, K);
   }
   if (observe_) {
     s.a |= divergence_from_lane0(out[0], out[0], lane_mask_word(lanes_, 0));
@@ -155,15 +152,14 @@ void BatchGateLp::execute(Context& ctx, EventBatch batch) {
 // ---------------------------------------------------------------------------
 
 BatchDffLp::BatchDffLp(std::vector<FanoutPort> fanouts, SimTime period,
-                       SimTime phase, SimTime delay, std::uint32_t lanes,
+                       SimTime phase, std::uint32_t lanes,
                        std::vector<std::uint64_t> sa_mask,
                        std::vector<std::uint64_t> sa_value, bool observe)
     : fanouts_(std::move(fanouts)), period_(period), phase_(phase),
-      delay_(delay), lanes_(lanes), observe_(observe),
+      lanes_(lanes), observe_(observe),
       stuck_(make_stuck_words(lanes, sa_mask, sa_value, observe)) {
   PLS_CHECK(period_ >= 1);
   PLS_CHECK(phase_ >= 1);
-  PLS_CHECK(delay_ >= 1);
 }
 
 warped::LpState BatchDffLp::initial_state() const {
@@ -270,7 +266,7 @@ void BatchDffLp::execute(Context& ctx, EventBatch batch) {
   if (any_diff != 0) {
     s.b = q[0];
     for (std::uint32_t wd = 1; wd < K; ++wd) s.w[2 * K - 1 + wd - 1] = q[wd];
-    emit(ctx, fanouts_, delay_, q, diff, K);
+    emit(ctx, fanouts_, ModelOptions::dff_delay, q, diff, K);
   }
   if (observe_) {
     for (std::uint32_t wd = 0; wd < K; ++wd) {
@@ -285,17 +281,15 @@ void BatchDffLp::execute(Context& ctx, EventBatch batch) {
 // ---------------------------------------------------------------------------
 
 BatchInputLp::BatchInputLp(std::vector<FanoutPort> fanouts, SimTime period,
-                           SimTime delay, std::uint64_t seed,
-                           std::uint32_t lanes, bool uniform_stimulus,
-                           SimTime drift_at, bool hot_first,
-                           std::vector<std::uint64_t> sa_mask,
+                           std::uint64_t seed, std::uint32_t lanes,
+                           bool uniform_stimulus, SimTime drift_at,
+                           bool hot_first, std::vector<std::uint64_t> sa_mask,
                            std::vector<std::uint64_t> sa_value, bool observe)
-    : fanouts_(std::move(fanouts)), period_(period), delay_(delay),
-      seed_(seed), drift_at_(drift_at), lanes_(lanes),
-      uniform_(uniform_stimulus), hot_first_(hot_first), observe_(observe),
+    : fanouts_(std::move(fanouts)), period_(period), seed_(seed),
+      drift_at_(drift_at), lanes_(lanes), uniform_(uniform_stimulus),
+      hot_first_(hot_first), observe_(observe),
       stuck_(make_stuck_words(lanes, sa_mask, sa_value, observe)) {
   PLS_CHECK(period_ >= 1);
-  PLS_CHECK(delay_ >= 1);
 }
 
 warped::LpState BatchInputLp::initial_state() const {
@@ -365,7 +359,7 @@ void BatchInputLp::execute(Context& ctx, EventBatch batch) {
   if (any != 0) {
     s.b = v[0];
     for (std::uint32_t wd = 1; wd < K; ++wd) s.w[wd - 1] = v[wd];
-    emit(ctx, fanouts_, delay_, v, diff, K);
+    emit(ctx, fanouts_, ModelOptions::gate_delay, v, diff, K);
   }
   if (observe_) {
     s.a |= divergence_from_lane0(v[0], v[0], lane_mask_word(lanes_, 0));
@@ -449,21 +443,21 @@ SimModel build_model(const circuit::Circuit& c, const ModelOptions& opt) {
         const bool hot_first = input_ordinal < (num_inputs + 1) / 2;
         ++input_ordinal;
         model.lps.push_back(std::make_unique<BatchInputLp>(
-            std::move(fanout_ports[g]), opt.stim_period, opt.gate_delay,
-            opt.stim_seed, opt.lanes, opt.uniform_stimulus, opt.stim_drift_at,
+            std::move(fanout_ports[g]), opt.stim_period, opt.stim_seed,
+            opt.lanes, opt.uniform_stimulus, opt.stim_drift_at,
             hot_first, sa_mask[g], sa_value[g], observe));
         break;
       }
       case circuit::GateType::kDff:
         model.lps.push_back(std::make_unique<BatchDffLp>(
             std::move(fanout_ports[g]), opt.clock_period, opt.clock_phase,
-            opt.dff_delay, opt.lanes, sa_mask[g], sa_value[g], observe));
+            opt.lanes, sa_mask[g], sa_value[g], observe));
         break;
       default:
         model.lps.push_back(std::make_unique<BatchGateLp>(
             c.type(g), static_cast<std::uint32_t>(c.fanins(g).size()),
-            std::move(fanout_ports[g]), opt.gate_delay, opt.lanes, sa_mask[g],
-            sa_value[g], observe));
+            std::move(fanout_ports[g]), opt.lanes, sa_mask[g], sa_value[g],
+            observe));
         break;
     }
   }

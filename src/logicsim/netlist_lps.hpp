@@ -32,7 +32,8 @@
 namespace pls::logicsim {
 
 struct ModelOptions {
-  /// Fixed combinational propagation delay and clock-to-Q delay.
+  /// Fixed combinational propagation delay (inputs use it too) and
+  /// clock-to-Q delay; the flat sequential engine steps unit delays.
   static constexpr warped::SimTime gate_delay = 1;
   static constexpr warped::SimTime dff_delay = 1;
   warped::SimTime clock_period = 10;
@@ -126,8 +127,7 @@ class BatchGateLp final : public warped::LogicalProcess {
   /// 1..K-1 (observing gates only).  One lane: a = fanin p in bit p,
   /// evaluated with eval_gate; b = output; w empty.
   BatchGateLp(circuit::GateType type, std::uint32_t arity,
-              std::vector<FanoutPort> fanouts, warped::SimTime delay,
-              std::uint32_t lanes,
+              std::vector<FanoutPort> fanouts, std::uint32_t lanes,
               std::vector<std::uint64_t> sa_mask = {},
               std::vector<std::uint64_t> sa_value = {}, bool observe = false);
 
@@ -137,7 +137,6 @@ class BatchGateLp final : public warped::LogicalProcess {
 
   // Elaborated parameters, read by the sequential reference's compiler.
   const std::vector<FanoutPort>& fanouts() const noexcept { return fanouts_; }
-  warped::SimTime delay() const noexcept { return delay_; }
   circuit::GateType type() const noexcept { return type_; }
   std::uint32_t arity() const noexcept { return arity_; }
   std::uint32_t lanes() const noexcept { return lanes_; }
@@ -146,9 +145,8 @@ class BatchGateLp final : public warped::LogicalProcess {
   const std::uint64_t* stuck_words() const noexcept { return stuck_.get(); }
 
  private:
-  // 56 bytes: the most numerous LP fits one 64-byte heap chunk.
+  // 48 bytes: the most numerous LP fits one 64-byte heap chunk.
   std::vector<FanoutPort> fanouts_;
-  warped::SimTime delay_;
   circuit::GateType type_;
   bool observe_;
   std::uint16_t lanes_;
@@ -166,8 +164,7 @@ class BatchDffLp final : public warped::LogicalProcess {
   /// ever ticked at the init edge or at an edge it armed itself, so every
   /// tick samples it.
   BatchDffLp(std::vector<FanoutPort> fanouts, warped::SimTime period,
-             warped::SimTime phase, warped::SimTime delay,
-             std::uint32_t lanes,
+             warped::SimTime phase, std::uint32_t lanes,
              std::vector<std::uint64_t> sa_mask = {},
              std::vector<std::uint64_t> sa_value = {}, bool observe = false);
 
@@ -182,7 +179,6 @@ class BatchDffLp final : public warped::LogicalProcess {
   const std::vector<FanoutPort>& fanouts() const noexcept { return fanouts_; }
   warped::SimTime period() const noexcept { return period_; }
   warped::SimTime phase() const noexcept { return phase_; }
-  warped::SimTime delay() const noexcept { return delay_; }
   std::uint32_t lanes() const noexcept { return lanes_; }
   bool observes() const noexcept { return observe_; }
   /// K stuck-at mask words, then K value words; null unless faulted.
@@ -192,7 +188,6 @@ class BatchDffLp final : public warped::LogicalProcess {
   std::vector<FanoutPort> fanouts_;
   warped::SimTime period_;
   warped::SimTime phase_;
-  warped::SimTime delay_;
   std::uint32_t lanes_;
   bool observe_;
   std::unique_ptr<std::uint64_t[]> stuck_;  ///< null unless faulted
@@ -210,8 +205,8 @@ class BatchInputLp final : public warped::LogicalProcess {
   /// drift_at when hot_first, after it otherwise) and holds a frozen
   /// vector index during the cold phase.
   BatchInputLp(std::vector<FanoutPort> fanouts, warped::SimTime period,
-               warped::SimTime delay, std::uint64_t seed,
-               std::uint32_t lanes, bool uniform_stimulus = false,
+               std::uint64_t seed, std::uint32_t lanes,
+               bool uniform_stimulus = false,
                warped::SimTime drift_at = 0, bool hot_first = true,
                std::vector<std::uint64_t> sa_mask = {},
                std::vector<std::uint64_t> sa_value = {}, bool observe = false);
@@ -235,7 +230,6 @@ class BatchInputLp final : public warped::LogicalProcess {
   // Elaborated parameters, read by the sequential reference's compiler.
   const std::vector<FanoutPort>& fanouts() const noexcept { return fanouts_; }
   warped::SimTime period() const noexcept { return period_; }
-  warped::SimTime delay() const noexcept { return delay_; }
   std::uint64_t seed() const noexcept { return seed_; }
   warped::SimTime drift_at() const noexcept { return drift_at_; }
   bool hot_first() const noexcept { return hot_first_; }
@@ -248,7 +242,6 @@ class BatchInputLp final : public warped::LogicalProcess {
  private:
   std::vector<FanoutPort> fanouts_;
   warped::SimTime period_;
-  warped::SimTime delay_;
   std::uint64_t seed_;
   warped::SimTime drift_at_;
   std::uint32_t lanes_;

@@ -140,6 +140,9 @@ class FlatEngine {
   /// tick from now, unless that lies beyond the horizon.
   void emit(LpId lp, Node& n, const std::uint64_t* values,
             const std::uint64_t* masks) {
+    static_assert(ModelOptions::gate_delay == 1 &&
+                      ModelOptions::dff_delay == 1,
+                  "the flat engine steps unit delays");
     if (now_ + 1 > end_) return;
     const auto at = static_cast<std::uint32_t>(next_payload_.size());
     std::uint32_t lanes = 0;
@@ -251,14 +254,12 @@ void FlatEngine::compile(const std::vector<warped::LogicalProcess*>& lps) {
     const std::vector<FanoutPort>* fanouts = nullptr;
     const std::uint64_t* stuck = nullptr;
     std::uint32_t lanes = 0;
-    SimTime delay = 0;
     auto common = [&](Kind kind, const auto& lp) {
       node.kind = kind;
       node.observe = lp.observes();
       fanouts = &lp.fanouts();
       stuck = lp.stuck_words();
       lanes = lp.lanes();
-      delay = lp.delay();
     };
     if (const auto* g = dynamic_cast<const BatchGateLp*>(lps[i])) {
       common(Kind::kGate, *g);
@@ -289,8 +290,6 @@ void FlatEngine::compile(const std::vector<warped::LogicalProcess*>& lps) {
     }
     PLS_CHECK_MSG(lanes == lanes_, "LP " << i << " has " << lanes
                                          << " lanes, LP 0 has " << lanes_);
-    PLS_CHECK_MSG(delay == 1, "LP " << i << " has delay " << delay
-                                    << "; the reference steps unit delays");
 
     const LpState init = lps[i]->initial_state();
     node.w_size = w_words(node, lanes);

@@ -62,11 +62,9 @@ Partition MultilevelPartitioner::run_traced(const circuit::Circuit& c,
   if (k == 1) return multilevel::single_part(c.size(), trace);
   util::SplitMix64 seeder(seed);
 
-  // ---- Phase 1: coarsening --------------------------------------------
+  // ---- Phase 1: coarsening to max(4k, 64) globules --------------------
   CoarsenOptions copt;
-  copt.threshold = opt_.coarsen_threshold != 0
-                       ? opt_.coarsen_threshold
-                       : std::max<std::size_t>(std::size_t{4} * k, 64);
+  copt.threshold = std::max<std::size_t>(std::size_t{4} * k, 64);
   copt.scheme = opt_.scheme;
   copt.seed = seeder.next();
   copt.weights = opt_.weights;

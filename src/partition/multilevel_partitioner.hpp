@@ -22,13 +22,13 @@
 namespace pls::partition {
 
 struct MultilevelOptions {
-  /// Coarsening stops at this globule count; 0 = auto (max(4k, 64)).
-  std::size_t coarsen_threshold = 0;
   CoarsenScheme scheme = CoarsenScheme::kFanout;
   RefinerKind refiner = RefinerKind::kGreedy;
-  /// Tight by default: the baselines balance to within one gate, and any
-  /// slack here shows up directly as one lagging node at runtime.
-  double balance_tol = 0.03;
+  /// Tight: the baselines balance to within one gate, and any slack here
+  /// shows up directly as one lagging node at runtime.  MultilevelHG reads
+  /// the same value, so head-to-head comparisons run at equal imbalance
+  /// tolerance.
+  static constexpr double balance_tol = 0.03;
   /// Refinement passes per level.
   static constexpr std::uint32_t refine_iters = 8;
   /// Optional activity-derived work/traffic weights (see

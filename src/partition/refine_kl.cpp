@@ -6,8 +6,10 @@
 // gain D[x] + D[y] − 2·w(x,y), tentatively applies it, locks both vertices,
 // and at the end of the pass commits only the prefix of swaps with the best
 // cumulative gain (which may be the empty prefix).  Candidate selection
-// scans a bounded window of the D-sorted arrays, which keeps a pass near
-// O(n log n) at a negligible quality cost.
+// reads a bounded window from the top of each side's max-heap of D (ties by
+// ascending vertex id), so a swap costs O(window · log n) plus the D updates
+// around the two swapped vertices, and a pass O(|E| + swaps · window ·
+// log n).
 //
 // KL exists here as a measured baseline: the paper (and [12]) report that
 // greedy refinement achieves lower cut in far less time — the
@@ -55,48 +57,81 @@ struct Swap {
   std::int64_t gain;
 };
 
+/// One side's unlocked vertices in (D ↓, id ↑) order: a max-heap with one
+/// current entry per vertex.  An entry goes stale when its vertex locks or
+/// its D changes (the per-vertex version moves on), and is dropped when it
+/// surfaces.
+class SideHeap {
+ public:
+  struct Entry {
+    std::int64_t d;
+    graph::VertexId v;
+    std::uint32_t version;
+  };
+
+  void push(Entry e) {
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), below);
+  }
+
+  /// Pop up to `n` current entries, best first, into `out`; the caller
+  /// pushes them back once the swap is chosen.
+  void pop_window(std::size_t n, const std::vector<std::uint8_t>& locked,
+                  const std::vector<std::uint32_t>& version,
+                  std::vector<Entry>& out) {
+    out.clear();
+    while (out.size() < n && !heap_.empty()) {
+      const Entry top = heap_.front();
+      std::pop_heap(heap_.begin(), heap_.end(), below);
+      heap_.pop_back();
+      if (!locked[top.v] && version[top.v] == top.version) out.push_back(top);
+    }
+  }
+
+ private:
+  static bool below(const Entry& l, const Entry& r) {
+    return l.d != r.d ? l.d < r.d : l.v > r.v;
+  }
+  std::vector<Entry> heap_;
+};
+
 /// One KL pass on the pair (a,b).  Returns the committed gain (>= 0).
 std::int64_t kl_pass(const graph::WeightedGraph& g, Partition& p,
                      std::vector<std::uint64_t>& load, std::uint64_t limit,
                      PartId a, PartId b, std::uint64_t* moves) {
-  std::vector<graph::VertexId> side_a;
-  std::vector<graph::VertexId> side_b;
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (p.assign[v] == a) side_a.push_back(v);
-    else if (p.assign[v] == b) side_b.push_back(v);
-  }
-  if (side_a.empty() || side_b.empty()) return 0;
-
   std::vector<std::int64_t> d(g.num_vertices(), 0);
   std::vector<std::uint8_t> locked(g.num_vertices(), 0);
-  for (graph::VertexId v : side_a) d[v] = d_value(g, p, v, a, b);
-  for (graph::VertexId v : side_b) d[v] = d_value(g, p, v, b, a);
-
-  auto by_d = [&](graph::VertexId u, graph::VertexId v) {
-    return d[u] > d[v];
-  };
+  std::vector<std::uint32_t> version(g.num_vertices(), 0);
+  SideHeap heap_a;
+  SideHeap heap_b;
+  std::size_t size_a = 0;
+  std::size_t size_b = 0;
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    const PartId q = p.assign[v];
+    if (q != a && q != b) continue;
+    d[v] = d_value(g, p, v, q, q == a ? b : a);
+    (q == a ? heap_a : heap_b).push({d[v], v, 0});
+    ++(q == a ? size_a : size_b);
+  }
+  if (size_a == 0 || size_b == 0) return 0;
 
   std::vector<Swap> log;
   std::int64_t cum = 0;
   std::int64_t best_cum = 0;
   std::size_t best_prefix = 0;
 
-  const std::size_t max_swaps =
-      std::min({side_a.size(), side_b.size(), kMaxSwapsPerPass});
+  std::vector<SideHeap::Entry> cand_a;
+  std::vector<SideHeap::Entry> cand_b;
+  const std::size_t max_swaps = std::min({size_a, size_b, kMaxSwapsPerPass});
   for (std::size_t step = 0; step < max_swaps; ++step) {
-    std::sort(side_a.begin(), side_a.end(), by_d);
-    std::sort(side_b.begin(), side_b.end(), by_d);
-
     // Best swap within the candidate window, balance-feasible.
+    heap_a.pop_window(kCandidateWindow, locked, version, cand_a);
+    heap_b.pop_window(kCandidateWindow, locked, version, cand_b);
     Swap best{0, 0, std::numeric_limits<std::int64_t>::min()};
-    std::size_t seen_a = 0;
-    for (graph::VertexId x : side_a) {
-      if (locked[x]) continue;
-      if (++seen_a > kCandidateWindow) break;
-      std::size_t seen_b = 0;
-      for (graph::VertexId y : side_b) {
-        if (locked[y]) continue;
-        if (++seen_b > kCandidateWindow) break;
+    for (const SideHeap::Entry& ex : cand_a) {
+      for (const SideHeap::Entry& ey : cand_b) {
+        const graph::VertexId x = ex.v;
+        const graph::VertexId y = ey.v;
         const std::int64_t gain =
             d[x] + d[y] - 2 * edge_weight_between(g, x, y);
         if (gain <= best.gain) continue;
@@ -106,6 +141,8 @@ std::int64_t kl_pass(const graph::WeightedGraph& g, Partition& p,
         best = Swap{x, y, gain};
       }
     }
+    for (const SideHeap::Entry& e : cand_a) heap_a.push(e);
+    for (const SideHeap::Entry& e : cand_b) heap_b.push(e);
     if (best.gain == std::numeric_limits<std::int64_t>::min()) break;
 
     // Tentatively apply; update D of unlocked neighbours on both sides.
@@ -121,16 +158,14 @@ std::int64_t kl_pass(const graph::WeightedGraph& g, Partition& p,
     };
     apply(best, true);
     locked[best.x] = locked[best.y] = 1;
-    for (const graph::Edge& e : g.neighbors(best.x)) {
-      const PartId q = p.assign[e.to];
-      if (!locked[e.to] && (q == a || q == b)) {
-        d[e.to] = d_value(g, p, e.to, q, q == a ? b : a);
-      }
-    }
-    for (const graph::Edge& e : g.neighbors(best.y)) {
-      const PartId q = p.assign[e.to];
-      if (!locked[e.to] && (q == a || q == b)) {
-        d[e.to] = d_value(g, p, e.to, q, q == a ? b : a);
+    for (const graph::VertexId s : {best.x, best.y}) {
+      for (const graph::Edge& e : g.neighbors(s)) {
+        const PartId q = p.assign[e.to];
+        if (locked[e.to] || (q != a && q != b)) continue;
+        const std::int64_t nd = d_value(g, p, e.to, q, q == a ? b : a);
+        if (nd == d[e.to]) continue;
+        d[e.to] = nd;
+        (q == a ? heap_a : heap_b).push({nd, e.to, ++version[e.to]});
       }
     }
 

@@ -4,6 +4,9 @@
 #include <chrono>
 #include <cstdio>
 #include <thread>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "obs/session.hpp"
 #include "util/check.hpp"
@@ -59,7 +62,7 @@ struct Kernel::Cluster {
   HoldingHeap holding;
   std::vector<InFlight> drain_buf;
   /// Routing work queue (FIFO per channel): the send path appends, and
-  /// route_pending consumes it front to back and then clears it, so its
+  /// route() consumes it front to back and then clears it, so its
   /// capacity is reused from poll to poll.
   std::vector<Event> pending;
   std::uint64_t net_seq = 0;
@@ -89,6 +92,23 @@ struct Kernel::Cluster {
   mem::Pool* pool = nullptr;
   /// Throttle-trajectory entries already traced.
   std::size_t traced_decisions = 0;
+
+  /// Trace an instant now; a no-op with tracing off.
+  void trace_now(obs::TraceKind kind, std::uint64_t a, std::uint64_t b,
+                 std::uint32_t lp = ~std::uint32_t{0}) const {
+    if (trace != nullptr) trace->record(kind, steady_now_ns(), 0, a, b, lp);
+  }
+  /// Start of a span for trace_span (0 with tracing off).
+  std::uint64_t span_start() const {
+    return trace != nullptr ? steady_now_ns() : 0;
+  }
+  /// Trace a span from `t0` to now; a no-op with tracing off.
+  void trace_span(obs::TraceKind kind, std::uint64_t t0, std::uint64_t a,
+                  std::uint64_t b, std::uint32_t lp = ~std::uint32_t{0}) const {
+    if (trace == nullptr) return;
+    const std::uint64_t t1 = steady_now_ns();
+    trace->record(kind, t0, t1 > t0 ? t1 - t0 : 1, a, b, lp);
+  }
 
   // Live-memory accounting, maintained incrementally at every queue
   // mutation (insert, commit, fossil) instead of only at
@@ -206,8 +226,9 @@ class ClusterContext final : public Context {
   LpId self() const override { return self_; }
   LpState& state() override { return rt_->state(); }
 
-  void send(LpId target, SimTime recv_time, std::uint32_t port,
-            std::uint64_t value, std::uint64_t mask) override {
+  void send_wide(LpId target, SimTime recv_time, std::uint32_t port,
+                 const std::uint64_t* values, const std::uint64_t* masks,
+                 std::uint32_t k) override {
     PLS_CHECK_MSG(init_mode_ ? recv_time >= now_ : recv_time > now_,
                   "LP " << self_ << " scheduled an event at " << recv_time
                         << " not after now=" << now_);
@@ -220,35 +241,8 @@ class ClusterContext final : public Context {
     ev.target = target;
     ev.sender = self_;
     ev.port = port;
-    ev.value = value;
-    ev.mask = mask;
     ev.sign = Sign::kPositive;
-    ev.id = rt_->alloc_event_id();
-    rt_->record_output(ev);
-    out_->push_back(std::move(ev));
-  }
-
-  void send_wide(LpId target, SimTime recv_time, std::uint32_t port,
-                 const std::uint64_t* values, const std::uint64_t* masks,
-                 std::uint32_t k) override {
-    if (k == 1) {
-      send(target, recv_time, port, values[0], masks[0]);
-      return;
-    }
-    PLS_CHECK_MSG(init_mode_ ? recv_time >= now_ : recv_time > now_,
-                  "LP " << self_ << " scheduled an event at " << recv_time
-                        << " not after now=" << now_);
-    PLS_CHECK_MSG(recv_time <= end_ || recv_time == kEndOfTime,
-                  "LP " << self_ << " scheduled beyond the end time");
-    if (suppress_) return;
-    Event ev;
-    ev.recv_time = recv_time;
-    ev.send_time = now_;
-    ev.target = target;
-    ev.sender = self_;
-    ev.port = port;
-    ev.sign = Sign::kPositive;
-    ev.widen(k);
+    ev.widen(k);  // a no-op for one word: it never touches the pool
     for (std::uint32_t w = 0; w < k; ++w) {
       ev.set_value_word(w, values[w]);
       ev.set_mask_word(w, masks[w]);
@@ -349,259 +343,257 @@ void Kernel::init_all_lps() {
 
 void Kernel::node_main(std::uint32_t node) {
   Cluster& cl = *clusters_[node];
-  const SimTime end = cfg_.end_time;
-  const std::uint64_t latency = cfg_.network.latency_ns;
   // Node-local arena for the whole loop: every wide payload this thread
   // allocates (inserts, snapshots) comes from — and recycles into — this
   // node's pool.
   mem::PoolScope pool_scope(cl.pool);
-
-  // Routes everything in cl.pending: local events are inserted (possibly
-  // rolling their LP back, which enqueues cancellation antis right here);
-  // remote events pay the per-message network overhead and are buffered
-  // in the per-destination send coalescer, epoch-tagged and counted for
-  // the GVT transient-message accounting *at add time* (the batch they
-  // later flush in is invisible to GVT — n buffered messages are n
-  // transients).  Events move from the send path through here into an LP
-  // queue or an InFlight without a copy.
-  auto route_pending = [&] {
-    // Antis appended while routing join the same pass; `i` re-reads the
-    // size, and `ev` is moved out before any append can reallocate.
-    for (std::size_t i = 0; i < cl.pending.size(); ++i) {
-      Event ev = std::move(cl.pending[i]);
-      const LpId target = ev.target;
-      const bool positive = ev.sign == Sign::kPositive;
-      const std::uint32_t target_node = node_of_[target];
-      if (target_node == node) {
-        auto res = runtimes_[target].insert(std::move(ev));
-        if (positive) ++cl.stats.intra_node_events;
-        if (res.rolled_back) {
-          if (res.secondary) ++cl.stats.secondary_rollbacks;
-          else ++cl.stats.primary_rollbacks;
-          cl.stats.events_rolled_back += res.unprocessed_events;
-          cl.throttle.note_rollback(res.unprocessed_events);
-          for (Event& anti : res.antis) {
-            cl.pending.push_back(std::move(anti));
-          }
-          if (cl.trace != nullptr) {
-            cl.trace->record(obs::TraceKind::kRollback, steady_now_ns(), 0,
-                             res.unprocessed_events, res.secondary ? 1 : 0,
-                             target);
-          }
-        }
-        cl.push_sched(runtimes_[target].next_time(), target);
-        cl.note_touched(runtimes_, target);
-      } else {
-        if (cfg_.network.send_overhead_ns > 0) {
-          util::busy_spin_ns(cfg_.network.send_overhead_ns);
-        }
-        if (positive) ++cl.stats.inter_node_messages;
-        else ++cl.stats.anti_messages_sent;
-        InFlight f;
-        f.seq = cl.net_seq++;
-        f.epoch = cl.my_round;
-        f.event = std::move(ev);
-        // Count before buffering: the receive counter must never
-        // overtake, and a buffered white must already be on the books so
-        // its GVT round cannot conclude until the flush drains.
-        gvt_coord_.count_send(node, cl.my_round);
-        // deliver_at_ns is stamped at flush time (+latency): the wire is
-        // paid when the batch leaves, never earlier.
-        cl.coalescer.add(target_node, std::move(f), steady_now_ns(),
-                         latency);
-      }
-    }
-    cl.pending.clear();
-  };
-
   while (!done_.load(std::memory_order_acquire) &&
          !stalled_.load(std::memory_order_relaxed)) {
-    // --- GVT: join a newly started round (no rendezvous) -----------------
-    const std::uint64_t r = gvt_coord_.round();
-    if (r != cl.my_round) {
-      // cl.pending is empty here (route_pending ran to completion last
-      // iteration), so everything this node owes the world is in its LP
-      // queues, its holding heap, or its send buffers — exactly what the
-      // report covers.  The coalescer term is the GVT coalescing
-      // invariant: a buffered-but-unflushed send must hold this node's
-      // report down (the burst-end flush normally empties the buffers
-      // before we get here, but the report must not depend on that
-      // scheduling detail).  Whites still in a mailbox are caught by the
-      // drain counters.
-      SimTime local = cl.gvt_report_min(runtimes_);
-      local = std::min(local, cl.holding.min_recv_time());
-      local = std::min(local, cl.coalescer.min_recv_time());
-      gvt_coord_.join(node, r, local);
-      cl.my_round = r;
-      if (cl.trace != nullptr) {
-        cl.trace->record(obs::TraceKind::kGvtJoin, steady_now_ns(), 0, r,
-                         local);
-      }
-      // GVT-round cadence is the throttle's control period: frequent
-      // enough to react to a storm, coarse enough to smooth over noise.
-      cl.throttle.on_round(r);
-      if (cl.trace != nullptr) {
-        // Decisions land in the trajectory; trace only the new ones.
-        const auto& traj = cl.throttle.trajectory();
-        for (; cl.traced_decisions < traj.size(); ++cl.traced_decisions) {
-          const ThrottleDecision& d = traj[cl.traced_decisions];
-          cl.trace->record(
-              obs::TraceKind::kThrottle, steady_now_ns(), 0, d.window,
-              static_cast<std::uint64_t>(d.rollback_fraction * 1e6),
-              static_cast<std::uint32_t>(d.direction + 1));
-        }
-      }
-    }
+    gvt_join(cl);
     if (node == 0) controller_poll(steady_now_ns());
-
-    // --- fossil collection on newly completed rounds ---------------------
-    const std::uint64_t completed =
-        completed_rounds_.load(std::memory_order_acquire);
-    if (completed != cl.last_fossil_round) {
-      cl.last_fossil_round = completed;
-      fossil_round(cl);
-    }
-
-    // --- receive ----------------------------------------------------------
-    if (!channel_.probably_empty(node)) {
-      cl.drain_buf.clear();
-      channel_.drain(node, cl.drain_buf);
-      for (auto& f : cl.drain_buf) {
-        // Rounds serialize, so a drained message is at most one epoch away
-        // from the receiver's color in either direction.  Each message of
-        // a batch is drained individually — a batch of n counts as n in
-        // the transient accounting, mirroring the n count_send calls at
-        // buffer time.
-        PLS_DCHECK(f.epoch + 1 >= cl.my_round && f.epoch <= cl.my_round + 1);
-        gvt_coord_.count_drain(node, f.epoch, cl.my_round,
-                               f.event.recv_time);
-        cl.holding.push(std::move(f));
-      }
-    }
-    const std::uint64_t now_ns = steady_now_ns();
-    while (!cl.holding.empty() && cl.holding.top().deliver_at_ns <= now_ns) {
-      cl.pending.push_back(cl.holding.pop().event);
-    }
-    route_pending();
-
-    // --- execute up to max_batches_per_poll LTSF batches ------------------
-    // Batching amortizes the per-poll overhead (mailbox probe, GVT join,
-    // fossil check) over several executions.  The window limit is
-    // re-evaluated between batches — GVT may advance mid-burst, and a
-    // routed straggler can change which LP is lowest-timestamp — so a
-    // burst never runs further ahead than a single-batch loop would.
+    fossil_round(cl);
+    receive(cl);
+    route(cl);
     bool blocked_by_window = false;
-    const std::uint32_t max_batches = std::max(1u, cfg_.max_batches_per_poll);
-    std::uint32_t batches = 0;
-    LtsfCalendar::Entry top;
-    for (; batches < max_batches && cl.clean_top(runtimes_, top); ++batches) {
-      const SimTime gvt_now = gvt_.load(std::memory_order_relaxed);
-      // Saturating: near end-of-time a plain add wraps, collapsing the
-      // window and blocking the final drain (regression-tested).
-      const SimTime window_limit =
-          saturating_add(gvt_now, cl.throttle.window());
-      if (top.time > window_limit) {
-        blocked_by_window = true;
-        break;
-      }
-      // The entry is consumed here; push_sched below files the LP's next
-      // batch, so the LP holds a live entry again before any GVT report.
-      cl.sched.pop();
-      cl.slot[top.lp].sched_mark = kEndOfTime;
-      LpRuntime& rt = runtimes_[top.lp];
-      const std::uint64_t tb0 = cl.trace != nullptr ? steady_now_ns() : 0;
-      SimTime t = 0;
-      const EventBatch batch = rt.begin_batch(t);
-      const bool replay = rt.in_replay(t);
-      ClusterContext ctx(t, end, top.lp, &rt, &cl.pending, replay,
-                         /*init_mode=*/false);
-      rt.behavior()->execute(ctx, batch);
-      if (cfg_.event_cost_ns > 0) util::busy_spin_ns(cfg_.event_cost_ns);
-      const std::size_t batch_size = batch.size();
-      rt.commit_batch(t, batch_size);
-      if (cl.trace != nullptr) {
-        const std::uint64_t tb1 = steady_now_ns();
-        cl.trace->record(obs::TraceKind::kExecBatch, tb0,
-                         tb1 > tb0 ? tb1 - tb0 : 1, batch_size, t, top.lp);
-      }
-      cl.note_touched(runtimes_, top.lp);
-      cl.stats.events_processed += batch_size;
-      cl.throttle.note_executed(batch_size, t > gvt_now ? t - gvt_now : 0);
-      cl.push_sched(rt.next_time(), top.lp);
-      route_pending();
-    }
-    const bool executed = batches != 0;
-    if (executed) cl.exec_ticks.fetch_add(batches, std::memory_order_relaxed);
-    // Burst-end flush: everything routed remotely during this poll —
-    // receive-path forwards included — leaves as one batch per
-    // destination.  This is the coalescing fabric's primary flush point:
-    // it bounds buffering latency to one poll and guarantees the send
-    // buffers are empty at the next GVT join (liveness — an unflushed
-    // white would otherwise hold its round open forever).
-    if (cl.coalescer.buffered() != 0) {
-      const std::uint64_t fns = steady_now_ns();
-      const std::size_t flushed = cl.coalescer.flush_all(fns, latency);
-      if (flushed != 0 && cl.trace != nullptr) {
-        cl.trace->record(obs::TraceKind::kFlush, fns, 0, flushed,
-                         cl.coalescer.stats().batches_flushed);
-      }
-    }
+    const bool executed = execute_burst(cl, blocked_by_window);
+    flush(cl);
     // Only a throttled-and-otherwise-idle node asks for an early GVT
     // round: while batches still execute, the normal cadence is fine.
     cl.window_blocked.store(!executed && blocked_by_window,
                             std::memory_order_relaxed);
-    if (cl.gauges != nullptr) {
-      // Mirror the node's counters into the atomic gauges the background
-      // sampler reads (relaxed: each gauge is an independent time series
-      // and small skew between them is inherent to sampling anyway).
-      obs::NodeGauges& g = *cl.gauges;
-      g.events_processed.store(cl.stats.events_processed,
-                               std::memory_order_relaxed);
-      g.events_committed.store(cl.stats.events_committed,
-                               std::memory_order_relaxed);
-      g.events_rolled_back.store(cl.stats.events_rolled_back,
-                                 std::memory_order_relaxed);
-      g.rollbacks.store(
-          cl.stats.primary_rollbacks + cl.stats.secondary_rollbacks,
-          std::memory_order_relaxed);
-      g.window.store(cl.throttle.window(), std::memory_order_relaxed);
-      g.live_entries.store(cl.live_now, std::memory_order_relaxed);
-      g.holding_events.store(cl.holding.size(), std::memory_order_relaxed);
-      g.pool_bytes.store(cl.pool->snapshot().slab_bytes,
-                         std::memory_order_relaxed);
-      const CoalesceStats& cs = cl.coalescer.stats();
-      g.batches_sent.store(cs.batches_flushed, std::memory_order_relaxed);
-      g.batch_msgs_sent.store(cs.msgs_flushed, std::memory_order_relaxed);
-    }
-    if (executed) {
-      ++cl.stats.exec_polls;
-      cl.idle_streak = 0;
-    } else {
-      ++cl.stats.idle_polls;
-      if (++cl.idle_streak < kIdleSpinPolls) {
-        // Recently busy: stay reactive, just be polite to siblings.
-        std::this_thread::yield();
-      } else {
-        // Nothing runnable for a while: actually release the core so the
-        // thread that holds work can use it (critical when node threads
-        // outnumber cores).  Bound the nap by the next modeled-network
-        // delivery deadline so latency stays accurate.
-        std::uint64_t nap = kIdleNapNs;
-        const std::uint64_t deadline = cl.holding.next_deadline_ns();
-        if (deadline != 0) {
-          const std::uint64_t now2 = steady_now_ns();
-          nap = deadline > now2 ? std::min(nap, deadline - now2)
-                                : std::uint64_t{1000};
-        }
-        ++cl.stats.idle_sleeps;
-        std::this_thread::sleep_for(std::chrono::nanoseconds(nap));
-      }
-    }
+    publish_gauges(cl);
+    idle(cl, executed);
   }
   // Defensive: the loop exits right after a burst-end flush with nothing
   // added since, so this is normally a no-op — but the final sweep in
   // run() must never find a message stranded in a send buffer.
-  cl.coalescer.flush_all(steady_now_ns(), latency);
+  cl.coalescer.flush_all(steady_now_ns(), cfg_.network.latency_ns);
+}
+
+void Kernel::gvt_join(Cluster& cl) {
+  // Join a newly started round (no rendezvous).
+  const std::uint64_t r = gvt_coord_.round();
+  if (r == cl.my_round) return;
+  // cl.pending is empty here (route ran to completion last iteration), so
+  // everything this node owes the world is in its LP queues, its holding
+  // heap, or its send buffers — exactly what the report covers.  The
+  // coalescer term is the GVT coalescing invariant: a buffered-but-
+  // unflushed send must hold this node's report down (the burst-end flush
+  // normally empties the buffers before we get here, but the report must
+  // not depend on that scheduling detail).  Whites still in a mailbox are
+  // caught by the drain counters.
+  SimTime local = cl.gvt_report_min(runtimes_);
+  local = std::min(local, cl.holding.min_recv_time());
+  local = std::min(local, cl.coalescer.min_recv_time());
+  gvt_coord_.join(cl.node, r, local);
+  cl.my_round = r;
+  cl.trace_now(obs::TraceKind::kGvtJoin, r, local);
+  // GVT-round cadence is the throttle's control period: frequent enough to
+  // react to a storm, coarse enough to smooth over noise.
+  cl.throttle.on_round(r);
+  if (cl.trace != nullptr) {
+    // Decisions land in the trajectory; trace only the new ones.
+    const auto& traj = cl.throttle.trajectory();
+    for (; cl.traced_decisions < traj.size(); ++cl.traced_decisions) {
+      const ThrottleDecision& d = traj[cl.traced_decisions];
+      cl.trace_now(obs::TraceKind::kThrottle, d.window,
+                   static_cast<std::uint64_t>(d.rollback_fraction * 1e6),
+                   static_cast<std::uint32_t>(d.direction + 1));
+    }
+  }
+}
+
+void Kernel::receive(Cluster& cl) {
+  if (!channel_.probably_empty(cl.node)) {
+    cl.drain_buf.clear();
+    channel_.drain(cl.node, cl.drain_buf);
+    for (auto& f : cl.drain_buf) {
+      // Rounds serialize, so a drained message is at most one epoch away
+      // from the receiver's color in either direction.  Each message of a
+      // batch is drained individually — a batch of n counts as n in the
+      // transient accounting, mirroring the n count_send calls at buffer
+      // time.
+      PLS_DCHECK(f.epoch + 1 >= cl.my_round && f.epoch <= cl.my_round + 1);
+      gvt_coord_.count_drain(cl.node, f.epoch, cl.my_round,
+                             f.event.recv_time);
+      cl.holding.push(std::move(f));
+    }
+  }
+  // Deliver what the modeled network has made due.
+  const std::uint64_t now_ns = steady_now_ns();
+  while (!cl.holding.empty() && cl.holding.top().deliver_at_ns <= now_ns) {
+    cl.pending.push_back(cl.holding.pop().event);
+  }
+}
+
+void Kernel::route(Cluster& cl) {
+  // Routes everything in cl.pending: local events are inserted (possibly
+  // rolling their LP back, which enqueues cancellation antis right here);
+  // remote events pay the per-message network overhead and are buffered in
+  // the per-destination send coalescer, epoch-tagged and counted for the
+  // GVT transient-message accounting *at add time* (the batch they later
+  // flush in is invisible to GVT — n buffered messages are n transients).
+  // Events move from the send path through here into an LP queue or an
+  // InFlight without a copy.  Antis appended while routing join the same
+  // pass; `i` re-reads the size, and `ev` is moved out before any append
+  // can reallocate.
+  for (std::size_t i = 0; i < cl.pending.size(); ++i) {
+    Event ev = std::move(cl.pending[i]);
+    const LpId target = ev.target;
+    const bool positive = ev.sign == Sign::kPositive;
+    const std::uint32_t target_node = node_of_[target];
+    if (target_node == cl.node) {
+      auto res = runtimes_[target].insert(std::move(ev));
+      if (positive) ++cl.stats.intra_node_events;
+      if (res.rolled_back) {
+        if (res.secondary) ++cl.stats.secondary_rollbacks;
+        else ++cl.stats.primary_rollbacks;
+        cl.stats.events_rolled_back += res.unprocessed_events;
+        cl.throttle.note_rollback(res.unprocessed_events);
+        for (Event& anti : res.antis) {
+          cl.pending.push_back(std::move(anti));
+        }
+        cl.trace_now(obs::TraceKind::kRollback, res.unprocessed_events,
+                     res.secondary ? 1 : 0, target);
+      }
+      cl.push_sched(runtimes_[target].next_time(), target);
+      cl.note_touched(runtimes_, target);
+    } else {
+      if (cfg_.network.send_overhead_ns > 0) {
+        util::busy_spin_ns(cfg_.network.send_overhead_ns);
+      }
+      if (positive) ++cl.stats.inter_node_messages;
+      else ++cl.stats.anti_messages_sent;
+      InFlight f;
+      f.seq = cl.net_seq++;
+      f.epoch = cl.my_round;
+      f.event = std::move(ev);
+      // Count before buffering: the receive counter must never overtake,
+      // and a buffered white must already be on the books so its GVT round
+      // cannot conclude until the flush drains.
+      gvt_coord_.count_send(cl.node, cl.my_round);
+      // deliver_at_ns is stamped at flush time (+latency): the wire is paid
+      // when the batch leaves, never earlier.
+      cl.coalescer.add(target_node, std::move(f), steady_now_ns(),
+                       cfg_.network.latency_ns);
+    }
+  }
+  cl.pending.clear();
+}
+
+bool Kernel::execute_burst(Cluster& cl, bool& blocked_by_window) {
+  // Batching amortizes the per-poll overhead (mailbox probe, GVT join,
+  // fossil check) over several executions.  The window limit is
+  // re-evaluated between batches — GVT may advance mid-burst, and a routed
+  // straggler can change which LP is lowest-timestamp — so a burst never
+  // runs further ahead than a single-batch loop would.
+  const std::uint32_t max_batches = std::max(1u, cfg_.max_batches_per_poll);
+  std::uint32_t batches = 0;
+  LtsfCalendar::Entry top;
+  for (; batches < max_batches && cl.clean_top(runtimes_, top); ++batches) {
+    const SimTime gvt_now = gvt_.load(std::memory_order_relaxed);
+    // Saturating: near end-of-time a plain add wraps, collapsing the window
+    // and blocking the final drain (regression-tested).
+    if (top.time > saturating_add(gvt_now, cl.throttle.window())) {
+      blocked_by_window = true;
+      break;
+    }
+    // The entry is consumed here; push_sched below files the LP's next
+    // batch, so the LP holds a live entry again before any GVT report.
+    cl.sched.pop();
+    cl.slot[top.lp].sched_mark = kEndOfTime;
+    const std::uint64_t tb0 = cl.span_start();
+    SimTime t = 0;
+    const std::size_t batch_size = execute_batch(cl, top.lp, t);
+    if (cfg_.event_cost_ns > 0) util::busy_spin_ns(cfg_.event_cost_ns);
+    cl.trace_span(obs::TraceKind::kExecBatch, tb0, batch_size, t, top.lp);
+    cl.note_touched(runtimes_, top.lp);
+    cl.throttle.note_executed(batch_size, t > gvt_now ? t - gvt_now : 0);
+    cl.push_sched(runtimes_[top.lp].next_time(), top.lp);
+    route(cl);
+  }
+  if (batches != 0) cl.exec_ticks.fetch_add(batches, std::memory_order_relaxed);
+  return batches != 0;
+}
+
+std::size_t Kernel::execute_batch(Cluster& cl, LpId lp, SimTime& t) {
+  LpRuntime& rt = runtimes_[lp];
+  const EventBatch batch = rt.begin_batch(t);
+  ClusterContext ctx(t, cfg_.end_time, lp, &rt, &cl.pending, rt.in_replay(t),
+                     /*init_mode=*/false);
+  rt.behavior()->execute(ctx, batch);
+  const std::size_t batch_size = batch.size();
+  rt.commit_batch(t, batch_size);
+  cl.stats.events_processed += batch_size;
+  return batch_size;
+}
+
+void Kernel::flush(Cluster& cl) {
+  // Burst-end flush: everything routed remotely during this poll — receive-
+  // path forwards included — leaves as one batch per destination.  This is
+  // the coalescing fabric's primary flush point: it bounds buffering
+  // latency to one poll and guarantees the send buffers are empty at the
+  // next GVT join (liveness — an unflushed white would otherwise hold its
+  // round open forever).
+  if (cl.coalescer.buffered() == 0) return;
+  const std::uint64_t fns = steady_now_ns();
+  const std::size_t flushed =
+      cl.coalescer.flush_all(fns, cfg_.network.latency_ns);
+  if (flushed != 0 && cl.trace != nullptr) {
+    cl.trace->record(obs::TraceKind::kFlush, fns, 0, flushed,
+                     cl.coalescer.stats().batches_flushed);
+  }
+}
+
+void Kernel::publish_gauges(Cluster& cl) const {
+  // Mirror the node's counters into the atomic gauges the background
+  // sampler reads (relaxed: each gauge is an independent time series and
+  // small skew between them is inherent to sampling anyway).
+  if (cl.gauges == nullptr) return;
+  obs::NodeGauges& g = *cl.gauges;
+  g.events_processed.store(cl.stats.events_processed,
+                           std::memory_order_relaxed);
+  g.events_committed.store(cl.stats.events_committed,
+                           std::memory_order_relaxed);
+  g.events_rolled_back.store(cl.stats.events_rolled_back,
+                             std::memory_order_relaxed);
+  g.rollbacks.store(cl.stats.primary_rollbacks + cl.stats.secondary_rollbacks,
+                    std::memory_order_relaxed);
+  g.window.store(cl.throttle.window(), std::memory_order_relaxed);
+  g.live_entries.store(cl.live_now, std::memory_order_relaxed);
+  g.holding_events.store(cl.holding.size(), std::memory_order_relaxed);
+  g.pool_bytes.store(cl.pool->snapshot().slab_bytes,
+                     std::memory_order_relaxed);
+  const CoalesceStats& cs = cl.coalescer.stats();
+  g.batches_sent.store(cs.batches_flushed, std::memory_order_relaxed);
+  g.batch_msgs_sent.store(cs.msgs_flushed, std::memory_order_relaxed);
+}
+
+void Kernel::idle(Cluster& cl, bool executed) {
+  if (executed) {
+    ++cl.stats.exec_polls;
+    cl.idle_streak = 0;
+    return;
+  }
+  ++cl.stats.idle_polls;
+  if (++cl.idle_streak < kIdleSpinPolls) {
+    // Recently busy: stay reactive, just be polite to siblings.
+    std::this_thread::yield();
+    return;
+  }
+  // Nothing runnable for a while: actually release the core so the thread
+  // that holds work can use it (critical when node threads outnumber
+  // cores).  Bound the nap by the next modeled-network delivery deadline
+  // so latency stays accurate.
+  std::uint64_t nap = kIdleNapNs;
+  const std::uint64_t deadline = cl.holding.next_deadline_ns();
+  if (deadline != 0) {
+    const std::uint64_t now = steady_now_ns();
+    nap = deadline > now ? std::min(nap, deadline - now)
+                         : std::uint64_t{1000};
+  }
+  ++cl.stats.idle_sleeps;
+  std::this_thread::sleep_for(std::chrono::nanoseconds(nap));
 }
 
 void Kernel::controller_poll(std::uint64_t now_ns) {
@@ -637,10 +629,8 @@ void Kernel::controller_poll(std::uint64_t now_ns) {
       if (cfg_.obs != nullptr) {
         // Publish the fresh estimate for the metrics sampler's GVT gauge.
         cfg_.obs->set_gvt(std::max(prev, g));
-        if (obs::TraceRing* tr = clusters_[0]->trace; tr != nullptr) {
-          tr->record(obs::TraceKind::kGvtDone, steady_now_ns(), 0, round,
-                     std::max(prev, g));
-        }
+        clusters_[0]->trace_now(obs::TraceKind::kGvtDone, round,
+                                std::max(prev, g));
       }
       if (g == kEndOfTime) {
         done_.store(true, std::memory_order_release);
@@ -671,17 +661,20 @@ void Kernel::controller_poll(std::uint64_t now_ns) {
       ctrl_last_trigger_ns_ = now_ns;
       ++ctrl_started_rounds_;
       gvt_coord_.start_round(ctrl_started_rounds_);
-      if (obs::TraceRing* tr = clusters_[0]->trace; tr != nullptr) {
-        tr->record(obs::TraceKind::kGvtStart, steady_now_ns(), 0,
-                   ctrl_started_rounds_, 0);
-      }
+      clusters_[0]->trace_now(obs::TraceKind::kGvtStart, ctrl_started_rounds_,
+                              0);
     }
   }
 }
 
 void Kernel::fossil_round(Cluster& cl) {
+  // Once per newly completed GVT round.
+  const std::uint64_t completed =
+      completed_rounds_.load(std::memory_order_acquire);
+  if (completed == cl.last_fossil_round) return;
+  cl.last_fossil_round = completed;
   const SimTime g = gvt_.load(std::memory_order_acquire);
-  const std::uint64_t tf0 = cl.trace != nullptr ? steady_now_ns() : 0;
+  const std::uint64_t tf0 = cl.span_start();
   // Every payload and snapshot the pass frees goes back to its owner pool
   // in one batched run.
   mem::ReclaimScope reclaim;
@@ -701,11 +694,7 @@ void Kernel::fossil_round(Cluster& cl) {
     cl.fossil_lps.pop_back();
   }
   cl.stats.events_committed += committed;
-  if (cl.trace != nullptr) {
-    const std::uint64_t tf1 = steady_now_ns();
-    cl.trace->record(obs::TraceKind::kFossil, tf0, tf1 > tf0 ? tf1 - tf0 : 1,
-                     committed, cl.live_now);
-  }
+  cl.trace_span(obs::TraceKind::kFossil, tf0, committed, cl.live_now);
   // live_now is maintained incrementally at every queue mutation (see
   // note_live); the pass just refreshed every LP whose count it could
   // change, so it equals the full recomputed sum here.
@@ -916,25 +905,21 @@ RunStats Kernel::run() {
                                      "(unsound GVT)");
       }
     }
-    std::vector<Event> sink;
+    // The burst's execute step runs each batch; a replay batch is muted, so
+    // the owner's (empty) routing queue must stay empty.
     for (LpId lp = 0; lp < runtimes_.size(); ++lp) {
       LpRuntime& rt = runtimes_[lp];
       Cluster& owner = *clusters_[node_of_[lp]];
       while (rt.has_unprocessed()) {
-        SimTime t = 0;
-        const EventBatch batch = rt.begin_batch(t);
+        SimTime t = rt.next_time();
         PLS_CHECK_MSG(rt.in_replay(t),
                       "LP " << lp << " still holds an effectful event at "
                             << t << " after termination (unsound GVT)");
-        ClusterContext ctx(t, cfg_.end_time, lp, &rt, &sink,
-                           /*suppress=*/true, /*init_mode=*/false);
-        rt.behavior()->execute(ctx, batch);
-        const std::size_t batch_size = batch.size();
-        rt.commit_batch(t, batch_size);
-        owner.stats.events_processed += batch_size;
+        execute_batch(owner, lp, t);
+        PLS_CHECK_MSG(owner.pending.empty(),
+                      "suppressed replay produced a send");
       }
     }
-    PLS_CHECK_MSG(sink.empty(), "suppressed replay produced a send");
   }
 
   RunStats out;
@@ -981,6 +966,14 @@ RunStats Kernel::run() {
     ls.max_rollback_depth = rt.max_rollback_depth();
     out.per_lp.push_back(ls);
   }
+  // The node threads are gone, but what they freed stays resident in
+  // glibc's per-thread arenas, which later runs' threads take over in no
+  // fixed order: a process that runs kernel after kernel would ratchet up
+  // towards its largest runs' footprint.  Hand the free pages back; what
+  // this kernel still holds is freed with it, for the next run to reuse.
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
   return out;
 }
 

@@ -111,9 +111,24 @@ class Kernel {
   struct Cluster;
 
   void init_all_lps();
+  /// One node's main loop: the steps below, in this order, until done.
   void node_main(std::uint32_t node);
+  void gvt_join(Cluster& cl);  ///< join a newly started GVT round
   void controller_poll(std::uint64_t now_ns);  ///< node 0's GVT duties
-  void fossil_round(Cluster& cl);
+  void fossil_round(Cluster& cl);  ///< once per newly completed round
+  void receive(Cluster& cl);  ///< drain the mailbox, deliver what is due
+  void route(Cluster& cl);    ///< insert or buffer everything pending
+  /// Up to max_batches_per_poll LTSF batches, each routed at once; false
+  /// when none ran.  Sets `blocked_by_window` when the optimism window
+  /// stopped the burst.
+  bool execute_burst(Cluster& cl, bool& blocked_by_window);
+  /// Run `lp`'s next batch (at `t`, set here); its sends join cl.pending,
+  /// muted during a coast-forward replay.  The burst and the end-of-run
+  /// drain both execute through it.  Returns the batch size.
+  std::size_t execute_batch(Cluster& cl, LpId lp, SimTime& t);
+  void flush(Cluster& cl);  ///< burst-end flush of the send buffers
+  void publish_gauges(Cluster& cl) const;
+  void idle(Cluster& cl, bool executed);  ///< poll accounting, yield or nap
   void watchdog_main();
   std::uint64_t total_exec_ticks() const noexcept;
   void dump_stall_diagnostics() const;  ///< post-mortem, single-threaded

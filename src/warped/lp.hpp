@@ -3,10 +3,11 @@
 //
 // Behaviour objects are *stateless*: all mutable simulation state lives in
 // the kernel-owned LpState, which the kernel snapshots and restores around
-// rollbacks.  The same behaviour objects therefore run unchanged on the
-// optimistic parallel kernel and on the sequential reference simulator —
-// mirroring how TYVIS-generated processes ran on both WARPED and a
-// sequential kernel in the paper's framework (§4).
+// rollbacks, so a batch can re-execute after any rollback.  Only the
+// optimistic parallel kernel runs them: the sequential reference
+// (logicsim/sequential.hpp) compiles the netlist behaviours' elaborated
+// parameters into a flat engine of its own and never calls init() or
+// execute(), so it checks these execute paths instead of sharing them.
 
 #include <span>
 
@@ -14,9 +15,8 @@
 
 namespace pls::warped {
 
-/// Services an LP may use while executing a batch of events.  Implemented
-/// by the parallel kernel (with output logging for cancellation) and by the
-/// sequential simulator (direct enqueue).
+/// Services an LP may use while executing a batch of events.  The parallel
+/// kernel implements it, logging every send for cancellation.
 class Context {
  public:
   virtual ~Context() = default;
@@ -33,37 +33,26 @@ class Context {
   /// Mutable LP state (snapshotted by the kernel around this call).
   virtual LpState& state() = 0;
 
-  /// Send `value` to `target`'s input `port`, arriving at `recv_time`
-  /// (must be strictly greater than now(): nonzero lookahead keeps the
-  /// simulation free of zero-delay cycles).  `mask` flags the lanes whose
-  /// value changed (see Event): batched LPs pass the change word and must
-  /// not call send() with mask == 0; scalar LPs keep the default bit 0.
-  virtual void send(LpId target, SimTime recv_time, std::uint32_t port,
-                    std::uint64_t value, std::uint64_t mask = 1) = 0;
-
-  /// Multi-word send (lanes > 64): `values[0..k)` are the payload words
-  /// and `masks[0..k)` the per-word change masks; at least one mask word
-  /// must be non-zero.  k == 1 is exactly send().  Contexts that host
-  /// multi-word models override this; the default forwards single words
-  /// and rejects wider payloads.
+  /// Send a k-word payload to `target`'s input `port`, arriving at
+  /// `recv_time` (must be strictly greater than now(): nonzero lookahead
+  /// keeps the simulation free of zero-delay cycles).  `values[0..k)` are
+  /// the payload words and `masks[0..k)` flag the lanes whose value changed
+  /// (see Event); at least one mask word must be non-zero.  Words past the
+  /// first (lanes > 64) ride the event's pooled extension.
   virtual void send_wide(LpId target, SimTime recv_time, std::uint32_t port,
                          const std::uint64_t* values,
-                         const std::uint64_t* masks, std::uint32_t k) {
-    if (k == 1) {
-      send(target, recv_time, port, values[0], masks[0]);
-      return;
-    }
-    on_unsupported_wide_send();
+                         const std::uint64_t* masks, std::uint32_t k) = 0;
+
+  /// One-word send_wide; scalar LPs keep the default mask bit 0.
+  void send(LpId target, SimTime recv_time, std::uint32_t port,
+            std::uint64_t value, std::uint64_t mask = 1) {
+    send_wide(target, recv_time, port, &value, &mask, 1);
   }
 
   /// Schedule a tick to self at `recv_time` (> now()).
   void schedule_self(SimTime recv_time, std::uint64_t value = 0) {
     send(self(), recv_time, kTickPort, value);
   }
-
- protected:
-  /// [[noreturn]] check failure for contexts without wide-send support.
-  static void on_unsupported_wide_send();
 };
 
 /// An event batch: all positive events for one LP sharing one receive time.

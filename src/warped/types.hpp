@@ -85,15 +85,6 @@ struct Event {
   void set_mask_word(std::uint32_t w, std::uint64_t v) noexcept {
     if (w == 0) mask = v; else xt[xt.size() / 2 + (w - 1)] = v;
   }
-  /// True if any lane changed (events with an all-zero mask are not sent).
-  bool mask_any() const noexcept {
-    if (mask != 0) return true;
-    const std::uint32_t half = xt.size() / 2;
-    for (std::uint32_t w = half; w < xt.size(); ++w) {
-      if (xt[w] != 0) return true;
-    }
-    return false;
-  }
   /// Lane transitions this event carries: popcount over all mask words.
   std::uint64_t mask_popcount() const noexcept {
     std::uint64_t n = static_cast<std::uint64_t>(std::popcount(mask));

@@ -119,9 +119,11 @@ class MockContext final : public warped::Context {
   SimTime end_time() const override { return end_v; }
   LpId self() const override { return self_v; }
   LpState& state() override { return state_v; }
-  void send(LpId target, SimTime recv_time, std::uint32_t port,
-            std::uint64_t value, std::uint64_t mask) override {
-    sent.push_back({target, recv_time, port, value, mask});
+  void send_wide(LpId target, SimTime recv_time, std::uint32_t port,
+                 const std::uint64_t* values, const std::uint64_t* masks,
+                 std::uint32_t k) override {
+    EXPECT_EQ(k, 1u) << "the mock records one-word sends only";
+    sent.push_back({target, recv_time, port, values[0], masks[0]});
   }
 };
 
@@ -136,7 +138,7 @@ Event port_event(std::uint32_t port, std::uint64_t value, SimTime t) {
 Event tick_event(SimTime t) { return port_event(kTickPort, 0, t); }
 
 TEST(OneLaneGateLp, EmitsOnOutputChangeOnly) {
-  BatchGateLp g(GateType::kAnd, 2, {{7, 0}, {8, 1}}, /*delay=*/2, /*lanes=*/1);
+  BatchGateLp g(GateType::kAnd, 2, {{7, 0}, {8, 1}}, /*lanes=*/1);
   MockContext ctx;
   ctx.state_v = g.initial_state();
 
@@ -147,14 +149,14 @@ TEST(OneLaneGateLp, EmitsOnOutputChangeOnly) {
   EXPECT_TRUE(ctx.sent.empty());
   EXPECT_FALSE(output_bit(ctx.state_v));
 
-  // 11 -> output rises: one event per fanout port at t+delay.
+  // 11 -> output rises: one event per fanout port, one gate delay later.
   ctx.now_v = 20;
   batch = {port_event(1, 1, 20)};
   g.execute(ctx, batch);
   ASSERT_EQ(ctx.sent.size(), 2u);
   EXPECT_EQ(ctx.sent[0].target, 7u);
   EXPECT_EQ(ctx.sent[0].port, 0u);
-  EXPECT_EQ(ctx.sent[0].recv_time, 22u);
+  EXPECT_EQ(ctx.sent[0].recv_time, 21u);
   EXPECT_EQ(ctx.sent[0].value, 1u);
   EXPECT_EQ(ctx.sent[1].target, 8u);
   EXPECT_EQ(ctx.sent[1].port, 1u);
@@ -162,7 +164,7 @@ TEST(OneLaneGateLp, EmitsOnOutputChangeOnly) {
 }
 
 TEST(OneLaneGateLp, BatchAppliesAllPortsAtOnce) {
-  BatchGateLp g(GateType::kAnd, 2, {{7, 0}}, 1, /*lanes=*/1);
+  BatchGateLp g(GateType::kAnd, 2, {{7, 0}}, /*lanes=*/1);
   MockContext ctx;
   ctx.now_v = 5;
   std::vector<Event> batch{port_event(0, 1, 5), port_event(1, 1, 5)};
@@ -173,7 +175,7 @@ TEST(OneLaneGateLp, BatchAppliesAllPortsAtOnce) {
 
 TEST(OneLaneGateLp, PowerOnTickAnnouncesRisenOutput) {
   // NAND with all-zero inputs evaluates to 1 at power-on.
-  BatchGateLp g(GateType::kNand, 2, {{3, 0}}, 1, /*lanes=*/1);
+  BatchGateLp g(GateType::kNand, 2, {{3, 0}}, /*lanes=*/1);
   MockContext ctx;
   g.init(ctx);  // schedules the power-on tick
   ASSERT_EQ(ctx.sent.size(), 1u);
@@ -189,25 +191,23 @@ TEST(OneLaneGateLp, PowerOnTickAnnouncesRisenOutput) {
 }
 
 TEST(OneLaneGateLp, SuppressesSendsBeyondEndTime) {
-  BatchGateLp g(GateType::kNot, 1, {{3, 0}}, 5, /*lanes=*/1);
+  BatchGateLp g(GateType::kNot, 1, {{3, 0}}, /*lanes=*/1);
   MockContext ctx;
-  ctx.now_v = 998;
+  ctx.now_v = 1000;
   ctx.end_v = 1000;
-  std::vector<Event> batch{tick_event(998)};
-  g.execute(ctx, batch);  // output rises but t+5 > end
+  std::vector<Event> batch{tick_event(1000)};
+  g.execute(ctx, batch);  // output rises but t+1 > end
   EXPECT_TRUE(ctx.sent.empty());
 }
 
 TEST(OneLaneGateLp, RejectsIllegalArity) {
   using pls::util::CheckError;
-  EXPECT_THROW(BatchGateLp(GateType::kAnd, 0, {}, 1, 1), CheckError);
-  EXPECT_THROW(BatchGateLp(GateType::kAnd, 65, {}, 1, 1), CheckError);
-  EXPECT_THROW(BatchGateLp(GateType::kAnd, 2, {}, 0, 1), CheckError);
+  EXPECT_THROW(BatchGateLp(GateType::kAnd, 0, {}, 1), CheckError);
+  EXPECT_THROW(BatchGateLp(GateType::kAnd, 65, {}, 1), CheckError);
 }
 
 TEST(OneLaneDffLp, SamplesAtFirstEdgeAfterDataChange) {
-  BatchDffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*delay=*/1,
-                /*lanes=*/1);
+  BatchDffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*lanes=*/1);
   MockContext ctx;
 
   // D rises at t=3: no output yet, but a sampling tick is armed for the
@@ -233,7 +233,7 @@ TEST(OneLaneDffLp, SamplesAtFirstEdgeAfterDataChange) {
 }
 
 TEST(OneLaneDffLp, EdgeComputationIsAligned) {
-  BatchDffLp ff({}, /*period=*/10, /*phase=*/5, /*delay=*/1, /*lanes=*/1);
+  BatchDffLp ff({}, /*period=*/10, /*phase=*/5, /*lanes=*/1);
   EXPECT_EQ(ff.next_edge_at_or_after(0), 5u);
   EXPECT_EQ(ff.next_edge_at_or_after(5), 5u);
   EXPECT_EQ(ff.next_edge_at_or_after(6), 15u);
@@ -242,7 +242,7 @@ TEST(OneLaneDffLp, EdgeComputationIsAligned) {
 }
 
 TEST(OneLaneDffLp, DataOnClockEdgeIsCaptured) {
-  BatchDffLp ff({{5, 0}}, 10, 10, 1, /*lanes=*/1);
+  BatchDffLp ff({{5, 0}}, 10, 10, /*lanes=*/1);
   MockContext ctx;
   ctx.now_v = 10;
   // D event and tick in the same batch: data-first rule captures the 1.
@@ -252,7 +252,7 @@ TEST(OneLaneDffLp, DataOnClockEdgeIsCaptured) {
 }
 
 TEST(OneLaneDffLp, NoEmissionWhenQUnchanged) {
-  BatchDffLp ff({{5, 0}}, 10, 10, 1, /*lanes=*/1);
+  BatchDffLp ff({{5, 0}}, 10, 10, /*lanes=*/1);
   MockContext ctx;
   ctx.now_v = 10;
   std::vector<Event> batch{tick_event(10)};  // D=0, Q=0
@@ -264,7 +264,7 @@ TEST(OneLaneLayout, StatesStayInlineWithFaninsPackedIntoA) {
   // One lane keeps every state word inline, so snapshots never copy pooled
   // words: the gate packs fanin p into bit p of `a`, and the flip-flop
   // keeps no armed-lanes word.
-  BatchGateLp g(GateType::kXor, 3, {{7, 0}}, 1, /*lanes=*/1);
+  BatchGateLp g(GateType::kXor, 3, {{7, 0}}, /*lanes=*/1);
   MockContext ctx;
   ctx.state_v = g.initial_state();
   EXPECT_TRUE(ctx.state_v.w.empty());
@@ -285,8 +285,7 @@ TEST(OneLaneLayout, StatesStayInlineWithFaninsPackedIntoA) {
   EXPECT_TRUE(ctx.state_v.w.empty());
   ASSERT_EQ(ctx.sent.size(), 2u);  // rose at t=4, fell at t=6
 
-  BatchDffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*delay=*/1,
-                /*lanes=*/1);
+  BatchDffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*lanes=*/1);
   MockContext fctx;
   fctx.state_v = ff.initial_state();
   EXPECT_TRUE(fctx.state_v.w.empty());
@@ -327,8 +326,7 @@ TEST(OneLaneInputLp, VectorBitIsPureFunction) {
 }
 
 TEST(OneLaneInputLp, AppliesVectorAndReschedules) {
-  BatchInputLp in({{2, 0}}, /*period=*/20, /*delay=*/1, /*seed=*/7,
-                  /*lanes=*/1);
+  BatchInputLp in({{2, 0}}, /*period=*/20, /*seed=*/7, /*lanes=*/1);
   MockContext ctx;
   ctx.self_v = 9;
   ctx.now_v = 40;  // vector index 2
@@ -402,7 +400,7 @@ TEST(EvalGateWord, MatchesScalarEvalLaneByLane) {
 }
 
 TEST(BatchGateLp, MaskedApplicationAndDiffGatedEmission) {
-  BatchGateLp g(GateType::kAnd, 2, {{7, 0}}, /*delay=*/2, /*lanes=*/64);
+  BatchGateLp g(GateType::kAnd, 2, {{7, 0}}, /*lanes=*/64);
   MockContext ctx;
   ctx.state_v = g.initial_state();
   ASSERT_EQ(ctx.state_v.w.size(), 2u);
@@ -422,7 +420,7 @@ TEST(BatchGateLp, MaskedApplicationAndDiffGatedEmission) {
   ASSERT_EQ(ctx.sent.size(), 1u);
   EXPECT_EQ(ctx.sent[0].value, 0xFu);
   EXPECT_EQ(ctx.sent[0].mask, 0xFu);
-  EXPECT_EQ(ctx.sent[0].recv_time, 8u);
+  EXPECT_EQ(ctx.sent[0].recv_time, 7u);
 
   // Lane 0 alone drops: only lane 0 appears in the next change mask.
   ctx.now_v = 9;
@@ -436,7 +434,7 @@ TEST(BatchGateLp, MaskedApplicationAndDiffGatedEmission) {
 TEST(BatchGateLp, StuckAtForcesOnlyItsLane) {
   // BUF with lane 1 stuck at 1: power-on announces the forced lane, and
   // later input changes ripple through lane 0 while lane 1 never moves.
-  BatchGateLp g(GateType::kBuf, 1, {{3, 0}}, 1, /*lanes=*/2,
+  BatchGateLp g(GateType::kBuf, 1, {{3, 0}}, /*lanes=*/2,
                 /*sa_mask=*/{0b10}, /*sa_value=*/{0b10});
   MockContext ctx;
   ctx.state_v = g.initial_state();
@@ -456,8 +454,7 @@ TEST(BatchGateLp, StuckAtForcesOnlyItsLane) {
 }
 
 TEST(BatchDffLp, TickSamplesOnlyArmedLanes) {
-  BatchDffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*delay=*/1,
-                /*lanes=*/64);
+  BatchDffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*lanes=*/64);
   MockContext ctx;
   ctx.state_v = ff.initial_state();
   ASSERT_EQ(ctx.state_v.w.size(), 1u);
@@ -499,7 +496,7 @@ TEST(BatchDffLp, TickSamplesOnlyArmedLanes) {
 
 TEST(BatchDffLp, PhaseEdgeSamplesEveryLane) {
   // The init edge is the one tick every scalar run owns: all lanes sample.
-  BatchDffLp ff({{5, 0}}, 10, 10, 1, /*lanes=*/64);
+  BatchDffLp ff({{5, 0}}, 10, 10, /*lanes=*/64);
   MockContext ctx;
   ctx.state_v = ff.initial_state();
   ctx.now_v = 10;

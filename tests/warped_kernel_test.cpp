@@ -229,6 +229,56 @@ TEST(Kernel, PerNodeStatsSumToTotals) {
   EXPECT_EQ(sum.primary_rollbacks, out.totals.primary_rollbacks);
 }
 
+/// LP that makes one send the kernel must reject, through the one-word
+/// send or a two-word send: from init() past the end time, or from
+/// execute() at the current time.
+class BadSendLp final : public LogicalProcess {
+ public:
+  BadSendLp(bool from_init, std::uint32_t words)
+      : from_init_(from_init), words_(words) {}
+
+  void init(Context& ctx) override {
+    if (from_init_) send(ctx, ctx.end_time() + 1);
+    else ctx.schedule_self(1);
+  }
+
+  void execute(Context& ctx, EventBatch) override { send(ctx, ctx.now()); }
+
+ private:
+  void send(Context& ctx, SimTime at) {
+    const std::uint64_t values[2] = {1, 1};
+    const std::uint64_t masks[2] = {1, 1};
+    if (words_ == 1) ctx.send(ctx.self(), at, 0, values[0], masks[0]);
+    else ctx.send_wide(ctx.self(), at, 0, values, masks, words_);
+  }
+
+  bool from_init_;
+  std::uint32_t words_;
+};
+
+TEST(Kernel, RejectsSendsAtNowOrPastTheEndOnBothWidths) {
+  for (std::uint32_t words : {1u, 2u}) {
+    for (bool from_init : {true, false}) {
+      BadSendLp lp(from_init, words);
+      KernelConfig cfg;
+      cfg.end_time = 10;
+      // No watchdog thread: the single node runs on this thread, so the
+      // check's exception reaches run()'s caller.
+      cfg.watchdog_timeout_ms = 0;
+      Kernel kernel({&lp}, {0}, cfg);
+      const std::string expected =
+          from_init ? "beyond the end time" : "not after now";
+      try {
+        kernel.run();
+        ADD_FAILURE() << "no CheckError, words=" << words;
+      } catch (const util::CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 /// Self-ticking LP that blocks its node thread for `nap_ms` the first time
 /// it executes the batch at `nap_at` (rollback re-executions do not nap
 /// again): GVT freezes while the thread sleeps.
