@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   // the work/traffic weights both multilevel pipelines consume.
   framework::DriverConfig base = bench::driver_config(cfg, "Multilevel", k);
   const logicsim::ActivityProfile activity =
-      logicsim::profile_activity(c, base.model, cfg.end_time / 4);
+      logicsim::profile_activity(c, base.model, base.end_time / 4);
   const multilevel::VertexTrafficWeights weights =
       multilevel::weights_from_activity(activity.work, activity.traffic);
 

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     std::uint64_t batch_msgs = 0;
     for (const bool coalesce : {false, true}) {
       bench::BenchConfig cell_cfg = cfg;
-      cell_cfg.coalesce = coalesce;
+      cell_cfg.driver.coalesce = coalesce;
       const auto avg = bench::run_parallel_averaged(c, cell_cfg, strategy,
                                                     nodes, mode, "off");
       const auto& totals = avg.last.run.totals;

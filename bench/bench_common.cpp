@@ -46,10 +46,12 @@ void add_common_flags(util::Cli& cli) {
   cli.add_flag("repeats", "runs averaged per cell", "1");
   cli.add_flag("seed", "master seed", "2000");
   cli.add_flag("csv", "directory for CSV output", ".");
-  cli.add_flag("event-cost-ns", "CPU cost per event batch", "2000");
+  cli.add_flag("event-cost-ns", "CPU cost per event batch",
+               std::to_string(framework::kTestbed.event_cost_ns));
   cli.add_flag("send-overhead-ns", "CPU cost per inter-node message",
-               "1500");
-  cli.add_flag("latency-ns", "inter-node delivery latency", "25000");
+               std::to_string(framework::kTestbed.send_overhead_ns));
+  cli.add_flag("latency-ns", "inter-node delivery latency",
+               std::to_string(framework::kTestbed.latency_ns));
   cli.add_flag("window", "optimism window in virtual time (0 = unbounded)",
                "0");
   cli.add_flag("throttle",
@@ -95,34 +97,37 @@ namespace {
 /// config_from_cli's reads and checks; a bad flag throws.
 BenchConfig read_config(const util::Cli& cli) {
   BenchConfig cfg;
+  framework::DriverConfig& d = cfg.driver;
   cfg.scale = cli.get_double("scale", 0.0, 4.0);
   // Checked reads: every one of these lands in an unsigned config field, so
   // a negative (or absurdly large) value would otherwise wrap silently.
-  cfg.end_time = cli.get_u64("end", 1, std::uint64_t{1} << 60);
+  d.end_time = cli.get_u64("end", 1, std::uint64_t{1} << 60);
   cfg.repeats = static_cast<std::uint32_t>(cli.get_u64("repeats", 1, 100000));
-  cfg.seed = cli.get_u64("seed", 0, ~std::uint64_t{0} >> 1);
+  d.seed = cli.get_u64("seed", 0, ~std::uint64_t{0} >> 1);
   cfg.csv_dir = cli.get("csv");
-  cfg.event_cost_ns = cli.get_u64("event-cost-ns", 0, 1'000'000'000);
-  cfg.send_overhead_ns = cli.get_u64("send-overhead-ns", 0, 1'000'000'000);
-  cfg.latency_ns = cli.get_u64("latency-ns", 0, 10'000'000'000ull);
-  cfg.optimism_window = cli.get_u64("window", 0, std::uint64_t{1} << 60);
+  d.event_cost_ns = cli.get_u64("event-cost-ns", 0, 1'000'000'000);
+  d.send_overhead_ns = cli.get_u64("send-overhead-ns", 0, 1'000'000'000);
+  d.latency_ns = cli.get_u64("latency-ns", 0, 10'000'000'000ull);
+  d.optimism_window = cli.get_u64("window", 0, std::uint64_t{1} << 60);
   cfg.throttle = cli.get("throttle");
   cfg.activity = cli.get("activity");
   cfg.drift = cli.get_bool("drift");
-  cfg.rollback_budget = cli.get_double("rollback-budget");
-  cfg.max_batches_per_poll =
+  d.throttle.target_rollback_fraction = cli.get_double("rollback-budget");
+  d.max_batches_per_poll =
       static_cast<std::uint32_t>(cli.get_u64("batch", 1, 1 << 20));
-  cfg.coalesce = cli.get_bool("coalesce");
+  d.coalesce = cli.get_bool("coalesce");
   // Capped well below the kernel's 30 s deadlock watchdog: a GVT interval
   // longer than the watchdog window guarantees a false stall abort.
-  cfg.gvt_interval_us = cli.get_u64("gvt-us", 1, 10'000'000);
-  cfg.lanes =
+  d.gvt_interval_us = cli.get_u64("gvt-us", 1, 10'000'000);
+  d.model.lanes =
       static_cast<std::uint32_t>(cli.get_u64("lanes", 1, logicsim::kMaxLanes));
-  cfg.stim_period = cli.get_u64("stim-period", 1, 1u << 30);
-  cfg.clock_period = cli.get_u64("clock-period", 1, 1u << 30);
+  d.model.stim_period = cli.get_u64("stim-period", 1, 1u << 30);
+  d.model.clock_period = cli.get_u64("clock-period", 1, 1u << 30);
+  d.model.clock_phase = d.model.clock_period / 2;
   cfg.trace_path = cli.get("trace");
   cfg.metrics_interval_ms = cli.get_u64("metrics-interval", 0, 60'000);
-  PLS_CHECK_MSG(cfg.rollback_budget > 0.0 && cfg.rollback_budget < 1.0,
+  const double budget = d.throttle.target_rollback_fraction;
+  PLS_CHECK_MSG(budget > 0.0 && budget < 1.0,
                 "--rollback-budget must be in (0, 1)");
   PLS_CHECK_MSG(std::filesystem::is_directory(cfg.csv_dir),
                 "--csv must name an existing directory, got '"
@@ -168,7 +173,7 @@ void require_activity_off(const BenchConfig& cfg, const char* bench_name) {
                               "not sweep --activity (got '"
                            << cfg.activity
                            << "'); use bench_partition_quality or the "
-                              "fig4/fig5/fig6/table2 harnesses instead");
+                              "fig456/table2 harnesses instead");
 }
 
 void apply_activity(framework::DriverConfig& dc, const std::string& mode) {
@@ -203,8 +208,9 @@ std::vector<warped::ThrottleMode> throttle_modes(const BenchConfig& cfg) {
         warped::ThrottleMode mode;
         if (tok == "auto") {
           // Historical semantics: --window N used to mean a fixed window.
-          mode = cfg.optimism_window > 0 ? warped::ThrottleMode::kFixed
-                                         : warped::ThrottleMode::kAdaptive;
+          mode = cfg.driver.optimism_window > 0
+                     ? warped::ThrottleMode::kFixed
+                     : warped::ThrottleMode::kAdaptive;
         } else {
           PLS_CHECK_MSG(warped::parse_throttle_mode(tok, &mode),
                         "--throttle: unknown mode '"
@@ -226,7 +232,8 @@ std::vector<warped::ThrottleMode> throttle_modes(const BenchConfig& cfg) {
 circuit::Circuit make_benchmark(const std::string& name,
                                 const BenchConfig& cfg) {
   return circuit::generate(
-      circuit::scale_spec(circuit::iscas_spec(name, cfg.seed), cfg.scale));
+      circuit::scale_spec(circuit::iscas_spec(name, cfg.driver.seed),
+                          cfg.scale));
 }
 
 const std::vector<std::string>& strategies() {
@@ -239,28 +246,13 @@ const std::vector<std::string>& strategies() {
 framework::DriverConfig driver_config(const BenchConfig& cfg,
                                       const std::string& partitioner,
                                       std::uint32_t nodes) {
-  framework::DriverConfig dc;
+  framework::DriverConfig dc = cfg.driver;
   dc.partitioner = partitioner;
   dc.num_nodes = nodes;
-  dc.seed = cfg.seed;
-  dc.end_time = cfg.end_time;
-  dc.event_cost_ns = cfg.event_cost_ns;
-  dc.send_overhead_ns = cfg.send_overhead_ns;
-  dc.latency_ns = cfg.latency_ns;
   dc.throttle.mode = throttle_modes(cfg).front();
-  dc.throttle.target_rollback_fraction = cfg.rollback_budget;
-  dc.optimism_window = cfg.optimism_window;
-  dc.max_batches_per_poll = cfg.max_batches_per_poll;
-  dc.coalesce = cfg.coalesce;
-  dc.gvt_interval_us = cfg.gvt_interval_us;
-  dc.lanes = cfg.lanes;
-  dc.model.stim_period = cfg.stim_period;
-  dc.model.clock_period = cfg.clock_period;
-  dc.model.clock_phase = cfg.clock_period / 2;
   // Drifting stimulus: the hot input cone shifts at half the horizon.
   // Applied here so the sequential reference sees the identical workload.
-  dc.model.stim_drift_at = cfg.drift ? cfg.end_time / 2 : 0;
-  dc.max_live_entries_per_node = cfg.max_live_entries_per_node;
+  dc.model.stim_drift_at = cfg.drift ? dc.end_time / 2 : 0;
   dc.obs.trace = !cfg.trace_path.empty();
   dc.obs.metrics_interval_us = cfg.metrics_interval_ms * 1000;
   if (dc.obs.trace && dc.obs.metrics_interval_us == 0) {
@@ -285,7 +277,7 @@ AveragedRun run_parallel_averaged(const circuit::Circuit& c,
   apply_activity(base, activity_mode);
   for (std::uint32_t r = 0; r < cfg.repeats; ++r) {
     framework::DriverConfig dc = base;
-    dc.seed = cfg.seed + r;  // paper: repeated five times, averaged
+    dc.seed = base.seed + r;  // paper: repeated five times, averaged
     framework::DriverResult res = framework::run_parallel(c, dc);
     avg.wall_seconds += res.run.wall_seconds;
     avg.app_messages +=
@@ -358,7 +350,7 @@ double run_sequential_averaged(const circuit::Circuit& c,
   double total = 0.0;
   for (std::uint32_t r = 0; r < cfg.repeats; ++r) {
     framework::DriverConfig dc = driver_config(cfg, "Multilevel", 1);
-    dc.seed = cfg.seed + r;
+    dc.seed += r;
     total += framework::run_sequential(c, dc).wall_seconds;
   }
   return total / static_cast<double>(cfg.repeats);

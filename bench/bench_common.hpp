@@ -1,11 +1,11 @@
 #pragma once
 // Shared infrastructure for the paper-reproduction harnesses.
 //
-// Every table/figure binary uses the same calibrated "modeled NOW"
-// configuration (docs/ARCHITECTURE.md, "Modeled testbed and stand-ins")
-// and the same circuit construction, so the numbers across tables and
-// figures are mutually consistent, exactly as they were produced by one
-// testbed in the paper.
+// Every table/figure binary runs the one modeled testbed
+// (framework::kTestbed; docs/ARCHITECTURE.md, "Modeled testbed and
+// stand-ins") and the same circuit construction, so the numbers across
+// tables and figures are mutually consistent, exactly as they were
+// produced by one testbed in the paper.
 //
 // Common flags (all binaries):
 //   --scale S     shrink circuits to S × their published size (default 1.0;
@@ -28,21 +28,8 @@ namespace pls::bench {
 
 struct BenchConfig {
   double scale = 1.0;
-  warped::SimTime end_time = 1200;
   std::uint32_t repeats = 1;
-  std::uint64_t seed = 2000;
   std::string csv_dir = ".";
-
-  // Modeled-testbed calibration: event grain ≈ 2 µs (generated VHDL process
-  // execution), message overhead ≈ 1.5 µs, wire latency ≈ 25 µs — the
-  // fast-Ethernet regime where one cut signal costs ~a dozen event grains.
-  std::uint64_t event_cost_ns = 2000;
-  std::uint64_t send_overhead_ns = 1500;
-  std::uint64_t latency_ns = 25000;
-
-  /// Optimism window in virtual-time units (0 = unbounded Time Warp);
-  /// see KernelConfig::optimism_window.
-  std::uint64_t optimism_window = 0;
 
   /// Throttle mode spec from --throttle: "auto" (fixed when --window > 0,
   /// adaptive otherwise, preserving the historical --window semantics) or
@@ -58,34 +45,6 @@ struct BenchConfig {
   /// horizon (ModelOptions::stim_drift_at = end_time / 2), the workload
   /// any static partition ages under.
   bool drift = false;
-  /// Target rollback fraction for the adaptive controller.
-  double rollback_budget = 0.20;
-  /// LTSF batches per kernel main-loop iteration.
-  std::uint32_t max_batches_per_poll = 8;
-
-  /// Send coalescing (--coalesce, default on): per-destination batching of
-  /// inter-node messages (DriverConfig::coalesce).  Committed results are
-  /// bit-identical either way — the flag exists for before/after comm
-  /// benches, not correctness.
-  bool coalesce = true;
-
-  /// Wall-clock microseconds between GVT rounds.
-  std::uint64_t gvt_interval_us = 2000;
-
-  /// Gate-level model timing (see logicsim::ModelOptions).
-  warped::SimTime stim_period = 50;
-  warped::SimTime clock_period = 10;
-
-  /// Bit-parallel stimulus lanes (--lanes, 1-256): N Monte Carlo
-  /// scenarios per event through the word-wise logic LPs
-  /// (DriverConfig::lanes; 1 = one scenario).  Throughput columns then
-  /// report events/sec alongside committed lane transitions/sec, the work
-  /// metric that scales with N.
-  std::uint32_t lanes = 1;
-
-  /// Per-node live-entry cap (0 = unlimited); emulates the paper's 128 MB
-  /// workstations for the Table 2 out-of-memory cell.
-  std::size_t max_live_entries_per_node = 0;
 
   /// Observability (--trace / --metrics-interval): when trace_path is
   /// non-empty every measured parallel run records a kernel trace and the
@@ -95,6 +54,15 @@ struct BenchConfig {
   /// with tracing on defaults to 10 ms, 0 with tracing off disables obs.
   std::string trace_path;
   std::uint64_t metrics_interval_ms = 0;
+
+  /// What the other common flags set: --end, --seed, the testbed costs,
+  /// --window, --rollback-budget, --batch, --coalesce, --gvt-us,
+  /// --stim-period, --clock-period (with the clock phase at half the
+  /// period), --lanes (model.lanes; throughput columns then report
+  /// committed lane transitions/sec next to events/sec), and a bench's
+  /// --oom-limit (the per-node live-entry cap that emulates the paper's
+  /// 128 MB workstations).  driver_config() starts every run from it.
+  framework::DriverConfig driver;
 };
 
 /// Register the common flags on a Cli.
@@ -109,7 +77,8 @@ BenchConfig config_from_cli(
     const std::function<void(BenchConfig&)>& extra = nullptr);
 
 /// Resolve cfg.throttle into concrete kernel modes ("auto" expands using
-/// cfg.optimism_window; a comma-separated list expands in order, deduped).
+/// cfg.driver.optimism_window; a comma-separated list expands in order,
+/// deduped).
 std::vector<warped::ThrottleMode> throttle_modes(const BenchConfig& cfg);
 
 /// Resolve cfg.activity into concrete driver modes ("off" / "profile"),
@@ -148,7 +117,8 @@ circuit::Circuit make_benchmark(const std::string& name,
 /// (the native hypergraph partitioner) for head-to-head comparison.
 const std::vector<std::string>& strategies();
 
-/// Driver config preset for one parallel run.  Resolves a multi-mode
+/// Driver config for one parallel run: cfg.driver with the strategy, the
+/// node count, the drift horizon and obs set.  Resolves a multi-mode
 /// --throttle list to its FIRST mode and leaves --activity off; sweeping
 /// benches override both per SweepCell (via run_parallel_averaged /
 /// apply_activity), and ablation-style benches that cannot honor

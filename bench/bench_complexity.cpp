@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     spec.num_inputs = std::max<std::size_t>(8, gates / 80);
     spec.num_outputs = std::max<std::size_t>(4, gates / 120);
     spec.num_dffs = gates / 16;
-    spec.seed = cfg.seed;
+    spec.seed = cfg.driver.seed;
     const circuit::Circuit c = circuit::generate(spec);
 
     // Median-of-3 timing.
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     partition::MultilevelTrace trace;
     for (int rep = 0; rep < 3; ++rep) {
       util::WallTimer t;
-      ml.run_traced(c, k, cfg.seed + rep, &trace);
+      ml.run_traced(c, k, cfg.driver.seed + rep, &trace);
       best_ms = std::min(best_ms, t.elapsed_seconds() * 1e3);
     }
     const double ns_per_edge =
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   for (std::uint32_t kk : {2u, 4u, 8u, 16u, 32u, 64u}) {
     util::WallTimer t;
     partition::MultilevelTrace trace;
-    ml.run_traced(c9234, kk, cfg.seed, &trace);
+    ml.run_traced(c9234, kk, cfg.driver.seed, &trace);
     ktable.add_row({std::to_string(kk),
                     util::AsciiTable::num(t.elapsed_seconds() * 1e3),
                     std::to_string(trace.final_quality)});

@@ -320,11 +320,12 @@ BENCHMARK(BM_KernelScalarEventThroughput)->Unit(benchmark::kMillisecond);
 /// The kernel alone on pipebench's scalar-ml-k2 model: the s15850 stand-in
 /// (generator seed 2000), graph Multilevel onto 2 parts (partitioner seed
 /// 2000), one lane with stimulus seed 4242, horizon 6000, and the
-/// host-native KernelConfig a default DriverConfig gives once the modeled
-/// event, send and latency costs are 0.  Arg = node count: at 1 node every
-/// LP shares one node loop, at 2 nodes the partition's cut is real
-/// traffic.  Circuit, partition and model are built outside the timing;
-/// each iteration constructs and runs a fresh Kernel.
+/// host-native KernelConfig that framework::kernel_config gives a default
+/// DriverConfig with the modeled event, send and latency costs at 0.
+/// Arg = node count: at 1 node every LP shares one node loop, at 2 nodes
+/// the partition's cut is real traffic.  Circuit, partition and model are
+/// built outside the timing; each iteration constructs and runs a fresh
+/// Kernel.
 /// `per_event` is wall time per committed event, in seconds.
 void BM_KernelS15850(benchmark::State& state) {
   const auto nodes = static_cast<std::uint32_t>(state.range(0));
@@ -337,19 +338,13 @@ void BM_KernelS15850(benchmark::State& state) {
   const std::vector<std::uint32_t> node_of =
       nodes == 1 ? std::vector<std::uint32_t>(c.size(), 0) : p.assign;
 
-  const framework::DriverConfig d;
-  warped::KernelConfig kc;
-  kc.num_nodes = nodes;
-  kc.end_time = 6000;
-  kc.coalesce.enabled = d.coalesce;
-  kc.coalesce.max_batch_msgs = d.coalesce_max_batch;
-  kc.gvt_interval_us = d.gvt_interval_us;
-  kc.state_period = d.state_period;
-  kc.throttle = d.throttle;
-  kc.optimism_window = d.optimism_window;
-  kc.max_batches_per_poll = d.max_batches_per_poll;
-  kc.max_live_entries_per_node = d.max_live_entries_per_node;
-  kc.watchdog_timeout_ms = d.watchdog_timeout_ms;
+  framework::DriverConfig d;
+  d.num_nodes = nodes;
+  d.end_time = 6000;
+  d.event_cost_ns = 0;
+  d.send_overhead_ns = 0;
+  d.latency_ns = 0;
+  const warped::KernelConfig kc = framework::kernel_config(d);
 
   std::uint64_t events = 0;
   for (auto _ : state) {

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
   const bench::BenchConfig cfg =
       bench::config_from_cli(cli, [&](bench::BenchConfig& c) {
-        c.max_live_entries_per_node = static_cast<std::size_t>(
+        c.driver.max_live_entries_per_node = static_cast<std::size_t>(
             cli.get_u64("oom-limit", 0, std::uint64_t{1} << 40));
       });
 
@@ -69,10 +69,10 @@ int main(int argc, char** argv) {
                  std::to_string(nodes), cell.strategy,
                  warped::to_string(cell.throttle), cell.activity,
                  util::AsciiTable::num(avg.wall_seconds, 4),
-                 avg.out_of_memory ? "1" : "0", std::to_string(cfg.lanes),
+                 avg.out_of_memory ? "1" : "0", std::to_string(avg.last.lanes),
                  util::AsciiTable::num(ev_s, 1),
                  util::AsciiTable::num(tr_s, 1),
-                 util::AsciiTable::num(tr_s / cfg.lanes, 1)});
+                 util::AsciiTable::num(tr_s / avg.last.lanes, 1)});
         std::fflush(stdout);
       }
       table.add_row(row);

@@ -50,7 +50,7 @@ int main(int argc, char** argv) try {
   cfg.model.faults = logicsim::sample_faults(
       c, cli.get_u64("faults", 1, 255),
       cli.get_u64("fault-seed", 0, ~std::uint64_t{0} >> 1));
-  cfg.lanes =
+  cfg.model.lanes =
       static_cast<std::uint32_t>(cfg.model.faults.size()) + 1;
 
   std::printf(
@@ -71,7 +71,7 @@ int main(int argc, char** argv) try {
   }
 
   const auto detected = logicsim::detected_faults(
-      c, cfg.model.faults, par.run.final_states, cfg.lanes);
+      c, cfg.model.faults, par.run.final_states, cfg.model.lanes);
   util::AsciiTable table({"Fault", "Gate", "Stuck at", "Detected"});
   std::size_t covered = 0;
   for (std::size_t i = 0; i < cfg.model.faults.size(); ++i) {

@@ -47,7 +47,7 @@ int main(int argc, char** argv) try {
       static_cast<std::uint32_t>(cli.get_u64("nodes", 1, c.size()));
   cfg.end_time = cli.get_u64("end", 1, std::uint64_t{1} << 60);
   cfg.seed = spec.seed;
-  cfg.lanes = lanes;
+  cfg.model.lanes = lanes;
   cfg.model.stim_period = 50;
 
   std::printf("%s (x%.2f, %zu gates): %u scenarios per run on %u nodes\n\n",
@@ -72,7 +72,7 @@ int main(int argc, char** argv) try {
   unsigned lanes_checked = 0;
   for (unsigned lane : std::set<unsigned>{0u, lanes / 2, lanes - 1}) {
     framework::DriverConfig scalar = cfg;
-    scalar.lanes = 1;
+    scalar.model.lanes = 1;
     scalar.seed = logicsim::lane_seed(cfg.seed, lane);
     const auto ref = framework::run_sequential(c, scalar);
     scalar_seconds += ref.wall_seconds;

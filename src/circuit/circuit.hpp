@@ -51,7 +51,6 @@ class Circuit {
   // ----- queries (any time; fanout queries require freeze) -----
 
   const std::string& name() const noexcept { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
   bool frozen() const noexcept { return frozen_; }
 
   std::size_t size() const noexcept { return types_.size(); }

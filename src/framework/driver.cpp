@@ -11,6 +11,13 @@
 namespace pls::framework {
 namespace {
 
+/// cfg.model with the run's stimulus seed.
+logicsim::ModelOptions model_options(const DriverConfig& cfg) {
+  logicsim::ModelOptions mo = cfg.model;
+  mo.stim_seed = cfg.seed;
+  return mo;
+}
+
 DriverResult partition_circuit(const circuit::Circuit& c,
                                const DriverConfig& cfg) {
   DriverResult res;
@@ -26,11 +33,9 @@ DriverResult partition_circuit(const circuit::Circuit& c,
             << cfg.partitioner << "'");
     util::WallTimer atimer;
     // Profile the exact stimulus the measured run will see.
-    logicsim::ModelOptions mo = cfg.model;
-    mo.stim_seed = cfg.seed;
-    mo.lanes = cfg.lanes;
     const logicsim::ActivityProfile profile = logicsim::profile_activity(
-        c, mo, cfg.end_time / DriverConfig::kActivityHorizonDivisor);
+        c, model_options(cfg),
+        cfg.end_time / DriverConfig::kActivityHorizonDivisor);
     weights = multilevel::weights_from_activity(profile.work, profile.traffic);
     ml.weights = &weights;
     res.activity_seconds = atimer.elapsed_seconds();
@@ -63,16 +68,7 @@ DriverResult partition_only(const circuit::Circuit& c,
   return partition_circuit(c, cfg);
 }
 
-DriverResult run_parallel(const circuit::Circuit& c, const DriverConfig& cfg) {
-  PLS_CHECK(c.frozen());
-  DriverResult res = partition_circuit(c, cfg);
-
-  logicsim::ModelOptions model_opt = cfg.model;
-  model_opt.stim_seed = cfg.seed;
-  model_opt.lanes = cfg.lanes;
-  res.lanes = cfg.lanes;
-  logicsim::SimModel model = logicsim::build_model(c, model_opt);
-
+warped::KernelConfig kernel_config(const DriverConfig& cfg) {
   warped::KernelConfig kc;
   kc.num_nodes = cfg.num_nodes;
   kc.end_time = cfg.end_time;
@@ -88,7 +84,16 @@ DriverResult run_parallel(const circuit::Circuit& c, const DriverConfig& cfg) {
   kc.max_batches_per_poll = cfg.max_batches_per_poll;
   kc.max_live_entries_per_node = cfg.max_live_entries_per_node;
   kc.watchdog_timeout_ms = cfg.watchdog_timeout_ms;
+  return kc;
+}
 
+DriverResult run_parallel(const circuit::Circuit& c, const DriverConfig& cfg) {
+  PLS_CHECK(c.frozen());
+  DriverResult res = partition_circuit(c, cfg);
+  res.lanes = cfg.model.lanes;
+  logicsim::SimModel model = logicsim::build_model(c, model_options(cfg));
+
+  warped::KernelConfig kc = kernel_config(cfg);
   std::shared_ptr<obs::ObsSession> obs;
   if (cfg.obs.enabled()) {
     obs = std::make_shared<obs::ObsSession>(cfg.num_nodes, cfg.obs);
@@ -108,10 +113,7 @@ DriverResult run_parallel(const circuit::Circuit& c, const DriverConfig& cfg) {
 logicsim::SeqStats run_sequential(const circuit::Circuit& c,
                                   const DriverConfig& cfg) {
   PLS_CHECK(c.frozen());
-  logicsim::ModelOptions model_opt = cfg.model;
-  model_opt.stim_seed = cfg.seed;
-  model_opt.lanes = cfg.lanes;
-  logicsim::SimModel model = logicsim::build_model(c, model_opt);
+  logicsim::SimModel model = logicsim::build_model(c, model_options(cfg));
   return logicsim::simulate_sequential(model.behaviours(), cfg.end_time,
                                        cfg.event_cost_ns);
 }

@@ -2,12 +2,7 @@
 // SimulationDriver: the end-to-end pipeline of the paper's framework
 // (Figure 3): circuit → runtime elaboration into LPs → runtime partitioning
 // (strategy chosen by name) → parallel Time Warp simulation → statistics.
-//
-// The driver is what every example and benchmark harness calls; its
-// defaults encode the modeled-testbed calibration (docs/ARCHITECTURE.md,
-// "Modeled testbed and stand-ins"): event grain ≈ 1.5 µs, message send
-// overhead ≈ 3 µs, network latency ≈ 50 µs — the paper's fast-Ethernet
-// NOW regime where communication is ~30× an event grain.
+// Every example and benchmark harness calls it.
 
 #include <cstdint>
 #include <memory>
@@ -24,33 +19,35 @@
 
 namespace pls::framework {
 
+/// The modeled testbed, defined once (docs/ARCHITECTURE.md, "Modeled
+/// testbed and stand-ins"): DriverConfig's defaults and the bench flags'
+/// defaults read it.  2 µs per event batch (a generated VHDL process),
+/// 1.5 µs per inter-node send and 25 µs of wire latency: the paper's
+/// fast-Ethernet regime, where a cut signal costs about a dozen event
+/// grains.  All three at 0 give host-native runs.
+struct Testbed {
+  std::uint64_t event_cost_ns, send_overhead_ns, latency_ns;
+};
+inline constexpr Testbed kTestbed{2000, 1500, 25000};
+
 struct DriverConfig {
   std::uint32_t num_nodes = 2;
   std::string partitioner = "Multilevel";
-  std::uint64_t seed = 2000;          ///< partitioning / stimulus seed
+  /// Partition and stimulus seed (overwrites model.stim_seed).
+  std::uint64_t seed = 2000;
   warped::SimTime end_time = 2000;    ///< virtual-time horizon
 
-  /// Bit-parallel stimulus lanes in [1, 256] (authoritative; copied over
-  /// model.lanes).  Every count runs the same word-wise LPs; counts above
-  /// 64 span multiple value words per signal (logicsim::lane_words),
-  /// carried through the arena-pooled event/state extensions.  Lane j of a
-  /// run is bit-identical to a one-lane run with seed lane_seed(seed, j) —
-  /// see logicsim/lanes.hpp; fault-simulation runs set model.faults and
-  /// model.uniform_stimulus on top.
-  std::uint32_t lanes = 1;
-
+  /// model.lanes (1-256): lane j is bit-identical to a one-lane run with
+  /// seed lane_seed(seed, j) (logicsim/lanes.hpp).
   logicsim::ModelOptions model;
 
-  // Modeled testbed (see header comment).
-  std::uint64_t event_cost_ns = 1500;
-  std::uint64_t send_overhead_ns = 3000;
-  std::uint64_t latency_ns = 50000;
+  std::uint64_t event_cost_ns = kTestbed.event_cost_ns;
+  std::uint64_t send_overhead_ns = kTestbed.send_overhead_ns;
+  std::uint64_t latency_ns = kTestbed.latency_ns;
 
   /// Send coalescing (warped/channel.hpp): per-destination batching of
-  /// inter-node messages on the LTSF-burst path, flushed as one Batch
-  /// per destination.  On by default; committed results are bit-identical
-  /// either way (off routes each message as a one-message batch), so the
-  /// knob exists for A/B runs, not correctness.
+  /// inter-node messages, flushed as one Batch per destination.  Off sends
+  /// one-message batches; committed results are identical either way.
   bool coalesce = true;
   /// Size bound per destination buffer (messages) before a forced flush.
   std::uint32_t coalesce_max_batch = 64;
@@ -113,7 +110,7 @@ struct DriverResult {
   /// DriverResult copyable; hand it to the obs:: exporters.
   std::shared_ptr<obs::ObsSession> obs;
 
-  /// Stimulus lanes the run was batched over (DriverConfig::lanes).
+  /// Stimulus lanes the run was batched over (DriverConfig::model.lanes).
   std::uint32_t lanes = 1;
 
   warped::RunStats run;
@@ -127,6 +124,11 @@ struct DriverResult {
     return logicsim::extract_lane_states(c, run.final_states, lane, lanes);
   }
 };
+
+/// The kernel configuration run_parallel simulates `cfg` with, before it
+/// attaches the observability session: the one DriverConfig →
+/// warped::KernelConfig translation.
+warped::KernelConfig kernel_config(const DriverConfig& cfg);
 
 /// Partition `c` with the configured strategy and simulate it in parallel.
 DriverResult run_parallel(const circuit::Circuit& c, const DriverConfig& cfg);

@@ -129,8 +129,6 @@ PoolStats Pool::snapshot() const noexcept {
   return s;
 }
 
-Pool* current_pool() noexcept { return tls_pool; }
-
 PoolScope::PoolScope(Pool* p) noexcept : prev_(tls_pool) { tls_pool = p; }
 PoolScope::~PoolScope() { tls_pool = prev_; }
 

@@ -139,9 +139,6 @@ class Pool {
   std::atomic<std::uint64_t> remote_splices_{0};
 };
 
-/// The calling thread's current pool (null if none installed).
-Pool* current_pool() noexcept;
-
 /// RAII install of a pool as the calling thread's allocation target.
 /// Nests; restores the previous pool on destruction.
 class PoolScope {

@@ -1,19 +1,20 @@
 // Pairwise Kernighan–Lin swap refinement (baseline; paper ref [13]).
 //
-// Classic KL operates on a bisection; for k-way partitions we run KL passes
-// over every pair of parts that currently share cut edges.  Within a pair
-// (A,B) the algorithm repeatedly selects the swap (x∈A, y∈B) with maximal
-// gain D[x] + D[y] − 2·w(x,y), tentatively applies it, locks both vertices,
-// and at the end of the pass commits only the prefix of swaps with the best
-// cumulative gain (which may be the empty prefix).  Candidate selection
-// reads a bounded window from the top of each side's max-heap of D (ties by
-// ascending vertex id), so a swap costs O(window · log n) plus the D updates
-// around the two swapped vertices, and a pass O(|E| + swaps · window ·
-// log n).
+// Classic KL operates on a bisection; for k-way partitions each iteration
+// runs a KL pass on every pair of parts, whether or not the pair shares a
+// cut edge (ROADMAP item 8: skipping those passes made KL no faster).
+// Within a pair (A,B) the algorithm repeatedly selects the swap (x∈A, y∈B)
+// with maximal gain D[x] + D[y] − 2·w(x,y), tentatively applies it, locks
+// both vertices, and at the end of the pass commits only the prefix of
+// swaps with the best cumulative gain (which may be the empty prefix).
+// Candidate selection reads a bounded window from the top of each side's
+// max-heap of D (ties by ascending vertex id), so a swap costs
+// O(window · log n) plus the D updates around the two swapped vertices,
+// and a pass O(|E| + swaps · window · log n).
 //
-// KL exists here as a measured baseline: the paper (and [12]) report that
-// greedy refinement achieves lower cut in far less time — the
-// bench_refinement_ablation harness reproduces that comparison.
+// KL is a measured baseline: the paper (citing [12]) says greedy refinement
+// cuts less in far less time; bench_refinement_ablation finds greedy faster
+// but its k=8 cut 24–57% above KL's on the full-size stand-ins (item 8).
 
 #include <algorithm>
 #include <numeric>

@@ -56,7 +56,7 @@ logicsim::SeqStats scalar_reference(const circuit::Circuit& c,
                                     const framework::DriverConfig& batched,
                                     unsigned lane) {
   framework::DriverConfig scalar = batched;
-  scalar.lanes = 1;
+  scalar.model.lanes = 1;
   scalar.model.faults.clear();
   scalar.model.uniform_stimulus = false;
   scalar.seed = logicsim::lane_seed(batched.seed, lane);
@@ -73,7 +73,7 @@ std::uint64_t expect_lanes_equal(
   for (unsigned lane : lanes_to_check) {
     const auto ref = scalar_reference(c, cfg, lane);
     const auto rep = logicsim::check_lane_equivalence(
-        c, batched_finals, lane, cfg.lanes, ref.final_states);
+        c, batched_finals, lane, cfg.model.lanes, ref.final_states);
     EXPECT_TRUE(rep.ok()) << what << ": lane " << lane << " diverged from "
                           << "scalar seed "
                           << logicsim::lane_seed(cfg.seed, lane) << ": "
@@ -89,7 +89,7 @@ std::uint64_t expect_lanes_equal(
 std::uint64_t expect_all_lanes_equal(
     const circuit::Circuit& c, const framework::DriverConfig& cfg,
     const std::vector<warped::LpState>& batched_finals, const char* what) {
-  std::vector<unsigned> all(cfg.lanes);
+  std::vector<unsigned> all(cfg.model.lanes);
   std::iota(all.begin(), all.end(), 0u);
   return expect_lanes_equal(c, cfg, batched_finals, what, all);
 }
@@ -126,7 +126,7 @@ TEST_P(BatchEquivalenceSweep, EveryLaneMatchesItsScalarRun) {
   const circuit::Circuit c = random_circuit(cseed);
 
   framework::DriverConfig cfg = fast_config();
-  cfg.lanes = lanes;
+  cfg.model.lanes = lanes;
   cfg.partitioner = partitioner;
   cfg.num_nodes = nodes;
   cfg.state_period = period;
@@ -183,7 +183,7 @@ TEST(BatchEquivalenceExtras, RollbackStormPreservesEveryLane) {
   // whole-word anti-messages and re-executed en masse.
   const circuit::Circuit c = random_circuit(404);
   framework::DriverConfig cfg = fast_config();
-  cfg.lanes = 64;
+  cfg.model.lanes = 64;
   cfg.partitioner = "Random";
   cfg.num_nodes = 4;
   cfg.latency_ns = 50000;
@@ -204,7 +204,7 @@ TEST(BatchEquivalenceExtras, RollbackStormPreserves128WideLanes) {
   // snapshots exactly, in every word.
   const circuit::Circuit c = random_circuit(404);
   framework::DriverConfig cfg = fast_config();
-  cfg.lanes = 128;
+  cfg.model.lanes = 128;
   cfg.partitioner = "Random";
   cfg.num_nodes = 4;
   cfg.latency_ns = 50000;
@@ -216,13 +216,13 @@ TEST(BatchEquivalenceExtras, RollbackStormPreserves128WideLanes) {
   ASSERT_TRUE(logicsim::check_equivalence(par.run, seq).ok());
   EXPECT_GT(par.run.totals.total_rollbacks(), 0u);
   expect_lanes_equal(c, cfg, par.run.final_states, "storm128",
-                     boundary_lanes(cfg.lanes));
+                     boundary_lanes(cfg.model.lanes));
 }
 
 TEST(BatchEquivalenceExtras, FaultSimulationKeepsLane0FaultFree) {
   const circuit::Circuit c = random_circuit(606);
   framework::DriverConfig cfg = fast_config();
-  cfg.lanes = 64;
+  cfg.model.lanes = 64;
   cfg.partitioner = "Multilevel";
   cfg.num_nodes = 2;
   cfg.model.uniform_stimulus = true;
@@ -237,7 +237,8 @@ TEST(BatchEquivalenceExtras, FaultSimulationKeepsLane0FaultFree) {
   // with the base seed even with 63 faulty lanes alongside.
   const auto ref = scalar_reference(c, cfg, 0);
   EXPECT_TRUE(logicsim::check_lane_equivalence(c, par.run.final_states, 0,
-                                               cfg.lanes, ref.final_states)
+                                               cfg.model.lanes,
+                                               ref.final_states)
                   .ok());
 
   // Detection readout agrees across backends and finds at least one
@@ -245,9 +246,10 @@ TEST(BatchEquivalenceExtras, FaultSimulationKeepsLane0FaultFree) {
   // stimulus; total silence would mean the accumulators are broken).
   const auto det_par = logicsim::detected_faults(c, cfg.model.faults,
                                                  par.run.final_states,
-                                                 cfg.lanes);
+                                                 cfg.model.lanes);
   const auto det_seq = logicsim::detected_faults(c, cfg.model.faults,
-                                                 seq.final_states, cfg.lanes);
+                                                 seq.final_states,
+                                                 cfg.model.lanes);
   EXPECT_EQ(det_par, det_seq);
   EXPECT_NE(std::count(det_par.begin(), det_par.end(), true), 0);
 }
@@ -258,7 +260,7 @@ TEST(BatchEquivalenceExtras, WideFaultSimulationDetectsAcrossWords) {
   // legacy single-word slots.
   const circuit::Circuit c = random_circuit(606);
   framework::DriverConfig cfg = fast_config();
-  cfg.lanes = 128;
+  cfg.model.lanes = 128;
   cfg.partitioner = "Multilevel";
   cfg.num_nodes = 2;
   cfg.model.uniform_stimulus = true;
@@ -271,14 +273,16 @@ TEST(BatchEquivalenceExtras, WideFaultSimulationDetectsAcrossWords) {
 
   const auto ref = scalar_reference(c, cfg, 0);
   EXPECT_TRUE(logicsim::check_lane_equivalence(c, par.run.final_states, 0,
-                                               cfg.lanes, ref.final_states)
+                                               cfg.model.lanes,
+                                               ref.final_states)
                   .ok());
 
   const auto det_par = logicsim::detected_faults(c, cfg.model.faults,
                                                  par.run.final_states,
-                                                 cfg.lanes);
+                                                 cfg.model.lanes);
   const auto det_seq = logicsim::detected_faults(c, cfg.model.faults,
-                                                 seq.final_states, cfg.lanes);
+                                                 seq.final_states,
+                                                 cfg.model.lanes);
   EXPECT_EQ(det_par, det_seq);
   EXPECT_NE(std::count(det_par.begin(), det_par.end(), true), 0);
   // The first 63 faults are the same sites as the 64-lane test; the upper
@@ -293,15 +297,14 @@ TEST(BatchEquivalenceExtras, SingleLaneBatchedRunMatchesScalarEngine) {
   // Lane 0 of a two-lane run is the one-lane run, state for state.
   const circuit::Circuit c = random_circuit(707);
   framework::DriverConfig cfg = fast_config();
-  cfg.lanes = 1;
+  cfg.model.lanes = 1;
   const auto seq1 = framework::run_sequential(c, cfg);
 
   framework::DriverConfig wide = cfg;
-  wide.lanes = 2;
+  wide.model.lanes = 2;
   const auto seq2 = framework::run_sequential(c, wide);
-  const auto rep =
-      logicsim::check_lane_equivalence(c, seq2.final_states, 0, wide.lanes,
-                                       seq1.final_states);
+  const auto rep = logicsim::check_lane_equivalence(
+      c, seq2.final_states, 0, wide.model.lanes, seq1.final_states);
   EXPECT_TRUE(rep.ok()) << rep.describe();
 }
 
@@ -310,7 +313,7 @@ TEST(BatchEquivalenceExtras, OneLaneProjectionIsTheIdentity) {
   // check_lane_equivalence serve every lane count.
   const circuit::Circuit c = random_circuit(708);
   framework::DriverConfig cfg = fast_config();
-  cfg.lanes = 1;
+  cfg.model.lanes = 1;
   const auto par = framework::run_parallel(c, cfg);
   const auto seq = framework::run_sequential(c, cfg);
   EXPECT_EQ(par.lane_states(c, 0), par.run.final_states);

@@ -5,7 +5,7 @@
 #
 #   cmake -DBENCH=path/to/bench_table1_characteristics \
 #         -DCOMPLEXITY=path/to/bench_complexity \
-#         -DFIG6=path/to/bench_fig6_rollbacks \
+#         -DFIGS=path/to/bench_fig456 \
 #         -DMISSING_DIR=path/that/does/not/exist -P bench_flag_error.cmake
 
 function(expect_flag_error bench want)
@@ -30,5 +30,5 @@ expect_flag_error(${BENCH} "--csv must name an existing directory"
                   --csv "${MISSING_DIR}")
 expect_flag_error(${BENCH} "--scale must be in" --scale 5)
 expect_flag_error(${COMPLEXITY} "--k must be in \\[1, 1024\\], got 0" --k 0)
-expect_flag_error(${FIG6} "--max-nodes must be in \\[2, 64\\], got 1"
-                  --max-nodes 1)
+expect_flag_error(${FIGS} "--max-nodes must be in \\[1, 64\\], got 0"
+                  --max-nodes 0)

@@ -2,9 +2,11 @@
 """Convert a bench-harness CSV into a BENCH_*.json trajectory file.
 
 The repo keeps machine-readable snapshots of the paper-reproduction
-benches (BENCH_fig4.json / BENCH_fig6.json / BENCH_table2.json) so the
-result trajectory is diffable across PRs; CI regenerates them from the
-smoke run at a fixed --scale and uploads them as workflow artifacts.
+benches so the result trajectory is diffable: BENCH_fig4.json,
+BENCH_fig5.json and BENCH_fig6.json from the CSVs of bench_fig456 (one
+sweep writes all three figures' CSVs), and BENCH_table2.json from
+bench_table2_simulation_time.  CI regenerates them from smoke runs at a
+fixed --scale and uploads them as workflow artifacts.
 
 Usage:
     bench_json.py <in.csv> <out.json> [key=value ...]
