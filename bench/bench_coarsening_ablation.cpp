@@ -10,8 +10,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "logicsim/activity.hpp"
-#include "multilevel/weights.hpp"
 #include "partition/metrics.hpp"
 #include "partition/multilevel_partitioner.hpp"
 #include "util/csv.hpp"
@@ -35,14 +33,6 @@ int main(int argc, char** argv) {
 
   const circuit::Circuit c = bench::make_benchmark(name, cfg);
 
-  // Shared activity profile from a sequential pre-simulation, mapped to
-  // the work/traffic weights both multilevel pipelines consume.
-  framework::DriverConfig base = bench::driver_config(cfg, "Multilevel", k);
-  const logicsim::ActivityProfile activity =
-      logicsim::profile_activity(c, base.model, base.end_time / 4);
-  const multilevel::VertexTrafficWeights weights =
-      multilevel::weights_from_activity(activity.work, activity.traffic);
-
   struct Variant {
     const char* label;
     partition::CoarsenScheme scheme;
@@ -64,7 +54,8 @@ int main(int argc, char** argv) {
   for (const Variant& v : variants) {
     framework::DriverConfig dc = bench::driver_config(cfg, "Multilevel", k);
     dc.multilevel.scheme = v.scheme;
-    if (v.use_activity) dc.multilevel.weights = &weights;
+    // The driver profiles the run's own stimulus and weights the graph.
+    dc.use_activity = v.use_activity;
     const framework::DriverResult res = framework::run_parallel(c, dc);
     table.add_row({v.label, std::to_string(res.edge_cut),
                    util::AsciiTable::num(res.imbalance, 3),

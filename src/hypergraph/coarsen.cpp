@@ -161,7 +161,7 @@ HgHierarchy coarsen(const circuit::Circuit& c, const HgCoarsenOptions& opt) {
     if (count == cur->num_vertices()) break;  // no merges happened; stuck
 
     HgCoarseLevel level;
-    level.hg = contract(*cur, globule, count);
+    level.graph = contract(*cur, globule, count);
     level.contains_input.assign(count, 0);
     std::vector<std::uint32_t> members(count, 0);
     for (VertexId v = 0; v < cur->num_vertices(); ++v) {
@@ -174,45 +174,10 @@ HgHierarchy coarsen(const circuit::Circuit& c, const HgCoarsenOptions& opt) {
     level.parent_map = std::move(globule);
     h.levels.push_back(std::move(level));
 
-    cur = &h.levels.back().hg;
+    cur = &h.levels.back().graph;
     cur_inputs = &h.levels.back().contains_input;
   }
   return h;
-}
-
-void check_hg_hierarchy_invariants(const HgHierarchy& h) {
-  const Hypergraph* fine = &h.base;
-  const std::vector<std::uint8_t>* fine_inputs = &h.base_contains_input;
-  for (std::size_t li = 0; li < h.levels.size(); ++li) {
-    const HgCoarseLevel& lvl = h.levels[li];
-    PLS_CHECK_MSG(lvl.parent_map.size() == fine->num_vertices(),
-                  "level " << li << " parent map incomplete");
-    std::vector<std::uint64_t> wsum(lvl.hg.num_vertices(), 0);
-    std::vector<std::uint32_t> input_members(lvl.hg.num_vertices(), 0);
-    for (VertexId v = 0; v < fine->num_vertices(); ++v) {
-      const std::uint32_t p = lvl.parent_map[v];
-      PLS_CHECK_MSG(p < lvl.hg.num_vertices(),
-                    "level " << li << " parent out of range");
-      wsum[p] += fine->vertex_weight(v);
-      input_members[p] += (*fine_inputs)[v] ? 1 : 0;
-    }
-    for (VertexId g = 0; g < lvl.hg.num_vertices(); ++g) {
-      PLS_CHECK_MSG(wsum[g] == lvl.hg.vertex_weight(g),
-                    "level " << li << " globule " << g
-                             << " weight mismatch: members sum to " << wsum[g]
-                             << ", hypergraph says "
-                             << lvl.hg.vertex_weight(g));
-      PLS_CHECK_MSG(wsum[g] > 0, "level " << li << " empty globule " << g);
-      PLS_CHECK_MSG(input_members[g] <= 1,
-                    "level " << li << " globule " << g << " combines "
-                             << input_members[g] << " primary inputs");
-      PLS_CHECK_MSG((lvl.contains_input[g] != 0) == (input_members[g] == 1),
-                    "level " << li << " globule " << g
-                             << " contains_input flag inconsistent");
-    }
-    fine = &lvl.hg;
-    fine_inputs = &lvl.contains_input;
-  }
 }
 
 }  // namespace pls::hypergraph

@@ -51,7 +51,7 @@ struct HgCoarsenOptions {
 
 /// One coarse level derived from the level above it.
 struct HgCoarseLevel {
-  Hypergraph hg;
+  Hypergraph graph;
   std::vector<std::uint32_t> parent_map;  ///< finer vertex -> this level's
   std::vector<std::uint8_t> contains_input;
   std::size_t merged_globules = 0;  ///< globules formed by >=2 members
@@ -64,7 +64,7 @@ struct HgHierarchy {
   std::vector<HgCoarseLevel> levels;
 
   const Hypergraph& coarsest() const {
-    return levels.empty() ? base : levels.back().hg;
+    return levels.empty() ? base : levels.back().graph;
   }
   const std::vector<std::uint8_t>& coarsest_contains_input() const {
     return levels.empty() ? base_contains_input
@@ -74,10 +74,5 @@ struct HgHierarchy {
 
 /// Build the hierarchy for a frozen circuit (base = from_circuit).
 HgHierarchy coarsen(const circuit::Circuit& c, const HgCoarsenOptions& opt);
-
-/// Structural invariants (mirrors partition::check_hierarchy_invariants):
-/// parent maps are total and in range, coarse vertex weights are member
-/// sums, no globule holds two primary inputs.  Throws util::CheckError.
-void check_hg_hierarchy_invariants(const HgHierarchy& h);
 
 }  // namespace pls::hypergraph

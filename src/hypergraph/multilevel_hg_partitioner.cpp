@@ -19,8 +19,6 @@ struct HgPolicy {
   const MultilevelHGOptions& opt;
   util::SplitMix64& seeder;
 
-  const Hypergraph& graph(const HgCoarseLevel& lvl) const { return lvl.hg; }
-  std::size_t size(const Hypergraph& hg) const { return hg.num_vertices(); }
   partition::Partition initial(
       const Hypergraph& hg, const std::vector<std::uint8_t>& contains_input) {
     HgInitialOptions iopt;

@@ -27,15 +27,15 @@ std::vector<StuckAtFault> sample_faults(const circuit::Circuit& c,
   return out;
 }
 
-// The state layouts (netlist_lps.hpp), K = lane_words(lanes):
-//   BatchGateLp  w[wd*arity + p] = fanin p, word wd;  b = out word 0,
-//                w[arity*K + wd-1] = out words 1..K-1;  a = divergence
-//                word 0, w[arity*K + K-1 + wd-1] = words 1..K-1 (observe).
-//   BatchDffLp   a/b = D/Q word 0; w[0..K) = armed; w[K + wd-1] = D words
-//                1..K-1; w[2K-1 + wd-1] = Q words 1..K-1;
-//                w[3K-2 + wd] = divergence words 0..K-1 (observe).
-//   BatchInputLp b = stimulus word 0; w[wd-1] = words 1..K-1; a =
-//                divergence word 0, w[K-1 + wd-1] = words 1..K-1 (observe).
+// The state layouts (NetlistLp, netlist_lps.hpp), K = lane_words(lanes):
+//   gate       w[wd*arity + p] = fanin p, word wd;  b = out word 0,
+//              w[arity*K + wd-1] = out words 1..K-1;  a = divergence
+//              word 0, w[arity*K + K-1 + wd-1] = words 1..K-1 (observe).
+//   flip-flop  a/b = D/Q word 0; w[0..K) = armed; w[K + wd-1] = D words
+//              1..K-1; w[2K-1 + wd-1] = Q words 1..K-1;
+//              w[3K-2 + wd] = divergence words 0..K-1 (observe).
+//   input      b = stimulus word 0; w[wd-1] = words 1..K-1; a =
+//              divergence word 0, w[K-1 + wd-1] = words 1..K-1 (observe).
 // K = 1 collapses every extension to the single-word layout, and one lane
 // also drops the gate's fanin words (packed into a) and the DFF's armed
 // word: one-lane states are the projected layout itself.

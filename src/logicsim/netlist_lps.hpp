@@ -1,21 +1,28 @@
 #pragma once
 // Gate-level logical processes: the TYVIS role of the reproduction.
 //
-// Every gate of the circuit becomes exactly one Time Warp LP whose id
-// equals its GateId, so a Partition maps 1:1 onto the kernel's LP→node
-// map.  Three behaviours exist, each evaluating up to kMaxLanes
-// bit-parallel stimulus lanes at once (one value bit per lane; lanes.hpp):
+// build_model elaborates a frozen circuit once into a read-only FlatModel:
+// one LpRecord per gate, the CSR fanout ports, the stuck-at words of
+// faulted gates, and the lane count and timing every LP shares.  Every gate
+// then becomes exactly one Time Warp LP, a NetlistLp {model, id} whose id
+// equals its GateId, so a Partition maps 1:1 onto the kernel's LP→node map.
+// A NetlistLp holds no parameters of its own: it reads its record and
+// dispatches on its kind, each kind evaluating up to kMaxLanes bit-parallel
+// stimulus lanes at once (one value bit per lane; lanes.hpp):
 //
-//   * BatchGateLp  — combinational gates: input events update the fanin
-//     lanes; when the evaluated output changes on any lane, a transition
-//     is sent to every fanout port after the gate delay.
-//   * BatchDffLp   — D flip-flops, self-clocked with a configurable period
+//   * gate      — combinational: input events update the fanin lanes; when
+//     the evaluated output changes on any lane, a transition is sent to
+//     every fanout port after the gate delay.
+//   * flip-flop — D flip-flop, self-clocked with a configurable period
 //     (src/logicsim/README.md, "Clock suppression"): a tick samples D and
 //     emits Q on change.
-//   * BatchInputLp — primary inputs: self-scheduled stimulus that applies a
-//     new random vector every `stim_period`.  Vector values are a
+//   * input     — primary input: self-scheduled stimulus that applies a new
+//     random vector every `stim_period`.  Vector values are a
 //     counter-based hash of (seed, input, vector index), which makes the
 //     stimulus history-independent — a rollback replays identical values.
+//
+// The sequential reference (sequential.hpp) steps the same FlatModel with
+// an engine of its own: the model is the one elaboration both read.
 //
 // Determinism: execute() is a pure function of (state, batch content).
 // Batches apply data-port events before tick events, so a D arriving on
@@ -23,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -77,10 +85,150 @@ struct FanoutPort {
   std::uint32_t port;
 };
 
-/// The elaborated simulation model: one behaviour per gate, index = GateId.
+enum class LpKind : std::uint8_t { kGate, kDff, kInput };
+
+/// LpRecord::stuck of an LP without stuck-at words.
+inline constexpr std::uint32_t kNoStuck = ~std::uint32_t{0};
+
+/// One LP of a FlatModel as plain data.
+struct LpRecord {
+  std::uint32_t fan_begin = 0;  ///< fanout ports [fan_begin, fan_end)
+  std::uint32_t fan_end = 0;
+  std::uint32_t stuck = kNoStuck;  ///< offset of its 2K stuck-at words
+  std::uint32_t w_size = 0;        ///< words of LpState::w (NetlistLp)
+  LpKind kind = LpKind::kGate;
+  circuit::GateType type = circuit::GateType::kBuf;
+  std::uint8_t arity = 0;   ///< input pins: gate 1..64, flip-flop 1, input 0
+  bool observe = false;     ///< accumulates divergence from lane 0
+  bool hot_first = true;    ///< input: drives vectors before stim_drift_at
+};
+
+/// The elaborated netlist, compiled once into flat read-only arrays: one
+/// LpRecord per LP (index = LpId = GateId), CSR fanout ports, the stuck-at
+/// words of faulted LPs, and the lane count and timing every LP shares.
+/// FlatModelBuilder makes it; the behaviours and the sequential reference
+/// only read it, so node threads share one without locks.
+class FlatModel {
+ public:
+  std::size_t size() const noexcept { return lps_.size(); }
+  const LpRecord& lp(warped::LpId id) const noexcept { return lps_[id]; }
+  /// Target ascending, then pin ascending: the order sends go out in,
+  /// which fixes event ids.
+  std::span<const FanoutPort> fanouts(const LpRecord& r) const noexcept {
+    return {ports_.data() + r.fan_begin, ports_.data() + r.fan_end};
+  }
+  /// K stuck-at mask words, then K value words, clipped to the active
+  /// lanes; null unless `r` is faulted.
+  const std::uint64_t* stuck_words(const LpRecord& r) const noexcept {
+    return r.stuck == kNoStuck ? nullptr : stuck_.data() + r.stuck;
+  }
+  std::uint32_t lanes() const noexcept { return lanes_; }
+  warped::SimTime clock_period() const noexcept { return clock_period_; }
+  warped::SimTime clock_phase() const noexcept { return clock_phase_; }
+  warped::SimTime stim_period() const noexcept { return stim_period_; }
+  warped::SimTime stim_drift_at() const noexcept { return stim_drift_at_; }
+  std::uint64_t stim_seed() const noexcept { return stim_seed_; }
+  bool uniform_stimulus() const noexcept { return uniform_stimulus_; }
+
+  /// First clock edge at or after t (edges at phase + n·period).
+  warped::SimTime next_edge_at_or_after(warped::SimTime t) const noexcept;
+
+ private:
+  friend class FlatModelBuilder;
+  std::vector<LpRecord> lps_;
+  std::vector<FanoutPort> ports_;
+  std::vector<std::uint64_t> stuck_;
+  std::uint32_t lanes_ = 1;
+  warped::SimTime clock_period_ = 0;
+  warped::SimTime clock_phase_ = 0;
+  warped::SimTime stim_period_ = 0;
+  warped::SimTime stim_drift_at_ = 0;
+  std::uint64_t stim_seed_ = 0;
+  bool uniform_stimulus_ = false;
+};
+
+/// Builds a FlatModel LP by LP, in id order.  build_model drives it from a
+/// circuit; it holds every elaboration rule: the state sizes, the stuck-at
+/// words, the drift halves and which LPs observe.
+class FlatModelBuilder {
+ public:
+  /// Checks the lane count, the faults against it, and the clock and
+  /// stimulus periods.
+  explicit FlatModelBuilder(const ModelOptions& opt);
+
+  /// Appends the next LP (its id is the number added before it): a primary
+  /// input, a flip-flop or a combinational gate by `type`, with `arity`
+  /// input pins and these fanout ports.  A primary output observes lane
+  /// divergence in fault mode.
+  void add(circuit::GateType type, std::uint32_t arity,
+           std::span<const FanoutPort> fanouts, bool primary_output = false);
+
+  /// Injects the faults (fault i on lane i + 1), splits the inputs into
+  /// drift halves by ordinal and hands over the model.
+  FlatModel finish();
+
+ private:
+  ModelOptions opt_;
+  FlatModel model_;
+};
+
+/// The behaviour of LP `id` of `model`, which must outlive it.  State
+/// keeps K = lane_words(lanes) lane words per signal, events carry K value
+/// words plus K change-mask words, and an event fires only when at least
+/// one lane changed.  Unchanged lanes are never perturbed (masked
+/// application), so lane j's committed trajectory is exactly its one-lane
+/// twin's — the lane-equivalence contract lanes.hpp documents and
+/// tests/batch_equivalence_property_test.cpp enforces.  Stuck-at words
+/// force the output lanes of a faulted LP, and an observing LP accumulates
+/// the lanes whose output diverged from fault-free lane 0.
+///
+/// State layouts (word 0 of every signal in an inline LpState slot, words
+/// 1..K-1 in LpState::w; LpRecord::w_size counts w):
+///   gate       w[wd*arity + p] = word wd of fanin p (word-major, so
+///              eval_gate_word reads one contiguous run per word); b =
+///              output word 0, w[arity*K + wd-1] = output words 1..K-1;
+///              a = divergence word 0, w[arity*K + K-1 + wd-1] = divergence
+///              words 1..K-1 (observing only).  One lane: a = fanin p in
+///              bit p, evaluated with eval_gate; b = output; w empty.
+///   flip-flop  a = latched D word 0, b = Q word 0; w[0..K) = lanes armed
+///              for the next sampling edge (per-lane clock suppression);
+///              w[K + wd-1] = D words 1..K-1; w[2K-1 + wd-1] = Q words
+///              1..K-1; w[3K-2 + wd] = divergence words 0..K-1 (observing
+///              only).  One lane: a = D, b = Q, w empty — a single lane is
+///              only ever ticked at the init edge or at an edge it armed
+///              itself, so every tick samples it.
+///   input      b = stimulus word 0, w[wd-1] = words 1..K-1; a = divergence
+///              word 0, w[K-1 + wd-1] = divergence words 1..K-1 (observing
+///              only).  With uniform_stimulus every lane draws from the
+///              base seed (fault-sim mode), otherwise lane j from
+///              lane_seed(seed, j).  With stim_drift_at != 0 the input
+///              applies fresh vectors only during its hot half (before
+///              stim_drift_at when hot_first, after it otherwise) and holds
+///              a frozen vector index during the cold half.
+class NetlistLp final : public warped::LogicalProcess {
+ public:
+  NetlistLp(const FlatModel& model, warped::LpId id) noexcept
+      : model_(model), id_(id) {}
+
+  warped::LpState initial_state() const override;
+  void init(warped::Context& ctx) override;
+  void execute(warped::Context& ctx, warped::EventBatch batch) override;
+
+  const FlatModel& model() const noexcept { return model_; }
+  warped::LpId id() const noexcept { return id_; }
+
+ private:
+  const FlatModel& model_;
+  warped::LpId id_;
+};
+
+/// The elaborated simulation model: the compiled netlist and one behaviour
+/// per gate, index = GateId.
 struct SimModel {
+  /// On the heap, so it keeps its address when the SimModel moves: every
+  /// behaviour points into it.
+  std::unique_ptr<const FlatModel> flat;
   std::vector<std::unique_ptr<warped::LogicalProcess>> lps;
-  ModelOptions options;
 
   std::vector<warped::LogicalProcess*> behaviours() const {
     std::vector<warped::LogicalProcess*> out;
@@ -94,161 +242,21 @@ struct SimModel {
 /// paper's framework).
 SimModel build_model(const circuit::Circuit& c, const ModelOptions& opt = {});
 
-// ---- behaviours (exposed for unit tests) ----------------------------------
-//
-// State keeps K = lane_words(lanes) lane words per signal, events carry K
-// value words plus K change-mask words, and an event fires only when at
-// least one lane changed.  Unchanged lanes are never perturbed (masked
-// application), so lane j's committed trajectory is exactly its one-lane
-// twin's — the lane-equivalence contract lanes.hpp documents and
-// tests/batch_equivalence_property_test.cpp enforces.  Word 0 of every
-// signal lives in an inline LpState slot; words 1..K-1 extend into
-// LpState::w (layouts below).  A one-lane run keeps `w` empty: its gates
-// pack fanin p into bit p of `a`, and its flip-flops keep no armed-lanes
-// word.
-//
-// All three support stuck-at injection at their output (sa_mask / sa_value
-// lane words, one entry per value word, stored only on faulted LPs) and,
-// on observing gates (primary outputs in fault mode, lanes >= 2), a
-// monotone divergence accumulator against fault-free lane 0.
-
 /// Lane 0 of a state's output: the gate output, Q or the stimulus value,
 /// which every layout keeps in bit 0 of `b`.
 inline bool output_bit(const warped::LpState& s) noexcept {
   return (s.b & 1) != 0;
 }
 
-class BatchGateLp final : public warped::LogicalProcess {
- public:
-  /// State layout (K = lane_words(lanes)): w[wd*arity + p] = word wd of
-  /// fanin p (word-major, so eval_gate_word reads one contiguous run per
-  /// word); b = output word 0, w[arity*K + wd-1] = output words 1..K-1;
-  /// a = divergence word 0, w[arity*K + K-1 + wd-1] = divergence words
-  /// 1..K-1 (observing gates only).  One lane: a = fanin p in bit p,
-  /// evaluated with eval_gate; b = output; w empty.
-  BatchGateLp(circuit::GateType type, std::uint32_t arity,
-              std::vector<FanoutPort> fanouts, std::uint32_t lanes,
-              std::vector<std::uint64_t> sa_mask = {},
-              std::vector<std::uint64_t> sa_value = {}, bool observe = false);
+/// The stimulus bit input `lp` applies for vector index `n` under `seed`
+/// — pure counter-based hash, identical across rollbacks and node counts.
+bool vector_bit(std::uint64_t seed, warped::LpId lp, std::uint64_t n) noexcept;
 
-  warped::LpState initial_state() const override;
-  void init(warped::Context& ctx) override;
-  void execute(warped::Context& ctx, warped::EventBatch batch) override;
-
-  // Elaborated parameters, read by the sequential reference's compiler.
-  const std::vector<FanoutPort>& fanouts() const noexcept { return fanouts_; }
-  circuit::GateType type() const noexcept { return type_; }
-  std::uint32_t arity() const noexcept { return arity_; }
-  std::uint32_t lanes() const noexcept { return lanes_; }
-  bool observes() const noexcept { return observe_; }
-  /// K stuck-at mask words, then K value words; null unless faulted.
-  const std::uint64_t* stuck_words() const noexcept { return stuck_.get(); }
-
- private:
-  // 48 bytes: the most numerous LP fits one 64-byte heap chunk.
-  std::vector<FanoutPort> fanouts_;
-  circuit::GateType type_;
-  bool observe_;
-  std::uint16_t lanes_;
-  std::uint32_t arity_;
-  std::unique_ptr<std::uint64_t[]> stuck_;  ///< null unless faulted
-};
-
-class BatchDffLp final : public warped::LogicalProcess {
- public:
-  /// State layout (K = lane_words(lanes)): a = latched D word 0, b = Q
-  /// word 0; w[0..K) = lanes armed for the next sampling edge (per-lane
-  /// clock suppression); w[K + wd-1] = D words 1..K-1; w[2K-1 + wd-1] =
-  /// Q words 1..K-1; w[3K-2 + wd] = divergence words 0..K-1 (observing
-  /// DFFs only).  One lane: a = D, b = Q, w empty — a single lane is only
-  /// ever ticked at the init edge or at an edge it armed itself, so every
-  /// tick samples it.
-  BatchDffLp(std::vector<FanoutPort> fanouts, warped::SimTime period,
-             warped::SimTime phase, std::uint32_t lanes,
-             std::vector<std::uint64_t> sa_mask = {},
-             std::vector<std::uint64_t> sa_value = {}, bool observe = false);
-
-  warped::LpState initial_state() const override;
-  void init(warped::Context& ctx) override;
-  void execute(warped::Context& ctx, warped::EventBatch batch) override;
-
-  /// First clock edge at or after t (edges at phase + n·period).
-  warped::SimTime next_edge_at_or_after(warped::SimTime t) const;
-
-  // Elaborated parameters, read by the sequential reference's compiler.
-  const std::vector<FanoutPort>& fanouts() const noexcept { return fanouts_; }
-  warped::SimTime period() const noexcept { return period_; }
-  warped::SimTime phase() const noexcept { return phase_; }
-  std::uint32_t lanes() const noexcept { return lanes_; }
-  bool observes() const noexcept { return observe_; }
-  /// K stuck-at mask words, then K value words; null unless faulted.
-  const std::uint64_t* stuck_words() const noexcept { return stuck_.get(); }
-
- private:
-  std::vector<FanoutPort> fanouts_;
-  warped::SimTime period_;
-  warped::SimTime phase_;
-  std::uint32_t lanes_;
-  bool observe_;
-  std::unique_ptr<std::uint64_t[]> stuck_;  ///< null unless faulted
-};
-
-class BatchInputLp final : public warped::LogicalProcess {
- public:
-  /// State layout (K = lane_words(lanes)): b = stimulus word 0,
-  /// w[wd-1] = words 1..K-1; a = divergence word 0, w[K-1 + wd-1] =
-  /// divergence words 1..K-1 (observing inputs only).  With
-  /// `uniform_stimulus` every lane draws from the base seed (fault-sim
-  /// mode); otherwise lane j draws from lane_seed(seed, j).  `drift_at` /
-  /// `hot_first` implement ModelOptions::stim_drift_at: with drift_at != 0
-  /// the input applies fresh vectors only during its hot phase (before
-  /// drift_at when hot_first, after it otherwise) and holds a frozen
-  /// vector index during the cold phase.
-  BatchInputLp(std::vector<FanoutPort> fanouts, warped::SimTime period,
-               std::uint64_t seed, std::uint32_t lanes,
-               bool uniform_stimulus = false,
-               warped::SimTime drift_at = 0, bool hot_first = true,
-               std::vector<std::uint64_t> sa_mask = {},
-               std::vector<std::uint64_t> sa_value = {}, bool observe = false);
-
-  warped::LpState initial_state() const override;
-  void init(warped::Context& ctx) override;
-  void execute(warped::Context& ctx, warped::EventBatch batch) override;
-
-  /// The stimulus bit input `lp` applies for vector index `n` under `seed`
-  /// — pure counter-based hash, identical across rollbacks and node counts.
-  static bool vector_bit(std::uint64_t seed, warped::LpId lp,
-                         std::uint64_t n) noexcept;
-
-  /// Packed stimulus word `word` (lanes [64·word, 64·word+64)) for vector
-  /// index `n` — per-lane vector_bit hashes.
-  static std::uint64_t vector_word(std::uint64_t seed, warped::LpId lp,
-                                   std::uint64_t n, std::uint32_t lanes,
-                                   bool uniform,
-                                   std::uint32_t word = 0) noexcept;
-
-  // Elaborated parameters, read by the sequential reference's compiler.
-  const std::vector<FanoutPort>& fanouts() const noexcept { return fanouts_; }
-  warped::SimTime period() const noexcept { return period_; }
-  std::uint64_t seed() const noexcept { return seed_; }
-  warped::SimTime drift_at() const noexcept { return drift_at_; }
-  bool hot_first() const noexcept { return hot_first_; }
-  std::uint32_t lanes() const noexcept { return lanes_; }
-  bool uniform() const noexcept { return uniform_; }
-  bool observes() const noexcept { return observe_; }
-  /// K stuck-at mask words, then K value words; null unless faulted.
-  const std::uint64_t* stuck_words() const noexcept { return stuck_.get(); }
-
- private:
-  std::vector<FanoutPort> fanouts_;
-  warped::SimTime period_;
-  std::uint64_t seed_;
-  warped::SimTime drift_at_;
-  std::uint32_t lanes_;
-  bool uniform_;
-  bool hot_first_;
-  bool observe_;
-  std::unique_ptr<std::uint64_t[]> stuck_;  ///< null unless faulted
-};
+/// Packed stimulus word `word` (lanes [64·word, 64·word+64)) for vector
+/// index `n` — per-lane vector_bit hashes, or the base seed's bit on every
+/// active lane when `uniform`.
+std::uint64_t vector_word(std::uint64_t seed, warped::LpId lp,
+                          std::uint64_t n, std::uint32_t lanes, bool uniform,
+                          std::uint32_t word = 0) noexcept;
 
 }  // namespace pls::logicsim

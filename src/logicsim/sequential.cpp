@@ -23,38 +23,17 @@ using warped::SimTime;
 /// overflow heap.
 constexpr SimTime kSlots = 32;
 
-enum class Kind : std::uint8_t { kGate, kDff, kInput };
-
-constexpr std::uint32_t kNoStuck = ~std::uint32_t{0};
-
-/// One LP compiled to plain data, its per-tick scratch and its counts:
+/// One LP's record, its state offset, its per-tick scratch and its counts:
 /// one cache line.
-struct alignas(64) Node {
-  std::uint32_t state = 0;      ///< offset of `a` in the state words
-  std::uint32_t fan_begin = 0;  ///< first fanout port
-  std::uint32_t fan_end = 0;
-  std::uint32_t stuck = kNoStuck;  ///< offset of the stuck-at words
-  std::uint32_t w_size = 0;     ///< LpState::w words
-  std::uint32_t ticks = 0;      ///< self-ticks due at the current tick
-  SimTime touched = 0;          ///< 1 + the last tick that touched this LP
+struct alignas(64) Node : LpRecord {
+  std::uint32_t state = 0;  ///< offset of `a` in the state words
+  std::uint32_t ticks = 0;  ///< self-ticks due at the current tick
+  SimTime touched = 0;      ///< 1 + the last tick that touched this LP
   std::uint64_t events = 0;
   std::uint64_t lane_work = 0;
   std::uint64_t sends = 0;
-  Kind kind = Kind::kGate;
-  circuit::GateType type = circuit::GateType::kBuf;
-  bool observe = false;
-  std::uint8_t arity = 1;
 };
-
-/// Clock and stimulus timing of a flip-flop or input; unused for gates.
-struct Timing {
-  SimTime period = 0;
-  SimTime phase = 0;     ///< flip-flop: first edge
-  SimTime drift_at = 0;  ///< input: ModelOptions::stim_drift_at
-  std::uint64_t seed = 0;
-  bool hot_first = true;
-  bool uniform = false;
-};
+static_assert(sizeof(Node) == 64);
 
 /// A data event due at the next tick: it points into that tick's payload
 /// array, where its sender wrote K value words, then K change masks.
@@ -74,19 +53,22 @@ inline std::uint64_t divergence(std::uint64_t word, std::uint64_t ref_word0,
 
 class FlatEngine {
  public:
-  FlatEngine(const std::vector<warped::LogicalProcess*>& lps, SimTime end,
-             std::uint64_t event_cost_ns)
-      : end_(end), event_cost_ns_(event_cost_ns) {
-    compile(lps);
+  FlatEngine(const FlatModel& model, SimTime end, std::uint64_t event_cost_ns)
+      : model_(model), end_(end), event_cost_ns_(event_cost_ns),
+        lanes_(model.lanes()), k_(lane_words(lanes_)) {
+    for (std::uint32_t wd = 0; wd < k_; ++wd) {
+      lane_mask_[wd] = lane_mask_word(lanes_, wd);
+    }
+    compile();
   }
 
   void run() {
     for (LpId i = 0; i < nodes_.size(); ++i) {
       const Node& n = nodes_[i];
-      if (n.kind != Kind::kDff) {
+      if (n.kind != LpKind::kDff) {
         push_tick(i, 0);  // power-on evaluation and vector 0
-      } else if (timing_[i].phase <= end_) {
-        push_tick(i, timing_[i].phase);
+      } else if (model_.clock_phase() <= end_) {
+        push_tick(i, model_.clock_phase());
       }
     }
     if (ring_[0].empty() && !advance()) return;
@@ -117,7 +99,7 @@ class FlatEngine {
   }
 
  private:
-  void compile(const std::vector<warped::LogicalProcess*>& lps);
+  void compile();
 
   /// One tick: ticks and data events land, then every LP they touched
   /// runs once.
@@ -130,7 +112,7 @@ class FlatEngine {
     if (n.touched == now_ + 1) return;
     n.touched = now_ + 1;
     n.ticks = 0;
-    if (n.kind == Kind::kDff) {
+    if (n.kind == LpKind::kDff) {
       std::fill_n(words_.data() + n.state + 2 + n.w_size, k_, 0);
     }
     touched_.push_back(lp);
@@ -151,8 +133,7 @@ class FlatEngine {
       lanes += static_cast<std::uint32_t>(std::popcount(masks[wd]));
     }
     next_payload_.insert(next_payload_.end(), masks, masks + k_);
-    for (std::uint32_t f = n.fan_begin; f < n.fan_end; ++f) {
-      const FanoutPort& fp = ports_[f];
+    for (const FanoutPort& fp : model_.fanouts(n)) {
       next_.push_back(Record{fp.target, fp.port, at, lanes});
       if (fp.target != lp) n.sends += lanes;
     }
@@ -168,16 +149,17 @@ class FlatEngine {
     }
   }
 
-  SimTime next_edge(LpId lp, SimTime t) const {
-    const Timing& tm = timing_[lp];
-    if (t <= tm.phase) return tm.phase;
-    return tm.phase + (t - tm.phase + tm.period - 1) / tm.period * tm.period;
+  SimTime next_edge(SimTime t) const {
+    const SimTime phase = model_.clock_phase();
+    const SimTime period = model_.clock_period();
+    if (t <= phase) return phase;
+    return phase + (t - phase + period - 1) / period * period;
   }
 
   std::uint64_t apply_stuck(const Node& n, std::uint32_t wd,
                             std::uint64_t o) const {
-    if (n.stuck == kNoStuck) return o;
-    const std::uint64_t* sa = stuck_.data() + n.stuck;
+    const std::uint64_t* sa = model_.stuck_words(n);
+    if (sa == nullptr) return o;
     return (o & ~sa[wd]) | sa[k_ + wd];
   }
 
@@ -206,19 +188,17 @@ class FlatEngine {
     return true;
   }
 
+  const FlatModel& model_;
   SimTime end_;
   std::uint64_t event_cost_ns_;
-  std::uint32_t lanes_ = 1;
-  std::uint32_t k_ = 1;  ///< lane words per signal
+  std::uint32_t lanes_;
+  std::uint32_t k_;  ///< lane words per signal
   std::array<std::uint64_t, kMaxLaneWords> lane_mask_{};
 
   std::vector<Node> nodes_;
-  std::vector<Timing> timing_;
-  std::vector<FanoutPort> ports_;   ///< CSR fanout ports
   /// Every LP's LpState (a, b, then w); a flip-flop's is followed by K
   /// words of the lanes its D changed on at the current tick.
   std::vector<std::uint64_t> words_;
-  std::vector<std::uint64_t> stuck_;
 
   SimTime now_ = 0;
   std::vector<LpId> touched_;
@@ -229,97 +209,26 @@ class FlatEngine {
   std::vector<std::pair<SimTime, LpId>> later_;  ///< min-heap past the ring
 };
 
-/// Words of LpState::w in the layout netlist_lps.hpp documents for `n`.
-std::uint32_t w_words(const Node& n, std::uint32_t lanes) {
-  const std::uint32_t K = lane_words(lanes);
-  const std::uint32_t obs = n.observe ? 1 : 0;
-  switch (n.kind) {
-    case Kind::kGate:  // fanin words, output words 1.., divergence 1..
-      return lanes == 1 ? 0 : n.arity * K + (K - 1) + obs * (K - 1);
-    case Kind::kDff:  // armed, D 1.., Q 1.., divergence 0..
-      return lanes == 1 ? 0 : 3 * K - 2 + obs * K;
-    case Kind::kInput:  // stimulus words 1.., divergence 1..
-      return (K - 1) + obs * (K - 1);
-  }
-  return 0;
-}
-
-void FlatEngine::compile(const std::vector<warped::LogicalProcess*>& lps) {
-  const std::size_t n = lps.size();
-  nodes_.resize(n);
-  timing_.resize(n);
-  for (LpId i = 0; i < n; ++i) {
+void FlatEngine::compile() {
+  nodes_.resize(model_.size());
+  std::size_t words = 0;
+  for (LpId i = 0; i < nodes_.size(); ++i) {
     Node& node = nodes_[i];
-    Timing& tm = timing_[i];
-    const std::vector<FanoutPort>* fanouts = nullptr;
-    const std::uint64_t* stuck = nullptr;
-    std::uint32_t lanes = 0;
-    auto common = [&](Kind kind, const auto& lp) {
-      node.kind = kind;
-      node.observe = lp.observes();
-      fanouts = &lp.fanouts();
-      stuck = lp.stuck_words();
-      lanes = lp.lanes();
-    };
-    if (const auto* g = dynamic_cast<const BatchGateLp*>(lps[i])) {
-      common(Kind::kGate, *g);
-      node.type = g->type();
-      node.arity = static_cast<std::uint8_t>(g->arity());
-    } else if (const auto* d = dynamic_cast<const BatchDffLp*>(lps[i])) {
-      common(Kind::kDff, *d);
-      tm.period = d->period();
-      tm.phase = d->phase();
-    } else if (const auto* in = dynamic_cast<const BatchInputLp*>(lps[i])) {
-      common(Kind::kInput, *in);
-      tm.period = in->period();
-      tm.drift_at = in->drift_at();
-      tm.seed = in->seed();
-      tm.hot_first = in->hot_first();
-      tm.uniform = in->uniform();
-    } else {
-      PLS_CHECK_MSG(false, "LP " << i
-                                 << " is not a netlist behaviour (BatchGateLp, "
-                                    "BatchDffLp or BatchInputLp)");
-    }
-    if (i == 0) {
-      lanes_ = lanes;
-      k_ = lane_words(lanes);
-      for (std::uint32_t wd = 0; wd < k_; ++wd) {
-        lane_mask_[wd] = lane_mask_word(lanes, wd);
-      }
-    }
-    PLS_CHECK_MSG(lanes == lanes_, "LP " << i << " has " << lanes
-                                         << " lanes, LP 0 has " << lanes_);
-
-    const LpState init = lps[i]->initial_state();
-    node.w_size = w_words(node, lanes);
-    PLS_CHECK_MSG(init.w.size() == node.w_size,
-                  "LP " << i << " starts with " << init.w.size()
-                        << " state words, its layout has " << node.w_size);
-    node.state = static_cast<std::uint32_t>(words_.size());
-    words_.push_back(init.a);
-    words_.push_back(init.b);
-    words_.insert(words_.end(), init.w.begin(), init.w.end());
-    if (node.kind == Kind::kDff) words_.resize(words_.size() + k_, 0);
-
-    node.fan_begin = static_cast<std::uint32_t>(ports_.size());
-    ports_.insert(ports_.end(), fanouts->begin(), fanouts->end());
-    node.fan_end = static_cast<std::uint32_t>(ports_.size());
-
-    if (stuck != nullptr) {
-      node.stuck = static_cast<std::uint32_t>(stuck_.size());
-      stuck_.insert(stuck_.end(), stuck, stuck + 2 * k_);
-    }
+    static_cast<LpRecord&>(node) = model_.lp(i);
+    node.state = static_cast<std::uint32_t>(words);
+    words += 2 + node.w_size + (node.kind == LpKind::kDff ? k_ : 0);
   }
+  // Every LP starts from the all-zero LpState (NetlistLp::initial_state).
+  words_.assign(words, 0);
   // Every port a record can name exists: a fanin of a gate, the D pin of a
   // flip-flop, never an input.
-  for (const FanoutPort& fp : ports_) {
-    PLS_CHECK_MSG(fp.target < n, "fanout to LP " << fp.target
-                                                 << " outside the model");
-    const Node& t = nodes_[fp.target];
-    const bool pin = t.kind == Kind::kGate ? fp.port < t.arity
-                                           : t.kind == Kind::kDff && fp.port == 0;
-    PLS_CHECK_MSG(pin, "fanout to port " << fp.port << " of LP " << fp.target);
+  for (const Node& node : nodes_) {
+    for (const FanoutPort& fp : model_.fanouts(node)) {
+      PLS_CHECK_MSG(fp.target < nodes_.size(),
+                    "fanout to LP " << fp.target << " outside the model");
+      PLS_CHECK_MSG(fp.port < nodes_[fp.target].arity,
+                    "fanout to port " << fp.port << " of LP " << fp.target);
+    }
   }
 }
 
@@ -348,7 +257,7 @@ void FlatEngine::step() {
     const std::uint64_t* mask = value + K;
     std::uint64_t* s = words_.data() + n.state;
     switch (n.kind) {
-      case Kind::kGate:
+      case LpKind::kGate:
         if (lanes_ == 1) {
           const std::uint64_t m = (mask[0] & 1) << r.port;
           s[0] = (s[0] & ~m) | ((value[0] << r.port) & m);
@@ -359,7 +268,7 @@ void FlatEngine::step() {
           }
         }
         break;
-      case Kind::kDff: {
+      case LpKind::kDff: {
         std::uint64_t* changed = s + 2 + n.w_size;
         for (std::uint32_t wd = 0; wd < K; ++wd) {
           std::uint64_t& d = wd == 0 ? s[0] : s[2 + K + wd - 1];
@@ -368,7 +277,7 @@ void FlatEngine::step() {
         }
         break;
       }
-      case Kind::kInput:
+      case LpKind::kInput:
         break;  // no port: compile() admits no data to an input
     }
   }
@@ -376,9 +285,9 @@ void FlatEngine::step() {
   for (const LpId lp : touched_) {
     Node& n = nodes_[lp];
     switch (n.kind) {
-      case Kind::kGate: exec_gate(lp, n); break;
-      case Kind::kDff: exec_dff(lp, n); break;
-      case Kind::kInput: exec_input(lp, n); break;
+      case LpKind::kGate: exec_gate(lp, n); break;
+      case LpKind::kDff: exec_dff(lp, n); break;
+      case LpKind::kInput: exec_input(lp, n); break;
     }
     if (event_cost_ns_ > 0) util::busy_spin_ns(event_cost_ns_);
   }
@@ -434,14 +343,14 @@ void FlatEngine::exec_dff(LpId lp, Node& n) {
     if (lanes_ > 1) {
       for (std::uint32_t wd = 0; wd < K; ++wd) w[wd] |= changed[wd];
     }
-    const SimTime edge = next_edge(lp, now_ + 1);
+    const SimTime edge = next_edge(now_ + 1);
     if (edge <= end_) push_tick(lp, edge);
     return;
   }
 
   // A lane samples at the init edge and at edges it armed; a lane whose D
   // changed on an edge it did not arm arms the next one.
-  const bool init_edge = now_ == timing_[lp].phase;
+  const bool init_edge = now_ == model_.clock_phase();
   std::uint64_t rearm = 0;
   std::uint64_t q[kMaxLaneWords];
   std::uint64_t diff[kMaxLaneWords];
@@ -462,7 +371,7 @@ void FlatEngine::exec_dff(LpId lp, Node& n) {
     any_diff |= diff[wd];
   }
   if (rearm != 0) {
-    const SimTime edge = next_edge(lp, now_ + 1);
+    const SimTime edge = next_edge(now_ + 1);
     if (edge <= end_) push_tick(lp, edge);
   }
   if (any_diff != 0) {
@@ -482,10 +391,11 @@ void FlatEngine::exec_input(LpId lp, Node& n) {
   std::uint64_t* s = words_.data() + n.state;
   const std::uint32_t K = k_;
   std::uint64_t* w = s + 2;
-  const Timing& tm = timing_[lp];
-  std::uint64_t index = now_ / tm.period;
-  if (tm.drift_at != 0 && (now_ < tm.drift_at) != tm.hot_first) {
-    index = tm.hot_first ? tm.drift_at / tm.period : 0;  // cold: frozen
+  const SimTime period = model_.stim_period();
+  const SimTime drift_at = model_.stim_drift_at();
+  std::uint64_t index = now_ / period;
+  if (drift_at != 0 && (now_ < drift_at) != n.hot_first) {
+    index = n.hot_first ? drift_at / period : 0;  // cold: frozen
   }
   std::uint64_t v[kMaxLaneWords];
   std::uint64_t diff[kMaxLaneWords];
@@ -493,7 +403,8 @@ void FlatEngine::exec_input(LpId lp, Node& n) {
   for (std::uint32_t wd = 0; wd < K; ++wd) {
     const std::uint64_t vw = apply_stuck(
         n, wd,
-        BatchInputLp::vector_word(tm.seed, lp, index, lanes_, tm.uniform, wd));
+        vector_word(model_.stim_seed(), lp, index, lanes_,
+                    model_.uniform_stimulus(), wd));
     const std::uint64_t cur = wd == 0 ? s[1] : w[wd - 1];
     v[wd] = vw;
     diff[wd] = vw ^ cur;
@@ -510,8 +421,28 @@ void FlatEngine::exec_input(LpId lp, Node& n) {
       w[(K - 1) + wd - 1] |= divergence(v[wd], v[0], lane_mask_[wd]);
     }
   }
-  const SimTime next = now_ + tm.period;
+  const SimTime next = now_ + period;
   if (next <= end_) push_tick(lp, next);
+}
+
+/// The model `lps` elaborates: every LP must be the NetlistLp of one
+/// model at its own index, and the LPs must cover that model.
+const FlatModel& model_of(const std::vector<warped::LogicalProcess*>& lps) {
+  const FlatModel* model = nullptr;
+  for (LpId i = 0; i < lps.size(); ++i) {
+    const auto* lp = dynamic_cast<const NetlistLp*>(lps[i]);
+    PLS_CHECK_MSG(lp != nullptr,
+                  "LP " << i << " is not a netlist behaviour (NetlistLp)");
+    if (model == nullptr) model = &lp->model();
+    PLS_CHECK_MSG(&lp->model() == model,
+                  "LP " << i << " belongs to another model than LP 0");
+    PLS_CHECK_MSG(lp->id() == i,
+                  "LP " << i << " is LP " << lp->id() << " of its model");
+  }
+  PLS_CHECK_MSG(lps.size() == model->size(),
+                "the run holds " << lps.size() << " of the model's "
+                                 << model->size() << " LPs");
+  return *model;
 }
 
 }  // namespace
@@ -521,7 +452,7 @@ SeqStats simulate_sequential(const std::vector<warped::LogicalProcess*>& lps,
                              std::uint64_t event_cost_ns) {
   PLS_CHECK(!lps.empty());
   util::WallTimer timer;
-  FlatEngine engine(lps, end_time, event_cost_ns);
+  FlatEngine engine(model_of(lps), end_time, event_cost_ns);
   engine.run();
   SeqStats out;
   engine.export_to(out);

@@ -6,16 +6,15 @@
 // final states and event counts are the ground truth the optimistic runs
 // are checked against (logicsim/equivalence.hpp), so it is written apart
 // from the behaviours it verifies: it never calls LogicalProcess::init or
-// execute.  It reads the elaborated model through the behaviours' const
-// accessors and steps a flat unit-delay engine of its own:
+// execute.  It steps the FlatModel the behaviours read (netlist_lps.hpp)
+// with a flat unit-delay engine of its own:
 //
-//  * compile: one dynamic_cast per LP to BatchGateLp, BatchDffLp or
-//    BatchInputLp (any other LP is a check failure naming its id) turns the
-//    model into CSR fanout ports (target, port), per-LP kind, gate type and
-//    arity, clock and stimulus timing, stuck-at words and observe flags,
-//    and one word array holding every LP's state in its documented LpState
-//    layout (netlist_lps.hpp), sized from initial_state().  All LPs share
-//    one lane count, and every gate, flip-flop and input has delay 1.
+//  * compile: every LP must be the NetlistLp of one FlatModel at its own
+//    index, and the LPs must cover that model (a check failure names the
+//    first LP that is not).  Each LP's record fills one cache-line node,
+//    and one word array holds every LP's state in its documented LpState
+//    layout, sized by the record and starting at zero.  Every gate,
+//    flip-flop and input has delay 1.
 //  * data: every output change lands exactly one tick later, so a tick's
 //    sends fill a next-tick buffer of 16-byte records (target, port,
 //    payload offset, lane count), and the sender writes its K value words
@@ -31,12 +30,12 @@
 //    within a tick and of events within a batch cannot change a result.
 //    `event_cost_ns` is charged once per such batch.
 //
-// It shares with the behaviours only the elaboration (build_model's port
-// numbering, input ordinals and fault words) and the pure helpers
-// eval_gate, eval_gate_word and BatchInputLp::vector_word, so a fault in
-// BatchGateLp, BatchDffLp or BatchInputLp::execute makes the Time Warp
-// kernel disagree with it.  It allocates no pooled memory: the exported
-// final states draw their wide words from the caller's pool, if any.
+// It shares with the behaviours only the elaboration (the FlatModel's
+// records, ports, stuck-at words and timing) and the pure helpers
+// eval_gate, eval_gate_word and vector_word, so a fault in a NetlistLp
+// execute path makes the Time Warp kernel disagree with it.  It allocates
+// no pooled memory: the exported final states draw their wide words from
+// the caller's pool, if any.
 
 #include <cstdint>
 #include <vector>

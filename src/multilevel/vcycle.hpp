@@ -13,25 +13,28 @@
 //
 // Policy requirements (duck-typed; see MultilevelPartitioner /
 // MultilevelHGPartitioner for the two concrete instances):
-//   graph(level)      -> the level's graph (level = Hier::levels element)
-//   size(graph)       -> vertex count
 //   initial(graph, contains_input) -> partition::Partition
 //   refine(graph, p)  -> void, refines p in place
 //   quality(graph, p) -> std::uint64_t, the pipeline's objective (edge cut
 //                        / λ−1); only called when tracing
-// Hier requirements: `base` (finest graph), `levels` (each with
-// .parent_map into the level), coarsest(), coarsest_contains_input().
+// Hier requirements: `base` (finest graph), `levels` (each with its
+// `graph` and the `parent_map` into it), coarsest(),
+// coarsest_contains_input(); a graph has num_vertices().
 //
 // Call order is part of the contract: policies draw per-phase RNG seeds
 // from a sequential seeder, so the template performs exactly one initial()
 // and then one refine() per level, coarsest first — reordering would
 // silently change every seeded partition.
+//
+// check_hierarchy_invariants() validates either hierarchy the same way; it
+// reads each level's `graph`, `parent_map` and `contains_input`.
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "partition/partition.hpp"
+#include "util/check.hpp"
 
 namespace pls::multilevel {
 
@@ -53,13 +56,54 @@ partition::Partition project(const std::vector<std::uint32_t>& parent_map,
 /// trace (if any) reports no coarse levels and quality 0 throughout.
 partition::Partition single_part(std::size_t n, Trace* trace);
 
+/// Validate the paper's structural invariants of a hierarchy: parent maps
+/// are total and in range, every coarse vertex has members and weighs
+/// their weights' sum, and no coarse vertex combines two primary inputs
+/// (its contains_input flag says whether it holds one).  Throws
+/// util::CheckError on the first violation (used by tests).
+template <class Hier>
+void check_hierarchy_invariants(const Hier& h) {
+  const auto* fine = &h.base;
+  const std::vector<std::uint8_t>* fine_inputs = &h.base_contains_input;
+  for (std::size_t li = 0; li < h.levels.size(); ++li) {
+    const auto& lvl = h.levels[li];
+    PLS_CHECK_MSG(lvl.parent_map.size() == fine->num_vertices(),
+                  "level " << li << " parent map incomplete");
+    std::vector<std::uint64_t> wsum(lvl.graph.num_vertices(), 0);
+    std::vector<std::uint32_t> input_members(lvl.graph.num_vertices(), 0);
+    for (std::uint32_t v = 0; v < fine->num_vertices(); ++v) {
+      const std::uint32_t p = lvl.parent_map[v];
+      PLS_CHECK_MSG(p < lvl.graph.num_vertices(),
+                    "level " << li << " parent out of range");
+      wsum[p] += fine->vertex_weight(v);
+      input_members[p] += (*fine_inputs)[v] ? 1 : 0;
+    }
+    for (std::uint32_t g = 0; g < lvl.graph.num_vertices(); ++g) {
+      PLS_CHECK_MSG(wsum[g] == lvl.graph.vertex_weight(g),
+                    "level " << li << " globule " << g
+                             << " weight mismatch: members sum to " << wsum[g]
+                             << ", the level says "
+                             << lvl.graph.vertex_weight(g));
+      PLS_CHECK_MSG(wsum[g] > 0, "level " << li << " empty globule " << g);
+      PLS_CHECK_MSG(input_members[g] <= 1,
+                    "level " << li << " globule " << g << " combines "
+                             << input_members[g] << " primary inputs");
+      PLS_CHECK_MSG((lvl.contains_input[g] != 0) == (input_members[g] == 1),
+                    "level " << li << " globule " << g
+                             << " contains_input flag inconsistent");
+    }
+    fine = &lvl.graph;
+    fine_inputs = &lvl.contains_input;
+  }
+}
+
 template <class Hier, class Policy>
 partition::Partition run_vcycle(const Hier& h, Policy&& pol, Trace* trace) {
   if (trace != nullptr) {
     trace->level_sizes.clear();
     trace->quality_after_level.clear();
     for (const auto& lvl : h.levels) {
-      trace->level_sizes.push_back(pol.size(pol.graph(lvl)));
+      trace->level_sizes.push_back(lvl.graph.num_vertices());
     }
   }
 
@@ -78,7 +122,7 @@ partition::Partition run_vcycle(const Hier& h, Policy&& pol, Trace* trace) {
 
   for (std::size_t i = h.levels.size(); i-- > 0;) {
     p = project(h.levels[i].parent_map, p);
-    const auto& gfine = i == 0 ? h.base : pol.graph(h.levels[i - 1]);
+    const auto& gfine = i == 0 ? h.base : h.levels[i - 1].graph;
     pol.refine(gfine, p);
     if (trace != nullptr) {
       trace->quality_after_level.push_back(pol.quality(gfine, p));

@@ -306,42 +306,4 @@ Hierarchy coarsen(const circuit::Circuit& c, const CoarsenOptions& opt) {
   return h;
 }
 
-void check_hierarchy_invariants(const Hierarchy& h) {
-  const graph::WeightedGraph* fine = &h.base;
-  const std::vector<std::uint8_t>* fine_inputs = &h.base_contains_input;
-  for (std::size_t li = 0; li < h.levels.size(); ++li) {
-    const CoarseLevel& lvl = h.levels[li];
-    PLS_CHECK_MSG(lvl.parent_map.size() == fine->num_vertices(),
-                  "level " << li << " parent map incomplete");
-    // Disjoint cover: the map is total; every coarse vertex has >=1 member;
-    // coarse vertex weight equals the sum of member weights; at most one
-    // primary input per globule (transitively).
-    std::vector<std::uint64_t> wsum(lvl.graph.num_vertices(), 0);
-    std::vector<std::uint32_t> input_members(lvl.graph.num_vertices(), 0);
-    for (graph::VertexId v = 0; v < fine->num_vertices(); ++v) {
-      const std::uint32_t p = lvl.parent_map[v];
-      PLS_CHECK_MSG(p < lvl.graph.num_vertices(),
-                    "level " << li << " parent out of range");
-      wsum[p] += fine->vertex_weight(v);
-      input_members[p] += (*fine_inputs)[v] ? 1 : 0;
-    }
-    for (graph::VertexId g = 0; g < lvl.graph.num_vertices(); ++g) {
-      PLS_CHECK_MSG(wsum[g] == lvl.graph.vertex_weight(g),
-                    "level " << li << " globule " << g
-                             << " weight mismatch: members sum to " << wsum[g]
-                             << ", graph says "
-                             << lvl.graph.vertex_weight(g));
-      PLS_CHECK_MSG(wsum[g] > 0, "level " << li << " empty globule " << g);
-      PLS_CHECK_MSG(input_members[g] <= 1,
-                    "level " << li << " globule " << g << " combines "
-                             << input_members[g] << " primary inputs");
-      PLS_CHECK_MSG((lvl.contains_input[g] != 0) == (input_members[g] == 1),
-                    "level " << li << " globule " << g
-                             << " contains_input flag inconsistent");
-    }
-    fine = &lvl.graph;
-    fine_inputs = &lvl.contains_input;
-  }
-}
-
 }  // namespace pls::partition

@@ -87,10 +87,4 @@ struct Hierarchy {
 /// Build the hierarchy for a frozen circuit.  O(|E|) per level.
 Hierarchy coarsen(const circuit::Circuit& c, const CoarsenOptions& opt);
 
-/// Validate the paper's structural invariants of a hierarchy: parent maps
-/// are total and surjective, coarse vertex weights are the sums of their
-/// members' weights, and no coarse vertex combines two input vertices.
-/// Throws util::CheckError on violation (used by tests).
-void check_hierarchy_invariants(const Hierarchy& h);
-
 }  // namespace pls::partition

@@ -19,12 +19,6 @@ struct GraphPolicy {
   util::SplitMix64& seeder;
   const Refiner& refiner;
 
-  const graph::WeightedGraph& graph(const CoarseLevel& lvl) const {
-    return lvl.graph;
-  }
-  std::size_t size(const graph::WeightedGraph& g) const {
-    return g.num_vertices();
-  }
   Partition initial(const graph::WeightedGraph& g,
                     const std::vector<std::uint8_t>& contains_input) {
     InitialOptions iopt;

@@ -5,9 +5,9 @@
 // the kernel-owned LpState, which the kernel snapshots and restores around
 // rollbacks, so a batch can re-execute after any rollback.  Only the
 // optimistic parallel kernel runs them: the sequential reference
-// (logicsim/sequential.hpp) compiles the netlist behaviours' elaborated
-// parameters into a flat engine of its own and never calls init() or
-// execute(), so it checks these execute paths instead of sharing them.
+// (logicsim/sequential.hpp) steps the netlist behaviours' compiled model
+// with a flat engine of its own and never calls init() or execute(), so
+// it checks these execute paths instead of sharing them.
 
 #include <span>
 

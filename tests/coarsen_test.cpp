@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "circuit/generator.hpp"
+#include "multilevel/vcycle.hpp"
 #include "partition/coarsen.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -42,7 +43,7 @@ TEST(Coarsen, InvariantsHold) {
   const auto c = test_circuit();
   CoarsenOptions opt;
   opt.threshold = 64;
-  EXPECT_NO_THROW(check_hierarchy_invariants(coarsen(c, opt)));
+  EXPECT_NO_THROW(multilevel::check_hierarchy_invariants(coarsen(c, opt)));
 }
 
 TEST(Coarsen, InvariantsHoldWithWeightCap) {
@@ -51,7 +52,7 @@ TEST(Coarsen, InvariantsHoldWithWeightCap) {
   opt.threshold = 32;
   opt.max_globule_weight = 40;
   const Hierarchy h = coarsen(c, opt);
-  EXPECT_NO_THROW(check_hierarchy_invariants(h));
+  EXPECT_NO_THROW(multilevel::check_hierarchy_invariants(h));
   for (graph::VertexId v = 0; v < h.coarsest().num_vertices(); ++v) {
     EXPECT_LE(h.coarsest().vertex_weight(v), 40u);
   }
@@ -69,7 +70,7 @@ TEST(Coarsen, NeverMergesTwoPrimaryInputs) {
     const auto c = test_circuit(seed);
     CoarsenOptions opt;
     opt.seed = seed;
-    EXPECT_NO_THROW(check_hierarchy_invariants(coarsen(c, opt)));
+    EXPECT_NO_THROW(multilevel::check_hierarchy_invariants(coarsen(c, opt)));
   }
 }
 
@@ -120,7 +121,7 @@ TEST(Coarsen, AllInputsCircuitCannotCoarsen) {
   // One level may absorb the gate into an input globule, after which all
   // globules are input globules and coarsening halts above the threshold.
   EXPECT_GE(h.coarsest().num_vertices(), 8u);
-  check_hierarchy_invariants(h);
+  multilevel::check_hierarchy_invariants(h);
 }
 
 TEST(Coarsen, HeavyEdgeSchemeWorks) {
@@ -130,8 +131,23 @@ TEST(Coarsen, HeavyEdgeSchemeWorks) {
   opt.threshold = 64;
   const Hierarchy h = coarsen(c, opt);
   EXPECT_GE(h.num_levels(), 2u);
-  EXPECT_NO_THROW(check_hierarchy_invariants(h));
+  EXPECT_NO_THROW(multilevel::check_hierarchy_invariants(h));
   EXPECT_EQ(h.coarsest().total_vertex_weight(), c.size());
+}
+
+TEST(Coarsen, InvariantCheckRejectsCorruptLevels) {
+  const auto c = test_circuit();
+  CoarsenOptions opt;
+  opt.threshold = 64;
+  const Hierarchy good = coarsen(c, opt);
+  ASSERT_GE(good.num_levels(), 1u);
+  Hierarchy bad = good;
+  bad.levels[0].parent_map[0] =
+      static_cast<std::uint32_t>(bad.levels[0].graph.num_vertices());
+  EXPECT_THROW(multilevel::check_hierarchy_invariants(bad), util::CheckError);
+  bad = good;
+  bad.levels[0].contains_input[0] ^= 1;
+  EXPECT_THROW(multilevel::check_hierarchy_invariants(bad), util::CheckError);
 }
 
 TEST(Coarsen, DeterministicForEqualSeeds) {

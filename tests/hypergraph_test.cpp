@@ -15,6 +15,7 @@
 #include "hypergraph/metrics.hpp"
 #include "hypergraph/multilevel_hg_partitioner.hpp"
 #include "hypergraph/refine.hpp"
+#include "multilevel/vcycle.hpp"
 #include "partition/metrics.hpp"
 #include "partition/multilevel_partitioner.hpp"
 #include "util/check.hpp"
@@ -243,12 +244,12 @@ TEST(HgCoarsen, HierarchyInvariantsHold) {
   opt.max_globule_weight = c.size() / 8;
   const HgHierarchy h = coarsen(c, opt);
   ASSERT_GE(h.levels.size(), 2u);
-  check_hg_hierarchy_invariants(h);
+  multilevel::check_hierarchy_invariants(h);
   // Strictly shrinking levels, down to (or near) the threshold.
   std::size_t prev = h.base.num_vertices();
   for (const auto& lvl : h.levels) {
-    EXPECT_LT(lvl.hg.num_vertices(), prev);
-    prev = lvl.hg.num_vertices();
+    EXPECT_LT(lvl.graph.num_vertices(), prev);
+    prev = lvl.graph.num_vertices();
   }
 }
 
@@ -259,8 +260,8 @@ TEST(HgCoarsen, GlobuleWeightCapRespected) {
   opt.max_globule_weight = 40;
   const HgHierarchy h = coarsen(c, opt);
   for (const auto& lvl : h.levels) {
-    for (VertexId v = 0; v < lvl.hg.num_vertices(); ++v) {
-      EXPECT_LE(lvl.hg.vertex_weight(v), 40u);
+    for (VertexId v = 0; v < lvl.graph.num_vertices(); ++v) {
+      EXPECT_LE(lvl.graph.vertex_weight(v), 40u);
     }
   }
 }
@@ -451,7 +452,7 @@ TEST(HgGolden, CoarseningHierarchies) {
     Fnv1a hash;
     hash.add(h.base);
     for (const auto& lvl : h.levels) {
-      hash.add(lvl.hg);
+      hash.add(lvl.graph);
       for (auto g : lvl.parent_map) hash.add(g);
     }
     EXPECT_TRUE(HashIs(hash, expected[mode])) << "mode " << mode;

@@ -1,7 +1,6 @@
 // Tests for the gate-level LP layer: exhaustive truth tables for
-// eval_gate, behaviour of the one-lane and wide BatchGateLp / BatchDffLp /
-// BatchInputLp against a mock context, and the elaboration (build_model)
-// port wiring.
+// eval_gate, behaviour of one-lane and wide gates, flip-flops and inputs
+// against a mock context, and the elaboration (build_model) port wiring.
 
 #include <gtest/gtest.h>
 
@@ -137,8 +136,32 @@ Event port_event(std::uint32_t port, std::uint64_t value, SimTime t) {
 
 Event tick_event(SimTime t) { return port_event(kTickPort, 0, t); }
 
+/// A model of one LP, built the way build_model builds every LP.
+FlatModel one_lp(GateType type, std::uint32_t arity,
+                 const std::vector<FanoutPort>& fanouts,
+                 const ModelOptions& opt = {}) {
+  FlatModelBuilder builder(opt);
+  builder.add(type, arity, fanouts);
+  return builder.finish();
+}
+
+/// A flip-flop driving port 0 of LP 5, clocked every 10 from t = 10.
+FlatModel one_dff(std::uint32_t lanes) {
+  ModelOptions opt;
+  opt.clock_phase = 10;
+  opt.lanes = lanes;
+  return one_lp(GateType::kDff, 1, {{5, 0}}, opt);
+}
+
+ModelOptions with_lanes(std::uint32_t lanes) {
+  ModelOptions opt;
+  opt.lanes = lanes;
+  return opt;
+}
+
 TEST(OneLaneGateLp, EmitsOnOutputChangeOnly) {
-  BatchGateLp g(GateType::kAnd, 2, {{7, 0}, {8, 1}}, /*lanes=*/1);
+  const FlatModel m = one_lp(GateType::kAnd, 2, {{7, 0}, {8, 1}});
+  NetlistLp g(m, 0);
   MockContext ctx;
   ctx.state_v = g.initial_state();
 
@@ -164,7 +187,8 @@ TEST(OneLaneGateLp, EmitsOnOutputChangeOnly) {
 }
 
 TEST(OneLaneGateLp, BatchAppliesAllPortsAtOnce) {
-  BatchGateLp g(GateType::kAnd, 2, {{7, 0}}, /*lanes=*/1);
+  const FlatModel m = one_lp(GateType::kAnd, 2, {{7, 0}});
+  NetlistLp g(m, 0);
   MockContext ctx;
   ctx.now_v = 5;
   std::vector<Event> batch{port_event(0, 1, 5), port_event(1, 1, 5)};
@@ -175,7 +199,8 @@ TEST(OneLaneGateLp, BatchAppliesAllPortsAtOnce) {
 
 TEST(OneLaneGateLp, PowerOnTickAnnouncesRisenOutput) {
   // NAND with all-zero inputs evaluates to 1 at power-on.
-  BatchGateLp g(GateType::kNand, 2, {{3, 0}}, /*lanes=*/1);
+  const FlatModel m = one_lp(GateType::kNand, 2, {{3, 0}});
+  NetlistLp g(m, 0);
   MockContext ctx;
   g.init(ctx);  // schedules the power-on tick
   ASSERT_EQ(ctx.sent.size(), 1u);
@@ -191,7 +216,8 @@ TEST(OneLaneGateLp, PowerOnTickAnnouncesRisenOutput) {
 }
 
 TEST(OneLaneGateLp, SuppressesSendsBeyondEndTime) {
-  BatchGateLp g(GateType::kNot, 1, {{3, 0}}, /*lanes=*/1);
+  const FlatModel m = one_lp(GateType::kNot, 1, {{3, 0}});
+  NetlistLp g(m, 0);
   MockContext ctx;
   ctx.now_v = 1000;
   ctx.end_v = 1000;
@@ -202,16 +228,17 @@ TEST(OneLaneGateLp, SuppressesSendsBeyondEndTime) {
 
 TEST(OneLaneGateLp, RejectsIllegalArity) {
   using pls::util::CheckError;
-  EXPECT_THROW(BatchGateLp(GateType::kAnd, 0, {}, 1), CheckError);
-  EXPECT_THROW(BatchGateLp(GateType::kAnd, 65, {}, 1), CheckError);
+  EXPECT_THROW(one_lp(GateType::kAnd, 0, {}), CheckError);
+  EXPECT_THROW(one_lp(GateType::kAnd, 65, {}), CheckError);
 }
 
 TEST(OneLaneDffLp, SamplesAtFirstEdgeAfterDataChange) {
-  BatchDffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*lanes=*/1);
+  const FlatModel m = one_dff(/*lanes=*/1);
+  NetlistLp ff(m, 0);
   MockContext ctx;
 
   // D rises at t=3: no output yet, but a sampling tick is armed for the
-  // next clock edge (clock suppression — see BatchDffLp::init).
+  // next clock edge (clock suppression — see NetlistLp::init).
   ctx.now_v = 3;
   std::vector<Event> batch{port_event(0, 1, 3)};
   ff.execute(ctx, batch);
@@ -233,7 +260,8 @@ TEST(OneLaneDffLp, SamplesAtFirstEdgeAfterDataChange) {
 }
 
 TEST(OneLaneDffLp, EdgeComputationIsAligned) {
-  BatchDffLp ff({}, /*period=*/10, /*phase=*/5, /*lanes=*/1);
+  // The default clock: period 10, first edge at 5.
+  const FlatModel ff = one_lp(GateType::kDff, 1, {});
   EXPECT_EQ(ff.next_edge_at_or_after(0), 5u);
   EXPECT_EQ(ff.next_edge_at_or_after(5), 5u);
   EXPECT_EQ(ff.next_edge_at_or_after(6), 15u);
@@ -242,7 +270,8 @@ TEST(OneLaneDffLp, EdgeComputationIsAligned) {
 }
 
 TEST(OneLaneDffLp, DataOnClockEdgeIsCaptured) {
-  BatchDffLp ff({{5, 0}}, 10, 10, /*lanes=*/1);
+  const FlatModel m = one_dff(/*lanes=*/1);
+  NetlistLp ff(m, 0);
   MockContext ctx;
   ctx.now_v = 10;
   // D event and tick in the same batch: data-first rule captures the 1.
@@ -252,7 +281,8 @@ TEST(OneLaneDffLp, DataOnClockEdgeIsCaptured) {
 }
 
 TEST(OneLaneDffLp, NoEmissionWhenQUnchanged) {
-  BatchDffLp ff({{5, 0}}, 10, 10, /*lanes=*/1);
+  const FlatModel m = one_dff(/*lanes=*/1);
+  NetlistLp ff(m, 0);
   MockContext ctx;
   ctx.now_v = 10;
   std::vector<Event> batch{tick_event(10)};  // D=0, Q=0
@@ -264,7 +294,8 @@ TEST(OneLaneLayout, StatesStayInlineWithFaninsPackedIntoA) {
   // One lane keeps every state word inline, so snapshots never copy pooled
   // words: the gate packs fanin p into bit p of `a`, and the flip-flop
   // keeps no armed-lanes word.
-  BatchGateLp g(GateType::kXor, 3, {{7, 0}}, /*lanes=*/1);
+  const FlatModel gm = one_lp(GateType::kXor, 3, {{7, 0}});
+  NetlistLp g(gm, 0);
   MockContext ctx;
   ctx.state_v = g.initial_state();
   EXPECT_TRUE(ctx.state_v.w.empty());
@@ -285,7 +316,8 @@ TEST(OneLaneLayout, StatesStayInlineWithFaninsPackedIntoA) {
   EXPECT_TRUE(ctx.state_v.w.empty());
   ASSERT_EQ(ctx.sent.size(), 2u);  // rose at t=4, fell at t=6
 
-  BatchDffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*lanes=*/1);
+  const FlatModel fm = one_dff(/*lanes=*/1);
+  NetlistLp ff(fm, 0);
   MockContext fctx;
   fctx.state_v = ff.initial_state();
   EXPECT_TRUE(fctx.state_v.w.empty());
@@ -313,26 +345,30 @@ TEST(OneLaneLayout, StatesStayInlineWithFaninsPackedIntoA) {
 
 TEST(OneLaneInputLp, VectorBitIsPureFunction) {
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(BatchInputLp::vector_bit(7, 3, i),
-              BatchInputLp::vector_bit(7, 3, i));
+    EXPECT_EQ(vector_bit(7, 3, i), vector_bit(7, 3, i));
   }
   // Different inputs / indices decorrelate.
   int diff = 0;
   for (int i = 0; i < 64; ++i) {
-    diff += BatchInputLp::vector_bit(7, 3, i) !=
-            BatchInputLp::vector_bit(7, 4, i);
+    diff += vector_bit(7, 3, i) != vector_bit(7, 4, i);
   }
   EXPECT_GT(diff, 10);
 }
 
 TEST(OneLaneInputLp, AppliesVectorAndReschedules) {
-  BatchInputLp in({{2, 0}}, /*period=*/20, /*seed=*/7, /*lanes=*/1);
+  // The default stimulus: period 20, seed 7.  The input under test is LP 9
+  // behind nine idle inputs, since its id keys the stimulus hash.
+  FlatModelBuilder builder(ModelOptions{});
+  for (int i = 0; i < 9; ++i) builder.add(GateType::kInput, 0, {});
+  builder.add(GateType::kInput, 0, std::vector<FanoutPort>{{2, 0}});
+  const FlatModel m = builder.finish();
+  NetlistLp in(m, 9);
   MockContext ctx;
   ctx.self_v = 9;
   ctx.now_v = 40;  // vector index 2
   std::vector<Event> batch{tick_event(40)};
   in.execute(ctx, batch);
-  const bool expected = BatchInputLp::vector_bit(7, 9, 2);
+  const bool expected = vector_bit(7, 9, 2);
   // Sends the new value only if it changed from 0.
   if (expected) {
     ASSERT_EQ(ctx.sent.size(), 2u);
@@ -400,7 +436,8 @@ TEST(EvalGateWord, MatchesScalarEvalLaneByLane) {
 }
 
 TEST(BatchGateLp, MaskedApplicationAndDiffGatedEmission) {
-  BatchGateLp g(GateType::kAnd, 2, {{7, 0}}, /*lanes=*/64);
+  const FlatModel m = one_lp(GateType::kAnd, 2, {{7, 0}}, with_lanes(64));
+  NetlistLp g(m, 0);
   MockContext ctx;
   ctx.state_v = g.initial_state();
   ASSERT_EQ(ctx.state_v.w.size(), 2u);
@@ -434,8 +471,10 @@ TEST(BatchGateLp, MaskedApplicationAndDiffGatedEmission) {
 TEST(BatchGateLp, StuckAtForcesOnlyItsLane) {
   // BUF with lane 1 stuck at 1: power-on announces the forced lane, and
   // later input changes ripple through lane 0 while lane 1 never moves.
-  BatchGateLp g(GateType::kBuf, 1, {{3, 0}}, /*lanes=*/2,
-                /*sa_mask=*/{0b10}, /*sa_value=*/{0b10});
+  ModelOptions opt = with_lanes(2);
+  opt.faults = {StuckAtFault{/*gate=*/0, /*stuck_value=*/true}};  // lane 1
+  const FlatModel m = one_lp(GateType::kBuf, 1, {{3, 0}}, opt);
+  NetlistLp g(m, 0);
   MockContext ctx;
   ctx.state_v = g.initial_state();
   ctx.now_v = 0;
@@ -454,7 +493,8 @@ TEST(BatchGateLp, StuckAtForcesOnlyItsLane) {
 }
 
 TEST(BatchDffLp, TickSamplesOnlyArmedLanes) {
-  BatchDffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*lanes=*/64);
+  const FlatModel m = one_dff(/*lanes=*/64);
+  NetlistLp ff(m, 0);
   MockContext ctx;
   ctx.state_v = ff.initial_state();
   ASSERT_EQ(ctx.state_v.w.size(), 1u);
@@ -496,7 +536,8 @@ TEST(BatchDffLp, TickSamplesOnlyArmedLanes) {
 
 TEST(BatchDffLp, PhaseEdgeSamplesEveryLane) {
   // The init edge is the one tick every scalar run owns: all lanes sample.
-  BatchDffLp ff({{5, 0}}, 10, 10, /*lanes=*/64);
+  const FlatModel m = one_dff(/*lanes=*/64);
+  NetlistLp ff(m, 0);
   MockContext ctx;
   ctx.state_v = ff.initial_state();
   ctx.now_v = 10;
@@ -511,19 +552,16 @@ TEST(BatchDffLp, PhaseEdgeSamplesEveryLane) {
 TEST(BatchInputLp, VectorWordPacksPerLaneSeeds) {
   for (std::uint64_t n = 0; n < 8; ++n) {
     const std::uint64_t w =
-        BatchInputLp::vector_word(/*seed=*/7, /*lp=*/3, n, /*lanes=*/8,
-                                  /*uniform=*/false);
+        vector_word(/*seed=*/7, /*lp=*/3, n, /*lanes=*/8, /*uniform=*/false);
     EXPECT_LT(w, 1u << 8);  // lanes above the count stay clear
     for (unsigned j = 0; j < 8; ++j) {
       EXPECT_EQ((w >> j) & 1,
-                std::uint64_t{BatchInputLp::vector_bit(lane_seed(7, j), 3, n)})
+                std::uint64_t{vector_bit(lane_seed(7, j), 3, n)})
           << "vector " << n << " lane " << j;
     }
     // Uniform mode broadcasts the base-seed bit to every lane.
-    const std::uint64_t u =
-        BatchInputLp::vector_word(7, 3, n, 8, /*uniform=*/true);
-    EXPECT_EQ(u, BatchInputLp::vector_bit(7, 3, n) ? lane_mask(8)
-                                              : std::uint64_t{0});
+    const std::uint64_t u = vector_word(7, 3, n, 8, /*uniform=*/true);
+    EXPECT_EQ(u, vector_bit(7, 3, n) ? lane_mask(8) : std::uint64_t{0});
   }
 }
 
@@ -540,24 +578,28 @@ TEST(Lanes, SampleFaultsPicksDistinctSites) {
 // ---- elaboration -----------------------------------------------------------
 
 TEST(BuildModel, OneLpPerGateWithCorrectKinds) {
-  // Every lane count elaborates the same three word-wise behaviours.
+  // Every lane count elaborates the same three word-wise kinds, and LP g
+  // is the behaviour of the model's record g.
   const auto c = circuit::make_iscas_like("s5378", 3);
   for (const std::uint32_t lanes : {1u, 4u, 64u}) {
-    ModelOptions opt;
-    opt.lanes = lanes;
-    const SimModel model = build_model(c, opt);
+    const SimModel model = build_model(c, with_lanes(lanes));
     ASSERT_EQ(model.lps.size(), c.size());
+    ASSERT_EQ(model.flat->size(), c.size());
     for (circuit::GateId g = 0; g < c.size(); ++g) {
-      auto* lp = model.lps[g].get();
+      const auto* lp = dynamic_cast<const NetlistLp*>(model.lps[g].get());
+      ASSERT_NE(lp, nullptr);
+      EXPECT_EQ(&lp->model(), model.flat.get());
+      EXPECT_EQ(lp->id(), g);
+      const LpKind kind = model.flat->lp(g).kind;
       switch (c.type(g)) {
         case GateType::kInput:
-          EXPECT_NE(dynamic_cast<BatchInputLp*>(lp), nullptr);
+          EXPECT_EQ(kind, LpKind::kInput);
           break;
         case GateType::kDff:
-          EXPECT_NE(dynamic_cast<BatchDffLp*>(lp), nullptr);
+          EXPECT_EQ(kind, LpKind::kDff);
           break;
         default:
-          EXPECT_NE(dynamic_cast<BatchGateLp*>(lp), nullptr);
+          EXPECT_EQ(kind, LpKind::kGate);
       }
     }
   }
@@ -593,6 +635,26 @@ TEST(BuildModel, PortWiringMatchesFaninIndices) {
   EXPECT_TRUE(sent_something);
 }
 
+TEST(BuildModel, PortsRunByTargetThenPin) {
+  // a drives g1 on pin 1 and g2 on pins 0 and 2.  Its ports, and so its
+  // sends, run by target, then by pin.
+  circuit::Circuit c;
+  const auto a = c.add_input("a");
+  const auto b = c.add_input("b");
+  const auto g1 = c.add_gate("g1", GateType::kAnd, {b, a});
+  const auto g2 = c.add_gate("g2", GateType::kOr, {a, b, a});
+  c.freeze();
+  const SimModel model = build_model(c);
+  const auto ports = model.flat->fanouts(model.flat->lp(a));
+  ASSERT_EQ(ports.size(), 3u);
+  EXPECT_EQ(ports[0].target, g1);
+  EXPECT_EQ(ports[0].port, 1u);
+  EXPECT_EQ(ports[1].target, g2);
+  EXPECT_EQ(ports[1].port, 0u);
+  EXPECT_EQ(ports[2].target, g2);
+  EXPECT_EQ(ports[2].port, 2u);
+}
+
 TEST(BuildModel, RequiresFrozenCircuit) {
   circuit::Circuit c;
   c.add_input("a");
@@ -623,6 +685,15 @@ TEST(BuildModel, ValidatesLaneAndFaultConfiguration) {
   // A fault site outside the circuit is rejected.
   opt.faults = {StuckAtFault{static_cast<circuit::GateId>(c.size()), true}};
   EXPECT_THROW(build_model(c, opt), pls::util::CheckError);
+
+  // Clock and stimulus periods and the first clock edge must be positive.
+  for (const auto field : {&ModelOptions::clock_period,
+                           &ModelOptions::clock_phase,
+                           &ModelOptions::stim_period}) {
+    ModelOptions bad;
+    bad.*field = 0;
+    EXPECT_THROW(build_model(c, bad), pls::util::CheckError);
+  }
 }
 
 }  // namespace

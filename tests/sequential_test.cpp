@@ -37,7 +37,7 @@ TEST(Sequential, InverterChainTracksStimulus) {
   // (a's transition reaches n1 by t=83).
   const SeqStats out = simulate_sequential(model.behaviours(), 90);
 
-  const bool a_final = BatchInputLp::vector_bit(7, a, 80 / 20);
+  const bool a_final = vector_bit(7, a, 80 / 20);
   EXPECT_EQ(output_bit(out.final_states[a]), a_final);
   EXPECT_EQ(output_bit(out.final_states[n0]), !a_final);
   EXPECT_EQ(output_bit(out.final_states[n1]), a_final);
@@ -80,7 +80,7 @@ TEST(Sequential, DffDelaysDataByOneClock) {
 
   // Q must equal the input value at the last clock edge (t=195), which is
   // the vector applied at t=160 (index 4).
-  const bool expected = BatchInputLp::vector_bit(3, a, 4);
+  const bool expected = vector_bit(3, a, 4);
   EXPECT_EQ(output_bit(out.final_states[ff]), expected);
 }
 
@@ -159,6 +159,55 @@ TEST(Sequential, RejectsNonNetlistLps) {
               std::string::npos)
         << e.what();
   }
+}
+
+// The reference steps the one model its LPs elaborate, so an LP vector
+// that mixes two models, reorders one or leaves part of it out fails a
+// check that names the first LP at fault.
+std::string rejection(const std::vector<warped::LogicalProcess*>& lps) {
+  try {
+    simulate_sequential(lps, 100);
+  } catch (const util::CheckError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+circuit::Circuit inverter_chain() {
+  circuit::Circuit c;
+  const auto a = c.add_input("a");
+  const auto n0 = c.add_gate("n0", GateType::kNot, {a});
+  c.add_gate("n1", GateType::kNot, {n0});
+  c.freeze();
+  return c;
+}
+
+TEST(Sequential, RejectsBehavioursOfAnotherModel) {
+  const circuit::Circuit c = inverter_chain();
+  const SimModel m1 = build_model(c);
+  const SimModel m2 = build_model(c);
+  std::vector<warped::LogicalProcess*> lps = m1.behaviours();
+  lps[1] = m2.lps[1].get();
+  lps[2] = m2.lps[2].get();
+  const std::string why = rejection(lps);
+  EXPECT_NE(why.find("LP 1 belongs to another model than LP 0"),
+            std::string::npos)
+      << why;
+}
+
+TEST(Sequential, RejectsMisplacedOrMissingLps) {
+  const circuit::Circuit c = inverter_chain();
+  const SimModel model = build_model(c);
+  std::vector<warped::LogicalProcess*> lps = model.behaviours();
+  std::swap(lps[1], lps[2]);
+  std::string why = rejection(lps);
+  EXPECT_NE(why.find("LP 1 is LP 2 of its model"), std::string::npos) << why;
+  lps = model.behaviours();
+  lps.pop_back();
+  why = rejection(lps);
+  EXPECT_NE(why.find("the run holds 2 of the model's 3 LPs"),
+            std::string::npos)
+      << why;
 }
 
 // ----- golden hashes ---------------------------------------------------
