@@ -73,6 +73,32 @@ Hypergraph Hypergraph::from_circuit(const circuit::Circuit& c,
   return hg;
 }
 
+Hypergraph Hypergraph::from_graph(const graph::WeightedGraph& g) {
+  const std::size_t n = g.num_vertices();
+  Hypergraph hg;
+  hg.vweight_.resize(n);
+  for (graph::VertexId v = 0; v < n; ++v) hg.vweight_[v] = g.vertex_weight(v);
+  hg.total_weight_ = g.total_vertex_weight();
+
+  // Rows are ascending, merged and free of self-loops, so each edge's
+  // (u, v) with u < v is already a sorted, distinct 2-pin net.
+  hg.net_off_.reserve(g.num_edges() + 1);
+  hg.pins_.reserve(2 * g.num_edges());
+  hg.net_weight_.reserve(g.num_edges());
+  hg.net_off_.push_back(0);
+  for (graph::VertexId u = 0; u < n; ++u) {
+    for (const graph::Edge& e : g.neighbors(u)) {
+      if (e.to <= u) continue;
+      hg.pins_.push_back(u);
+      hg.pins_.push_back(e.to);
+      hg.net_off_.push_back(static_cast<std::uint32_t>(hg.pins_.size()));
+      hg.net_weight_.push_back(e.weight);
+    }
+  }
+  hg.build_incidence();
+  return hg;
+}
+
 Hypergraph Hypergraph::from_csr(std::vector<std::uint32_t> vertex_weights,
                                 std::vector<std::uint32_t> net_off,
                                 std::vector<VertexId> pins,

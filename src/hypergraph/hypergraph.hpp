@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "graph/weighted_graph.hpp"
 #include "multilevel/weights.hpp"
 
 namespace pls::hypergraph {
@@ -49,6 +50,12 @@ class Hypergraph {
   /// back to unit weights.
   static Hypergraph from_circuit(const circuit::Circuit& c,
                                  const multilevel::VertexTrafficWeights* w);
+
+  /// The 2-pin view of a graph: g's vertex weights, and one net {u, v} per
+  /// undirected edge (u < v, in row order) weighted like the edge.  A
+  /// 2-pin net's λ−1 is its edge's cut, so connectivity_minus_one on the
+  /// view is partition::edge_cut on g.
+  static Hypergraph from_graph(const graph::WeightedGraph& g);
 
   /// Adopt a ready net → pins CSR (net e's pins are
   /// pins[net_off[e] .. net_off[e+1])) without copying or re-sorting it.

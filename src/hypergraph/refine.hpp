@@ -7,7 +7,10 @@
 // — a net gains when v is its last pin in a (part a leaves the net's span)
 // and loses when v is its first pin in b.  This is the exact objective the
 // Time Warp layer pays per signal transition, unlike graph refinement
-// which optimizes the symmetrized-clique proxy.
+// which optimizes the symmetrized-clique proxy.  It is also the repo's
+// only FM: graph Multilevel's FM refiner (partition/refine_fm.cpp) runs it
+// on a level graph's 2-pin view (Hypergraph::from_graph), where a net's
+// λ−1 is its edge's cut.
 //
 // Gains are read from a per-vertex k-way table kept exact across moves:
 //   conn[u·k+q] = Σ w(e) over u's nets with a pin in part q (so the column

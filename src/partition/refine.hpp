@@ -5,8 +5,11 @@
 // the original graph, minimizing the cut-set while preserving load
 // balance.  The paper uses *greedy* refinement ([12]) and cites
 // Kernighan–Lin [13] and Fiduccia–Mattheyses [6] as the slower, no-better
-// alternatives it was measured against; all three are implemented here so
-// that comparison is reproducible (bench_refinement_ablation).
+// alternatives it was measured against; all three are selectable here so
+// that comparison is reproducible (bench_refinement_ablation).  Greedy
+// and KL are graph refiners of their own.  FM is the hypergraph FM
+// (hypergraph/refine.hpp) run on the level graph's 2-pin view, where a
+// net's λ−1 is its edge's cut, so one FM serves both multilevel pipelines.
 
 #include <cstdint>
 #include <memory>
@@ -61,7 +64,8 @@ class KernighanLinRefiner final : public Refiner {
 };
 
 /// k-way Fiduccia–Mattheyses single-move refinement with best-prefix
-/// rollback (baseline [6]).
+/// rollback (baseline [6]): hypergraph::refine_fm on g's 2-pin view.
+/// `seed` is unused (that FM is deterministic).
 class FiducciaMattheysesRefiner final : public Refiner {
  public:
   std::string name() const override { return "FM"; }

@@ -1,167 +1,32 @@
-// k-way Fiduccia–Mattheyses refinement (baseline; paper ref [6]).
+// k-way Fiduccia–Mattheyses refinement for graph Multilevel (baseline;
+// paper ref [6]).
 //
-// Single-vertex moves driven by a max-gain priority queue with lazy
-// invalidation.  Unlike greedy, FM also makes zero- and negative-gain moves
-// (hill climbing), keeps a move log, and at the end of each pass rolls the
-// partition back to the best cumulative-gain prefix.  Every moved vertex is
-// locked for the remainder of the pass, as in the original linear-time
-// formulation.
+// The graph pipeline has no FM of its own: it runs the hypergraph FM
+// (hypergraph/refine.hpp) on the level graph's 2-pin view, one net per
+// undirected edge weighted like the edge, with the graph's vertex weights.
+// A 2-pin net's λ−1 is exactly its edge's cut, so on that view the
+// hypergraph FM minimizes the edge cut: single-vertex moves from gain
+// buckets, zero- and negative-gain moves within a pass, every moved vertex
+// locked, and a rollback to the best cumulative-gain prefix.
 
-#include <algorithm>
-#include <queue>
-
-#include "multilevel/balance.hpp"
-#include "partition/metrics.hpp"
+#include "hypergraph/hypergraph.hpp"
+#include "hypergraph/refine.hpp"
 #include "partition/refine.hpp"
-#include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace pls::partition {
-namespace {
-
-struct HeapEntry {
-  std::int64_t gain;
-  graph::VertexId v;
-  std::uint32_t stamp;  ///< lazy invalidation: stale if != stamp[v]
-  bool operator<(const HeapEntry& o) const noexcept { return gain < o.gain; }
-};
-
-struct Move {
-  graph::VertexId v;
-  PartId from;
-  PartId to;
-};
-
-}  // namespace
 
 RefineResult FiducciaMattheysesRefiner::refine(
     const graph::WeightedGraph& g, Partition& p,
     const RefineOptions& opt) const {
-  p.validate(g.num_vertices());
-  const std::size_t n = g.num_vertices();
-  const std::uint32_t k = p.k;
-
-  RefineResult res;
-  res.cut_before = edge_cut(g, p);
-
-  std::vector<std::uint64_t> load(k, 0);
-  for (graph::VertexId v = 0; v < n; ++v) {
-    load[p.assign[v]] += g.vertex_weight(v);
-  }
-  const std::uint64_t limit =
-      multilevel::balance_limit(g.total_vertex_weight(), k, opt.balance_tol);
-
-  std::vector<std::uint64_t> conn(k, 0);
-  std::vector<PartId> touched;
-
-  // Best external move of v: (gain, target part), balance-ignorant (balance
-  // is checked at pop time against live loads).
-  auto best_move = [&](graph::VertexId v) -> std::pair<std::int64_t, PartId> {
-    const PartId home = p.assign[v];
-    touched.clear();
-    for (const graph::Edge& e : g.neighbors(v)) {
-      const PartId q = p.assign[e.to];
-      if (conn[q] == 0) touched.push_back(q);
-      conn[q] += e.weight;
-    }
-    std::int64_t best_gain = std::numeric_limits<std::int64_t>::min();
-    PartId best_part = home;
-    for (PartId q : touched) {
-      if (q == home) continue;
-      const auto gain = static_cast<std::int64_t>(conn[q]) -
-                        static_cast<std::int64_t>(conn[home]);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_part = q;
-      }
-    }
-    // A vertex with no external neighbours can still move (gain = -conn
-    // internal), to any other part; pick (home+1)%k for determinism.
-    if (best_part == home && k > 1) {
-      best_gain = -static_cast<std::int64_t>(conn[home]);
-      best_part = (home + 1) % k;
-    }
-    for (PartId q : touched) conn[q] = 0;
-    return {best_gain, best_part};
-  };
-
-  std::vector<std::uint32_t> stamp(n, 0);
-  std::vector<std::uint8_t> locked(n, 0);
-
-  for (std::uint32_t iter = 0; iter < opt.max_iters; ++iter) {
-    ++res.iterations;
-    const std::uint64_t cut_at_pass_start = edge_cut(g, p);
-
-    std::priority_queue<HeapEntry> heap;
-    std::fill(locked.begin(), locked.end(), 0);
-    for (graph::VertexId v = 0; v < n; ++v) {
-      const auto [gain, part] = best_move(v);
-      if (part != p.assign[v]) heap.push(HeapEntry{gain, v, stamp[v]});
-    }
-
-    std::vector<Move> log;
-    std::int64_t cum = 0;
-    std::int64_t best_cum = 0;
-    std::size_t best_prefix = 0;
-
-    while (!heap.empty() && log.size() < n) {
-      const HeapEntry top = heap.top();
-      heap.pop();
-      if (top.stamp != stamp[top.v] || locked[top.v]) continue;  // stale
-      const auto [gain, target] = best_move(top.v);
-      if (gain != top.gain) {  // re-queue with the fresh gain
-        ++stamp[top.v];
-        heap.push(HeapEntry{gain, top.v, stamp[top.v]});
-        continue;
-      }
-      if (target == p.assign[top.v]) continue;
-      if (load[target] + g.vertex_weight(top.v) > limit) continue;
-
-      // Commit the tentative move.
-      const PartId from = p.assign[top.v];
-      load[from] -= g.vertex_weight(top.v);
-      load[target] += g.vertex_weight(top.v);
-      p.assign[top.v] = target;
-      locked[top.v] = 1;
-      log.push_back(Move{top.v, from, target});
-      cum += gain;
-      if (cum > best_cum) {
-        best_cum = cum;
-        best_prefix = log.size();
-      }
-      // Bail out of deep negative excursions (keeps passes near O(E)).
-      if (cum < best_cum - 64) break;
-
-      // Refresh the gains of affected unlocked neighbours.
-      for (const graph::Edge& e : g.neighbors(top.v)) {
-        if (locked[e.to]) continue;
-        ++stamp[e.to];
-        const auto [ngain, npart] = best_move(e.to);
-        if (npart != p.assign[e.to]) {
-          heap.push(HeapEntry{ngain, e.to, stamp[e.to]});
-        }
-      }
-    }
-
-    // Roll back to the best prefix.
-    for (std::size_t i = log.size(); i-- > best_prefix;) {
-      const Move& m = log[i];
-      p.assign[m.v] = m.from;
-      load[m.to] -= g.vertex_weight(m.v);
-      load[m.from] += g.vertex_weight(m.v);
-    }
-    res.moves += best_prefix;
-
-    const std::uint64_t cut_now = edge_cut(g, p);
-    PLS_CHECK_MSG(cut_now <= cut_at_pass_start,
-                  "FM pass increased the cut despite prefix rollback");
-    if (cut_now == cut_at_pass_start) break;  // no improvement: converged
-  }
-
-  res.cut_after = edge_cut(g, p);
-  PLS_CHECK_MSG(res.cut_after <= res.cut_before,
-                "FM refinement increased the cut");
-  return res;
+  hypergraph::HgRefineOptions hopt;
+  hopt.balance_tol = opt.balance_tol;
+  hopt.max_iters = opt.max_iters;
+  const hypergraph::HgRefineResult r =
+      hypergraph::refine_fm(hypergraph::Hypergraph::from_graph(g), p, hopt);
+  return {.moves = r.moves,
+          .iterations = r.iterations,
+          .cut_before = r.lambda_before,
+          .cut_after = r.lambda_after};
 }
 
 }  // namespace pls::partition

@@ -1,5 +1,6 @@
 // Tests for the hypergraph subsystem: CSR construction and pin-count
-// invariants, the λ−1 ≡ comm_volume equivalence, metric inequalities, the
+// invariants, a graph's 2-pin view, the λ−1 ≡ comm_volume and
+// λ−1 ≡ edge cut (on the 2-pin view) equivalences, metric inequalities, the
 // coarsening hierarchy, FM refinement, and the MultilevelHG partitioner.
 
 #include <gtest/gtest.h>
@@ -7,9 +8,11 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "circuit/generator.hpp"
 #include "framework/registry.hpp"
+#include "graph/weighted_graph.hpp"
 #include "hypergraph/coarsen.hpp"
 #include "hypergraph/initial.hpp"
 #include "hypergraph/metrics.hpp"
@@ -133,6 +136,52 @@ TEST(Hypergraph, FromCsrAdoptsAndValidates) {
                util::CheckError);
 }
 
+/// A random graph with vertex weights 1–8 and edge weights 0–9; the edge
+/// list repeats pairs, both directions and self-loops, which the graph
+/// merges or drops.
+graph::WeightedGraph random_weighted_graph(std::size_t n, std::size_t m,
+                                           util::Rng& rng) {
+  std::vector<std::uint32_t> vw(n);
+  for (auto& w : vw) w = static_cast<std::uint32_t>(1 + rng.below(8));
+  std::vector<std::tuple<graph::VertexId, graph::VertexId, std::uint32_t>>
+      edges;
+  for (std::size_t i = 0; i < m; ++i) {
+    edges.emplace_back(static_cast<graph::VertexId>(rng.below(n)),
+                       static_cast<graph::VertexId>(rng.below(n)),
+                       static_cast<std::uint32_t>(rng.below(10)));
+  }
+  return graph::WeightedGraph(std::move(vw), edges);
+}
+
+TEST(Hypergraph, FromGraphIsTheTwoPinView) {
+  util::Rng rng(41);
+  for (int t = 0; t < 50; ++t) {
+    const std::size_t n = 1 + rng.below(120);
+    const auto g = random_weighted_graph(n, rng.below(4 * n), rng);
+    const Hypergraph hg = Hypergraph::from_graph(g);
+
+    ASSERT_EQ(hg.num_vertices(), n);
+    EXPECT_EQ(hg.total_vertex_weight(), g.total_vertex_weight());
+    for (graph::VertexId v = 0; v < n; ++v) {
+      EXPECT_EQ(hg.vertex_weight(v), g.vertex_weight(v));
+      EXPECT_EQ(hg.weighted_degree(v), g.weighted_degree(v));
+    }
+    // One net per undirected edge, in row order, weighted like the edge.
+    ASSERT_EQ(hg.num_nets(), g.num_edges()) << "t=" << t;
+    NetId e = 0;
+    for (graph::VertexId u = 0; u < n; ++u) {
+      for (const graph::Edge& edge : g.neighbors(u)) {
+        if (edge.to < u) continue;
+        const auto pins = hg.pins(e);
+        EXPECT_EQ(std::vector<VertexId>(pins.begin(), pins.end()),
+                  (std::vector<VertexId>{u, edge.to}));
+        EXPECT_EQ(hg.net_weight(e), edge.weight);
+        ++e;
+      }
+    }
+  }
+}
+
 // ----- metrics ---------------------------------------------------------
 
 TEST(HgMetrics, LambdaMinusOneEqualsCommVolume) {
@@ -232,6 +281,29 @@ TEST(HgMetrics, MatchNaiveSetReference) {
                                                       << " k=" << k;
     EXPECT_EQ(cut_net(hg, p), cut) << "t=" << t << " k=" << k;
   }
+}
+
+TEST(HgMetrics, TwoPinViewLambdaEqualsEdgeCut) {
+  // On a graph's 2-pin view a net spans one or two parts, so its λ−1 is
+  // its edge's cut: the graph pipeline's FM refines the edge cut this way.
+  util::Rng rng(43);
+  for (int t = 0; t < 200; ++t) {
+    const auto k = static_cast<std::uint32_t>(2 + t % 7);
+    const std::size_t n = 1 + rng.below(150);
+    const auto g = random_weighted_graph(n, rng.below(4 * n), rng);
+    const auto p = random_partition(n, k, rng.next());
+    EXPECT_EQ(connectivity_minus_one(Hypergraph::from_graph(g), p),
+              partition::edge_cut(g, p))
+        << "t=" << t << " k=" << k;
+  }
+  // Edgeless: no nets, nothing cut.
+  const auto edgeless = random_weighted_graph(5, 0, rng);
+  const Hypergraph hg = Hypergraph::from_graph(edgeless);
+  EXPECT_EQ(hg.num_nets(), 0u);
+  EXPECT_EQ(hg.total_vertex_weight(), edgeless.total_vertex_weight());
+  const auto p = random_partition(5, 3, 9);
+  EXPECT_EQ(connectivity_minus_one(hg, p), 0u);
+  EXPECT_EQ(partition::edge_cut(edgeless, p), 0u);
 }
 
 // ----- coarsening ------------------------------------------------------

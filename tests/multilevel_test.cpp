@@ -206,10 +206,12 @@ TEST(GraphGolden, MultilevelPartitions) {
       {RefinerKind::kKernighanLin, 3, 0xea02d9fe13344956ULL},
       {RefinerKind::kKernighanLin, 4, 0xc747e18063ce7bf3ULL},
       {RefinerKind::kKernighanLin, 8, 0x75ac022ab86550d5ULL},
-      {RefinerKind::kFiducciaMattheyses, 2, 0x316a29d72461dfaeULL},
-      {RefinerKind::kFiducciaMattheyses, 3, 0x4fd19f98f1ae2eb5ULL},
-      {RefinerKind::kFiducciaMattheyses, 4, 0xe867657951296ff3ULL},
-      {RefinerKind::kFiducciaMattheyses, 8, 0xfd4fcc169eae821eULL},
+      // FM runs hypergraph::refine_fm on each level's 2-pin view, so a
+      // change there moves these rows and HgGolden together.
+      {RefinerKind::kFiducciaMattheyses, 2, 0x552d45ed4f6bec4eULL},
+      {RefinerKind::kFiducciaMattheyses, 3, 0x000ef78c102f1bb5ULL},
+      {RefinerKind::kFiducciaMattheyses, 4, 0xefb4cdfbb99539d2ULL},
+      {RefinerKind::kFiducciaMattheyses, 8, 0xee26e9ae80feaa91ULL},
   };
   const auto c = circuit::make_iscas_like("s15850", 2000);
   for (const Case& gc : cases) {

@@ -1,15 +1,17 @@
 // Tests for the greedy / Kernighan–Lin / Fiduccia–Mattheyses refiners:
 // cut never increases, balance limits hold, known-optimal small cases are
-// found, and a parameterized sweep over all refiners and graph shapes.
+// found, and a parameterized sweep over all refiners and graph shapes, with
+// unit and with random vertex weights.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <memory>
 #include <tuple>
 
 #include "circuit/generator.hpp"
 #include "graph/weighted_graph.hpp"
+#include "multilevel/balance.hpp"
 #include "partition/initial.hpp"
 #include "partition/metrics.hpp"
 #include "partition/refine.hpp"
@@ -43,8 +45,11 @@ Partition striped_partition() {
   return p;
 }
 
+/// Vertex weights are 1, or drawn from 1..max_vertex_weight like the
+/// globule weights of a coarse level.
 graph::WeightedGraph random_graph(std::size_t n, std::size_t m,
-                                  std::uint64_t seed) {
+                                  std::uint64_t seed,
+                                  std::uint32_t max_vertex_weight = 1) {
   util::Rng rng(seed);
   std::vector<EdgeTuple> edges;
   edges.reserve(m + n);
@@ -57,7 +62,11 @@ graph::WeightedGraph random_graph(std::size_t n, std::size_t m,
     const auto v = static_cast<graph::VertexId>(rng.below(n));
     edges.emplace_back(u, v, 1 + static_cast<std::uint32_t>(rng.below(4)));
   }
-  return graph::WeightedGraph(std::vector<std::uint32_t>(n, 1), edges);
+  std::vector<std::uint32_t> vertex_weights(n);
+  for (auto& w : vertex_weights) {
+    w = 1 + static_cast<std::uint32_t>(rng.below(max_vertex_weight));
+  }
+  return graph::WeightedGraph(std::move(vertex_weights), edges);
 }
 
 Partition random_partition(std::size_t n, std::uint32_t k,
@@ -156,20 +165,23 @@ struct RefineParam {
   std::size_t m;
   std::uint32_t k;
   std::uint64_t seed;
+  std::uint32_t max_vertex_weight;  ///< 1: unit weights
 };
 
 class RefinerSweep : public ::testing::TestWithParam<RefineParam> {};
 
 TEST_P(RefinerSweep, CutNeverIncreasesAndBalanceHolds) {
   const RefineParam prm = GetParam();
-  const auto g = random_graph(prm.n, prm.m, prm.seed);
+  const auto g = random_graph(prm.n, prm.m, prm.seed, prm.max_vertex_weight);
   Partition p = random_partition(prm.n, prm.k, prm.seed + 1);
   RefineOptions opt;
   opt.balance_tol = 0.25;
   opt.seed = prm.seed + 2;
 
+  std::vector<std::uint32_t> weights(prm.n);
+  for (graph::VertexId v = 0; v < prm.n; ++v) weights[v] = g.vertex_weight(v);
   const std::uint64_t before = edge_cut(g, p);
-  const double imb_before = imbalance(g, p);
+  const auto loads_before = p.loads(weights);
   const auto res = make_refiner(prm.kind)->refine(g, p, opt);
 
   p.validate(prm.n);
@@ -177,15 +189,14 @@ TEST_P(RefinerSweep, CutNeverIncreasesAndBalanceHolds) {
   EXPECT_LE(res.cut_after, before);
   EXPECT_EQ(res.cut_after, edge_cut(g, p));
 
-  // Moves respect the limit: no part may exceed ceil(W/k · (1+tol)) — the
-  // refiners' exact feasibility bound — unless it already did before
-  // refinement started.
-  const double limit = std::ceil(static_cast<double>(prm.n) / prm.k *
-                                 (1.0 + opt.balance_tol));
-  const auto loads = p.loads();
-  for (auto load : loads) {
-    EXPECT_LE(static_cast<double>(load),
-              std::max(limit, imb_before * prm.n / prm.k + 1));
+  // Every committed move keeps its destination's weighted load at or
+  // below the limit, so a part ends at or below it unless it started
+  // above it, and such a part can only have shed weight.
+  const std::uint64_t limit = multilevel::balance_limit(
+      g.total_vertex_weight(), prm.k, opt.balance_tol);
+  const auto loads = p.loads(weights);
+  for (PartId q = 0; q < prm.k; ++q) {
+    EXPECT_LE(loads[q], std::max(limit, loads_before[q])) << "part " << q;
   }
 }
 
@@ -198,22 +209,28 @@ std::string refiner_name(RefinerKind k) {
   return "?";
 }
 
+std::vector<RefineParam> sweep_params() {
+  std::vector<RefineParam> params;
+  for (RefinerKind kind : {RefinerKind::kGreedy, RefinerKind::kKernighanLin,
+                           RefinerKind::kFiducciaMattheyses}) {
+    for (std::uint32_t max_w : {1u, 8u}) {
+      params.push_back({kind, 60, 150, 2, 1, max_w});
+      params.push_back({kind, 300, 900, 4, 2, max_w});
+      params.push_back({kind, 800, 2400, 8, 3, max_w});
+    }
+  }
+  return params;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Contracts, RefinerSweep,
-    ::testing::Values(
-        RefineParam{RefinerKind::kGreedy, 60, 150, 2, 1},
-        RefineParam{RefinerKind::kGreedy, 300, 900, 4, 2},
-        RefineParam{RefinerKind::kGreedy, 800, 2400, 8, 3},
-        RefineParam{RefinerKind::kKernighanLin, 60, 150, 2, 1},
-        RefineParam{RefinerKind::kKernighanLin, 300, 900, 4, 2},
-        RefineParam{RefinerKind::kKernighanLin, 800, 2400, 8, 3},
-        RefineParam{RefinerKind::kFiducciaMattheyses, 60, 150, 2, 1},
-        RefineParam{RefinerKind::kFiducciaMattheyses, 300, 900, 4, 2},
-        RefineParam{RefinerKind::kFiducciaMattheyses, 800, 2400, 8, 3}),
+    Contracts, RefinerSweep, ::testing::ValuesIn(sweep_params()),
     [](const auto& info) {
-      return refiner_name(info.param.kind) + "_n" +
-             std::to_string(info.param.n) + "_k" +
-             std::to_string(info.param.k);
+      const RefineParam& prm = info.param;
+      return refiner_name(prm.kind) + "_n" + std::to_string(prm.n) + "_k" +
+             std::to_string(prm.k) +
+             (prm.max_vertex_weight > 1
+                  ? "_w" + std::to_string(prm.max_vertex_weight)
+                  : "");
     });
 
 // ---- initial partitioning ------------------------------------------------
