@@ -12,8 +12,12 @@
 //
 // Contraction maps every net's pins through the match, merges duplicate
 // pins, drops single-pin nets, and folds *identical* nets together by
-// summing their weights — on circuit hypergraphs many fanout nets collapse
-// to the same pin set after one level, so this keeps levels small.  It
+// summing their weights.  Few nets turn out identical, so levels stay
+// large in nets and pins: on s15850 (MultilevelHG k=8, seed 2000, unit
+// weights) vertices fall from 10,994 to 90 over 8 levels, but nets only
+// fall from 10,943 to 3,540 and pins from 33,604 to 11,908.  The average
+// net weight stays at or below 1.36 (seeds 1, 7 and 2000), and the pins
+// summed over all levels are 5.2× the finest level's.  Contraction
 // writes the coarse CSR in one pass (Hypergraph::from_csr, no per-net
 // vectors and no re-sort) and finds an identical earlier net through a
 // flat linear-probe table of net ids keyed by a hash of the pins.  Coarse
@@ -25,6 +29,7 @@
 
 #include "circuit/circuit.hpp"
 #include "hypergraph/hypergraph.hpp"
+#include "multilevel/vcycle.hpp"
 #include "multilevel/weights.hpp"
 
 namespace pls::hypergraph {
@@ -49,28 +54,9 @@ struct HgCoarsenOptions {
   const multilevel::VertexTrafficWeights* weights = nullptr;
 };
 
-/// One coarse level derived from the level above it.
-struct HgCoarseLevel {
-  Hypergraph graph;
-  std::vector<std::uint32_t> parent_map;  ///< finer vertex -> this level's
-  std::vector<std::uint8_t> contains_input;
-  std::size_t merged_globules = 0;  ///< globules formed by >=2 members
-};
-
-/// The multilevel hierarchy: base H0 plus H1 … Hm.
-struct HgHierarchy {
-  Hypergraph base;
-  std::vector<std::uint8_t> base_contains_input;
-  std::vector<HgCoarseLevel> levels;
-
-  const Hypergraph& coarsest() const {
-    return levels.empty() ? base : levels.back().graph;
-  }
-  const std::vector<std::uint8_t>& coarsest_contains_input() const {
-    return levels.empty() ? base_contains_input
-                          : levels.back().contains_input;
-  }
-};
+/// The hierarchy over the circuit hypergraph (multilevel/vcycle.hpp).
+using HgCoarseLevel = multilevel::Level<Hypergraph>;
+using HgHierarchy = multilevel::Hierarchy<Hypergraph>;
 
 /// Build the hierarchy for a frozen circuit (base = from_circuit).
 HgHierarchy coarsen(const circuit::Circuit& c, const HgCoarsenOptions& opt);

@@ -23,11 +23,10 @@ namespace pls::hypergraph {
 
 /// Coarsening stops at max(8k, 128) vertices: pairwise matching halves
 /// levels at best, so the HG pipeline keeps a slightly larger coarsest
-/// level than the graph pipeline's 4k.  The balance tolerance is the graph
-/// pipeline's (partition::MultilevelOptions::balance_tol).
+/// level than the graph pipeline's 4k.  Both pipelines share the balance
+/// tolerance and the passes per level (multilevel::kBalanceTol,
+/// multilevel::kRefinePasses).
 struct MultilevelHGOptions {
-  /// FM passes per level; the same budget as MultilevelOptions.
-  static constexpr std::uint32_t refine_iters = 8;
   /// Optional activity-derived work/traffic weights, consumed exactly like
   /// MultilevelOptions::weights (net weight = driver's traffic weight);
   /// must outlive the run.

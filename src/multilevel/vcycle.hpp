@@ -1,42 +1,76 @@
 #pragma once
-// The shared V-cycle: coarsen-once, then initial-partition the coarsest
-// level and refine at every level while projecting downward (paper §3).
+// The multilevel driver both partitioners share: coarsen once, then
+// initial-partition the coarsest level and refine at every level while
+// projecting downward (paper §3).  "Multilevel" on the symmetrized graph
+// and "MultilevelHG" on the circuit hypergraph each call
+// partition_circuit() with their coarsening and their V-cycle policy; the
+// templates here own everything else, so a change lands in both at once.
 //
-// Both partitioners — "Multilevel" on the symmetrized graph and
-// "MultilevelHG" on the circuit hypergraph — are instantiations of
-// run_vcycle() below over their own hierarchy/graph types.  The policy
-// object supplies the phase implementations; the template owns the
-// orchestration that used to be duplicated: trace bookkeeping, the
-// coarse-solution projection p_fine[v] = p_coarse[parent_map[v]], and the
-// coarsest-to-finest refinement drive.  Anything added here (weighting,
-// tracing, alternative cycle shapes) lands in both pipelines at once.
-//
-// Policy requirements (duck-typed; see MultilevelPartitioner /
-// MultilevelHGPartitioner for the two concrete instances):
+// Policy requirements (duck-typed; see GraphPolicy and HgPolicy in the two
+// partitioners' .cpp files):
 //   initial(graph, contains_input) -> partition::Partition
 //   refine(graph, p)  -> void, refines p in place
 //   quality(graph, p) -> std::uint64_t, the pipeline's objective (edge cut
 //                        / λ−1); only called when tracing
-// Hier requirements: `base` (finest graph), `levels` (each with its
-// `graph` and the `parent_map` into it), coarsest(),
-// coarsest_contains_input(); a graph has num_vertices().
 //
 // Call order is part of the contract: policies draw per-phase RNG seeds
-// from a sequential seeder, so the template performs exactly one initial()
-// and then one refine() per level, coarsest first — reordering would
-// silently change every seeded partition.
+// from a sequential seeder, so partition_circuit draws the coarsening seed
+// first, and run_vcycle performs exactly one initial() and then one
+// refine() per level, coarsest first — reordering would silently change
+// every seeded partition.
 //
-// check_hierarchy_invariants() validates either hierarchy the same way; it
-// reads each level's `graph`, `parent_map` and `contains_input`.
+// Both pipelines build one hierarchy type, Hierarchy<G> over Level<G>, with
+// G = graph::WeightedGraph or hypergraph::Hypergraph (partition::Hierarchy
+// and hypergraph::HgHierarchy are aliases).  check_hierarchy_invariants()
+// validates either the same way; it needs only num_vertices() and
+// vertex_weight(v) from G.
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "circuit/circuit.hpp"
+#include "multilevel/weights.hpp"
 #include "partition/partition.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace pls::multilevel {
+
+/// The imbalance tolerance every phase of both pipelines balances to.
+/// Tight: the baselines balance to within one gate, and any slack here
+/// shows up directly as one lagging node at runtime.  One value for both
+/// pipelines, so head-to-head comparisons run at equal tolerance.
+inline constexpr double kBalanceTol = 0.03;
+/// Refinement passes per level, in both pipelines.
+inline constexpr std::uint32_t kRefinePasses = 8;
+
+/// One coarse level G_{i+1} derived from the level below it.
+template <class G>
+struct Level {
+  G graph;
+  std::vector<std::uint32_t> parent_map;  ///< finer vertex -> this level's
+  std::vector<std::uint8_t> contains_input;  ///< per vertex of this level
+  std::size_t merged_globules = 0;  ///< vertices formed by >=2 members
+};
+
+/// levels[0] maps G0's vertices into G1, levels[i] maps G_i's into G_{i+1}.
+template <class G>
+struct Hierarchy {
+  G base;  ///< G0
+  std::vector<std::uint8_t> base_contains_input;
+  std::vector<Level<G>> levels;  ///< G1 … Gm
+
+  const G& coarsest() const {
+    return levels.empty() ? base : levels.back().graph;
+  }
+  const std::vector<std::uint8_t>& coarsest_contains_input() const {
+    return levels.empty() ? base_contains_input
+                          : levels.back().contains_input;
+  }
+  std::size_t num_levels() const noexcept { return levels.size(); }
+};
 
 /// Per-run diagnostics, shared by both pipelines ("quality" is edge cut
 /// for the graph pipeline, λ−1 for the hypergraph pipeline).
@@ -61,9 +95,9 @@ partition::Partition single_part(std::size_t n, Trace* trace);
 /// their weights' sum, and no coarse vertex combines two primary inputs
 /// (its contains_input flag says whether it holds one).  Throws
 /// util::CheckError on the first violation (used by tests).
-template <class Hier>
-void check_hierarchy_invariants(const Hier& h) {
-  const auto* fine = &h.base;
+template <class G>
+void check_hierarchy_invariants(const Hierarchy<G>& h) {
+  const G* fine = &h.base;
   const std::vector<std::uint8_t>* fine_inputs = &h.base_contains_input;
   for (std::size_t li = 0; li < h.levels.size(); ++li) {
     const auto& lvl = h.levels[li];
@@ -97,8 +131,9 @@ void check_hierarchy_invariants(const Hier& h) {
   }
 }
 
-template <class Hier, class Policy>
-partition::Partition run_vcycle(const Hier& h, Policy&& pol, Trace* trace) {
+template <class G, class Policy>
+partition::Partition run_vcycle(const Hierarchy<G>& h, Policy&& pol,
+                                Trace* trace) {
   if (trace != nullptr) {
     trace->level_sizes.clear();
     trace->quality_after_level.clear();
@@ -122,7 +157,7 @@ partition::Partition run_vcycle(const Hier& h, Policy&& pol, Trace* trace) {
 
   for (std::size_t i = h.levels.size(); i-- > 0;) {
     p = project(h.levels[i].parent_map, p);
-    const auto& gfine = i == 0 ? h.base : h.levels[i - 1].graph;
+    const G& gfine = i == 0 ? h.base : h.levels[i - 1].graph;
     pol.refine(gfine, p);
     if (trace != nullptr) {
       trace->quality_after_level.push_back(pol.quality(gfine, p));
@@ -158,7 +193,7 @@ partition::Partition run_vcycle(const Hier& h, Policy&& pol, Trace* trace) {
 /// Known tradeoff: candidate B's coarse phases balance in *unit* gate
 /// counts; the weighted refine pass only rejects moves into parts over
 /// the weighted limit, it does not evacuate a part the unit phases
-/// already overfilled.  A B-win can therefore exceed balance_tol measured
+/// already overfilled.  A B-win can therefore exceed kBalanceTol measured
 /// in work weights (A cannot — its every phase budgets weighted load).
 /// Deliberate: rejecting B outright would discard the lower-traffic
 /// partition over a constraint the unweighted baseline also ignores.
@@ -166,10 +201,10 @@ partition::Partition run_vcycle(const Hier& h, Policy&& pol, Trace* trace) {
 ///
 /// The trace (if any) follows candidate A's V-cycle; final_quality is
 /// re-pointed at whichever candidate is returned.
-template <class Hier, class Policy>
-partition::Partition run_guided_vcycle(const Hier& hw, const Hier& hu,
-                                       Policy&& wpol, Policy&& upol,
-                                       Trace* trace) {
+template <class G, class Policy>
+partition::Partition run_guided_vcycle(const Hierarchy<G>& hw,
+                                       const Hierarchy<G>& hu, Policy&& wpol,
+                                       Policy&& upol, Trace* trace) {
   partition::Partition a = run_vcycle(hw, wpol, trace);
   partition::Partition b = run_vcycle(hu, upol, nullptr);
   wpol.refine(hw.base, b);
@@ -179,6 +214,53 @@ partition::Partition run_guided_vcycle(const Hier& hw, const Hier& hu,
   partition::Partition chosen = qb < qa ? std::move(b) : std::move(a);
   if (trace != nullptr) trace->final_quality = std::min(qa, qb);
   return chosen;
+}
+
+/// One multilevel run of circuit `c` into k parts, for either pipeline:
+///   coarsen(weights, seed, cap) -> Hierarchy<G>, the pipeline's
+///       coarsening of `c` under those weights (nullptr = unit weights),
+///       RNG seed and largest globule weight;
+///   make_policy(seeder) -> the pipeline's V-cycle policy, drawing its
+///       phase seeds from `seeder`.
+/// Null or uniform `weights` run one V-cycle: uniform weights cannot
+/// change any decision, so that reproduces the unweighted partition
+/// bit-identically.  Real weights run the guided best-of-two above, whose
+/// candidate B replays the unweighted run's exact seed chain.  `weights`
+/// must outlive the call; the trace (if any) is filled as by run_vcycle.
+template <class Coarsen, class MakePolicy>
+partition::Partition partition_circuit(const circuit::Circuit& c,
+                                       std::uint32_t k, std::uint64_t seed,
+                                       const VertexTrafficWeights* weights,
+                                       Trace* trace, Coarsen&& coarsen,
+                                       MakePolicy&& make_policy) {
+  PLS_CHECK(k >= 1);
+  if (k == 1) return single_part(c.size(), trace);
+
+  // Cap globules at a quarter of the ideal per-part load so the initial
+  // phase can balance and refinement retains movable units.  "Load" is the
+  // total work weight — the gate count when unweighted.
+  const auto cap = [k](std::uint64_t total_work) {
+    return std::max<std::uint64_t>(1, total_work / (std::uint64_t{4} * k));
+  };
+  const auto gates = static_cast<std::uint64_t>(c.size());
+
+  util::SplitMix64 seeder(seed);
+  const auto h = coarsen(
+      weights, seeder.next(),
+      cap(weights != nullptr ? weights->total_vertex_weight() : gates));
+  auto pol = make_policy(seeder);
+
+  partition::Partition p;
+  if (weights == nullptr || weights->uniform()) {
+    p = run_vcycle(h, pol, trace);
+  } else {
+    util::SplitMix64 useeder(seed);
+    const auto hu = coarsen(nullptr, useeder.next(), cap(gates));
+    auto upol = make_policy(useeder);
+    p = run_guided_vcycle(h, hu, pol, upol, trace);
+  }
+  p.validate(c.size());
+  return p;
 }
 
 }  // namespace pls::multilevel

@@ -22,11 +22,11 @@
 // activity).
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 #include "graph/weighted_graph.hpp"
+#include "multilevel/vcycle.hpp"
 #include "multilevel/weights.hpp"
 
 namespace pls::partition {
@@ -59,30 +59,10 @@ struct CoarsenOptions {
   const multilevel::VertexTrafficWeights* weights = nullptr;
 };
 
-/// One coarse level G_{i+1} derived from the level below it.
-struct CoarseLevel {
-  graph::WeightedGraph graph;             ///< symmetrized, for refinement
-  std::vector<std::uint32_t> parent_map;  ///< finer vertex -> this level's vertex
-  std::vector<std::uint8_t> contains_input;  ///< per vertex of this level
-  std::size_t merged_globules = 0;  ///< vertices formed by >=2 members
-};
-
-/// The full multilevel hierarchy.  levels[0] maps G0's vertices into G1,
-/// levels[i] maps G_i's vertices into G_{i+1}.
-struct Hierarchy {
-  graph::WeightedGraph base;                 ///< G0 (symmetrized circuit)
-  std::vector<std::uint8_t> base_contains_input;
-  std::vector<CoarseLevel> levels;           ///< G1 … Gm
-
-  const graph::WeightedGraph& coarsest() const {
-    return levels.empty() ? base : levels.back().graph;
-  }
-  const std::vector<std::uint8_t>& coarsest_contains_input() const {
-    return levels.empty() ? base_contains_input
-                          : levels.back().contains_input;
-  }
-  std::size_t num_levels() const noexcept { return levels.size(); }
-};
+/// The hierarchy over the symmetrized circuit graph
+/// (multilevel/vcycle.hpp).
+using CoarseLevel = multilevel::Level<graph::WeightedGraph>;
+using Hierarchy = multilevel::Hierarchy<graph::WeightedGraph>;
 
 /// Build the hierarchy for a frozen circuit.  O(|E|) per level.
 Hierarchy coarsen(const circuit::Circuit& c, const CoarsenOptions& opt);

@@ -24,13 +24,8 @@ namespace pls::partition {
 struct MultilevelOptions {
   CoarsenScheme scheme = CoarsenScheme::kFanout;
   RefinerKind refiner = RefinerKind::kGreedy;
-  /// Tight: the baselines balance to within one gate, and any slack here
-  /// shows up directly as one lagging node at runtime.  MultilevelHG reads
-  /// the same value, so head-to-head comparisons run at equal imbalance
-  /// tolerance.
-  static constexpr double balance_tol = 0.03;
-  /// Refinement passes per level.
-  static constexpr std::uint32_t refine_iters = 8;
+  /// Both pipelines' imbalance tolerance (multilevel::kBalanceTol).
+  static constexpr double balance_tol = multilevel::kBalanceTol;
   /// Optional activity-derived work/traffic weights (see
   /// CoarsenOptions::weights); must outlive the run.
   const multilevel::VertexTrafficWeights* weights = nullptr;

@@ -1,5 +1,6 @@
 // Tests for the shared multilevel core (src/multilevel/): activity-derived
-// weights, the deduplicated balance/imbalance arithmetic, coarse-solution
+// weights, the deduplicated balance/imbalance arithmetic and the exact
+// balance limit of both pipelines' partitions, coarse-solution
 // projection, the uniform-weight bit-identity safety net behind the
 // refactor, and the driver's activity-guided modes.
 
@@ -95,6 +96,27 @@ TEST(Balance, LimitMatchesTheHistoricalInlineFormula) {
         std::ceil(static_cast<double>(total) / static_cast<double>(k) *
                   (1.0 + tol)));
     EXPECT_EQ(multilevel::balance_limit(total, k, tol), expect);
+  }
+}
+
+TEST(Balance, BothPipelinesMeetTheExactLimit) {
+  // The largest part of every final partition is within the integer
+  // limit both pipelines balance to.  FM can leave a coarse level over
+  // it; the finer levels must repair that by the finest one.
+  for (const char* circuit : {"s5378", "s9234"}) {
+    const auto c = circuit::make_iscas_like(circuit);
+    for (const char* strat : {"Multilevel", "MultilevelHG"}) {
+      const auto part = framework::make_partitioner(strat);
+      for (std::uint32_t k : {2u, 3u, 4u, 8u}) {
+        const std::uint64_t limit = multilevel::balance_limit(
+            c.size(), k, partition::MultilevelOptions::balance_tol);
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+          const auto loads = part->run(c, k, seed).loads();
+          EXPECT_LE(*std::max_element(loads.begin(), loads.end()), limit)
+              << circuit << " " << strat << " k=" << k << " seed=" << seed;
+        }
+      }
+    }
   }
 }
 

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "circuit/generator.hpp"
+#include "multilevel/balance.hpp"
 #include "multilevel/metrics.hpp"
 #include "multilevel/weights.hpp"
 #include "partition/baselines.hpp"
@@ -30,9 +32,12 @@ TEST(Multilevel, ValidBalancedPartition) {
   const auto c = test_circuit();
   const Partition p = MultilevelPartitioner().run(c, 8, 1);
   p.validate(c.size());
-  EXPECT_LE(imbalance(c, p), 1.12);  // within the default 10% tolerance
   const auto loads = p.loads();
   for (auto l : loads) EXPECT_GT(l, 0u);
+  // Within the 3% balance limit.
+  EXPECT_LE(*std::max_element(loads.begin(), loads.end()),
+            multilevel::balance_limit(c.size(), 8,
+                                      MultilevelOptions::balance_tol));
 }
 
 TEST(Multilevel, BeatsRandomOnEdgeCut) {
